@@ -2,7 +2,7 @@
 //! system, checks every answer, and prints its metrics by name and unit.
 //!
 //! ```text
-//! dod_perfbench --workload <batch-deep|batch-words|serve-stream> --seed <n> \
+//! dod_perfbench --workload <batch-deep|serve-stream> --seed <n> \
 //!               --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -161,7 +161,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         workload: String::new(),
         seed: 1,
-        seconds: 10.0,
+        seconds: 20.0,
         trace: false,
     };
     while let Some(flag) = it.next() {
@@ -235,10 +235,9 @@ fn run(args: &Args) -> Result<(), String> {
     let cpu = sys::pin_to_one_cpu()?;
     let outcome = match args.workload.as_str() {
         "batch-deep" => batch::run(&batch::DEEP, args),
-        "batch-words" => batch::run(&batch::WORDS, args),
         "serve-stream" => serve::run(args),
         other => Err(format!(
-            "unknown workload {other:?}; one of: batch-deep, batch-words, serve-stream"
+            "unknown workload {other:?}; one of: batch-deep, serve-stream"
         )),
     }?;
     let line = result_line(args, &outcome)?;

@@ -58,9 +58,6 @@ struct Anchor {
 /// [`sample_knn_distances`] at anchor values of `k`.
 pub struct KnnProfile {
     anchors: Vec<Anchor>,
-    /// Every sampled distance is a whole number (edit distance): radii
-    /// are rounded, since `dist ≤ 2.7` answers as `dist ≤ 2` there.
-    integral: bool,
 }
 
 impl KnnProfile {
@@ -78,11 +75,8 @@ impl KnnProfile {
                 let tail = 1.0 - inliers.len() as f64 / all.len() as f64;
                 Anchor { k, inliers, tail }
             })
-            .collect::<Vec<Anchor>>();
-        let integral = anchors
-            .iter()
-            .all(|a| a.inliers.iter().all(|d| d.fract() == 0.0));
-        KnnProfile { anchors, integral }
+            .collect();
+        KnnProfile { anchors }
     }
 
     /// The radius at which about `ratio` of the objects have fewer than `k`
@@ -91,15 +85,6 @@ impl KnnProfile {
     /// regime where borderline objects exist on both sides of it. Between
     /// anchors the radius is interpolated log-linearly in `k`.
     pub fn radius(&self, k: usize, ratio: f64) -> f64 {
-        let r = self.interpolated(k, ratio);
-        if self.integral {
-            r.round()
-        } else {
-            r
-        }
-    }
-
-    fn interpolated(&self, k: usize, ratio: f64) -> f64 {
         let at = |a: &Anchor| {
             // Below the tail's own share, keep a small continuous slice of
             // the inlier mode so that radii stay distinct.
