@@ -19,6 +19,11 @@ fn bench_metrics(c: &mut Criterion) {
     let mut g = c.benchmark_group("distance");
     g.sample_size(30);
 
+    // The dimension of the `serve-stream` benchmark workload.
+    let (a, b) = random_pair(8, 8);
+    g.bench_function("l2_8d", |bench| {
+        bench.iter(|| black_box(L2.dist(black_box(&a), black_box(&b))))
+    });
     let (a, b) = random_pair(96, 1);
     g.bench_function("l2_96d_deep", |bench| {
         bench.iter(|| black_box(L2.dist(black_box(&a), black_box(&b))))

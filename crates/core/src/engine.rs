@@ -614,7 +614,12 @@ impl<D: Dataset> Engine<D> {
 const ENGINE_MAGIC: &[u8; 4] = b"DODE";
 /// Version 2 added the dataset digest (version-1 payloads are refused —
 /// they carry no checksum, which is the guarantee this format exists for).
-const ENGINE_VERSION: u8 = 2;
+/// Version 3 marks the multi-lane vector kernels: a saved graph carries
+/// exact-K′ neighbor distances computed in the old sequential summation
+/// order, and the §5.5 shortcut compares those against `r`, so a
+/// `dist == r` tie could disagree with a nested loop run on the current
+/// kernel. Version-2 payloads are refused; rebuild the index instead.
+const ENGINE_VERSION: u8 = 3;
 /// magic + version + index tag + verify + threads u32 + seed u64 +
 /// dataset digest u64 + n u64.
 const HEADER_LEN: usize = 4 + 1 + 1 + 1 + 4 + 8 + 8 + 8;
@@ -971,6 +976,19 @@ mod tests {
         assert!(matches!(
             Engine::load(&data, &bad[..]),
             Err(DodError::Corrupt { offset: 0, .. })
+        ));
+
+        // A version-2 payload holds exact-K' distances from the
+        // sequential kernel: refused even though every other byte is
+        // well-formed.
+        let mut old = bytes.clone();
+        old[4] = 2;
+        assert!(matches!(
+            Engine::load(&data, &old[..]),
+            Err(DodError::Corrupt {
+                offset: 4,
+                reason: "unsupported engine version"
+            })
         ));
 
         // Truncation anywhere must error with an in-bounds offset.

@@ -454,6 +454,19 @@ impl Dataset for AnyDataset {
             AnyDataset::Strings(s) => s.dist(i, j),
         }
     }
+
+    /// The inner set's digest, so an erased engine's saves and loads
+    /// check the same point bytes as the concrete engine's (and the two
+    /// payloads are interchangeable).
+    fn content_digest(&self) -> u64 {
+        match self {
+            AnyDataset::L1(s) => s.content_digest(),
+            AnyDataset::L2(s) => s.content_digest(),
+            AnyDataset::L4(s) => s.content_digest(),
+            AnyDataset::Angular(s) => s.content_digest(),
+            AnyDataset::Strings(s) => s.content_digest(),
+        }
+    }
 }
 
 /// A generated dataset together with its provenance.
@@ -642,6 +655,28 @@ mod tests {
             let other = Family::Glove.generate(250, 3).data;
             assert!(AnyEngine::load(other, &bytes[..]).is_err());
         }
+    }
+
+    #[test]
+    fn erased_digest_sees_through_to_the_inner_set() {
+        use dod_core::{Engine, Query};
+        let erased = Family::Sift.generate(300, 1).data;
+        let AnyDataset::L2(concrete) = Family::Sift.generate(300, 1).data else {
+            panic!("sift is an L2 family");
+        };
+        assert_eq!(erased.content_digest(), concrete.content_digest());
+
+        // So a concrete engine's save loads as an erased one.
+        let engine = Engine::builder(concrete)
+            .index("mrpg:6".parse().expect("spec"))
+            .build()
+            .expect("build");
+        let query = Query::new(80.0, 10).expect("query");
+        let want = engine.query(query).expect("query").outliers;
+        let mut bytes = Vec::new();
+        engine.save(&mut bytes).expect("save");
+        let reloaded = AnyEngine::load(erased, &bytes[..]).expect("load as AnyEngine");
+        assert_eq!(reloaded.query(query).expect("query").outliers, want);
     }
 
     #[test]

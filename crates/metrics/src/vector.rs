@@ -9,8 +9,22 @@ use crate::dataset::Dataset;
 /// inequality). `preprocess` runs once per dataset at construction and may
 /// normalize the stored rows (the angular metric uses it to pre-normalize to
 /// unit length so each distance evaluation is a single dot product).
+///
+/// The sum-based metrics here ([`L1`], [`L2`], [`L4`], [`Minkowski`] and
+/// [`Angular`]'s dot product) widen every coordinate to `f64` and add the
+/// per-coordinate terms in one fixed order: coordinate `i` goes to
+/// accumulator lane `i % 4`, in increasing `i`, and the four lanes fold as
+/// `(l0 + l2) + (l1 + l3)`. Independent lanes let the compiler keep several
+/// additions in flight and pack them into SIMD registers, a reassociation
+/// it may not do on its own. The order depends only on the dimension, so a
+/// distance is a pure function of its two rows: every consumer, the
+/// nested-loop ground truth included, sees the same bits for the same
+/// pair, which is what lets "exact" mean "the same outlier set as the
+/// nested loop". Swapping the arguments gives the same bits too, since
+/// `fl(x − y) = −fl(y − x)` and `x·y = y·x`.
 pub trait VectorMetric: Send + Sync {
-    /// Exact distance between `a` and `b` (same length).
+    /// Exact distance between `a` and `b` (same length), summed in the
+    /// fixed lane order above for the sum-based metrics.
     fn dist(&self, a: &[f32], b: &[f32]) -> f64;
 
     /// One-time hook to transform stored rows at dataset construction.
@@ -20,6 +34,41 @@ pub trait VectorMetric: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
+/// Number of independent `f64` accumulators in [`lane_sum`]. Part of every
+/// sum-based distance's definition: changing it changes rounding, so saved
+/// indexes holding exact-K′ distances must then be refused (`dod_core`'s
+/// engine format version).
+const LANES: usize = 4;
+
+/// `Σ term(a_i, b_i)` over the common prefix of `a` and `b`, in the fixed
+/// order of [`VectorMetric`]: coordinate `i` accumulates into lane
+/// `i % LANES` in increasing `i` (so the tail past the last full group of
+/// `LANES` goes to lanes `0..`), then the lanes fold pairwise, each halving
+/// adding lane `l + w` into lane `l`.
+#[inline(always)]
+fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f64, f64) -> f64) -> f64 {
+    let n = a.len().min(b.len());
+    let (a, b) = (a[..n].chunks_exact(LANES), b[..n].chunks_exact(LANES));
+    let (tail_a, tail_b) = (a.remainder(), b.remainder());
+    let mut acc = [0.0f64; LANES];
+    for (xs, ys) in a.zip(b) {
+        for ((s, &x), &y) in acc.iter_mut().zip(xs).zip(ys) {
+            *s += term(f64::from(x), f64::from(y));
+        }
+    }
+    for ((s, &x), &y) in acc.iter_mut().zip(tail_a).zip(tail_b) {
+        *s += term(f64::from(x), f64::from(y));
+    }
+    let mut w = LANES;
+    while w > 1 {
+        w /= 2;
+        for l in 0..w {
+            acc[l] += acc[l + w];
+        }
+    }
+    acc[0]
+}
+
 /// Manhattan (`L1`) norm: `Σ |a_i − b_i|`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct L1;
@@ -27,10 +76,7 @@ pub struct L1;
 impl VectorMetric for L1 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| (x as f64 - y as f64).abs())
-            .sum()
+        lane_sum(a, b, |x, y| (x - y).abs())
     }
 
     fn name(&self) -> &'static str {
@@ -45,14 +91,11 @@ pub struct L2;
 impl VectorMetric for L2 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let d = x as f64 - y as f64;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
+        lane_sum(a, b, |x, y| {
+            let d = x - y;
+            d * d
+        })
+        .sqrt()
     }
 
     fn name(&self) -> &'static str {
@@ -70,15 +113,12 @@ pub struct L4;
 impl VectorMetric for L4 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let d = x as f64 - y as f64;
-                let d2 = d * d;
-                d2 * d2
-            })
-            .sum::<f64>()
-            .powf(0.25)
+        lane_sum(a, b, |x, y| {
+            let d = x - y;
+            let d2 = d * d;
+            d2 * d2
+        })
+        .powf(0.25)
     }
 
     fn name(&self) -> &'static str {
@@ -130,11 +170,7 @@ impl Minkowski {
 impl VectorMetric for Minkowski {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| (x as f64 - y as f64).abs().powf(self.p))
-            .sum::<f64>()
-            .powf(1.0 / self.p)
+        lane_sum(a, b, |x, y| (x - y).abs().powf(self.p)).powf(1.0 / self.p)
     }
 
     fn name(&self) -> &'static str {
@@ -155,7 +191,7 @@ pub struct Angular;
 impl VectorMetric for Angular {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        let dot: f64 = a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum();
+        let dot = lane_sum(a, b, |x, y| x * y);
         dot.clamp(-1.0, 1.0).acos()
     }
 
@@ -374,6 +410,95 @@ mod tests {
         let s = VectorSet::from_rows(&[], L2);
         assert_eq!(s.len(), 0);
         assert!(s.is_empty());
+    }
+
+    /// The summation order [`VectorMetric`] documents, spelled out for four
+    /// lanes. A change to [`LANES`] or the fold fails against this on
+    /// purpose: it changes every distance's rounding.
+    fn documented_order(terms: &[f64]) -> f64 {
+        let mut lanes = [0.0f64; 4];
+        for (i, t) in terms.iter().enumerate() {
+            lanes[i % 4] += t;
+        }
+        (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
+    }
+
+    /// Neumaier's compensated sum: error at most about `2u·|Σ t|` plus a
+    /// term in `n²u²·Σ|t|`, far below the lane sum's own error.
+    fn compensated(terms: &[f64]) -> f64 {
+        let (mut sum, mut comp) = (0.0f64, 0.0f64);
+        for &t in terms {
+            let next = sum + t;
+            comp += if sum.abs() >= t.abs() {
+                (sum - next) + t
+            } else {
+                (t - next) + sum
+            };
+            sum = next;
+        }
+        sum + comp
+    }
+
+    #[test]
+    fn lane_sums_follow_the_documented_order_within_a_stated_bound() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        type Term = fn(f64, f64) -> f64;
+        let terms: [(&str, Term); 4] = [
+            ("abs", |x, y| (x - y).abs()),
+            ("square", |x, y| (x - y) * (x - y)),
+            ("quartic", |x, y| {
+                let d2 = (x - y) * (x - y);
+                d2 * d2
+            }),
+            ("dot", |x, y| x * y),
+        ];
+        // Mixed signs and magnitudes over 2^±12, so partial sums cancel.
+        let mut rng = StdRng::seed_from_u64(29);
+        let coord = |rng: &mut StdRng| {
+            let m: f32 = rng.gen_range(-1.0..1.0);
+            m * 2f32.powi(rng.gen_range(-12..13))
+        };
+        for dim in 0..=130usize {
+            for _ in 0..4 {
+                let a: Vec<f32> = (0..dim).map(|_| coord(&mut rng)).collect();
+                let b: Vec<f32> = (0..dim).map(|_| coord(&mut rng)).collect();
+                for (name, term) in terms {
+                    let ts: Vec<f64> = a
+                        .iter()
+                        .zip(&b)
+                        .map(|(&x, &y)| term(f64::from(x), f64::from(y)))
+                        .collect();
+                    let got = lane_sum(&a, &b, term);
+                    assert_eq!(got.to_bits(), documented_order(&ts).to_bits(), "{name}");
+                    // Every term passes through at most
+                    // ⌈n/LANES⌉ − 1 + log2(LANES) roundings, so
+                    // |got − Σt| ≤ γ_h·Σ|t| with γ_h ≈ h·u; the reference
+                    // adds its own ≤ 2u·Σ|t|.
+                    let h = dim.div_ceil(LANES) + LANES.ilog2() as usize;
+                    let bound = (h + 3) as f64
+                        * (f64::EPSILON / 2.0)
+                        * ts.iter().map(|t| t.abs()).sum::<f64>();
+                    let err = (got - compensated(&ts)).abs();
+                    assert!(
+                        err <= bound,
+                        "{name} at dim {dim}: error {err:e} > {bound:e}"
+                    );
+                }
+                let sum = |term: Term| lane_sum(&a, &b, term);
+                assert_eq!(L1.dist(&a, &b), sum(terms[0].1));
+                assert_eq!(L2.dist(&a, &b), sum(terms[1].1).sqrt());
+                assert_eq!(L4.dist(&a, &b), sum(terms[2].1).powf(0.25));
+                assert_eq!(
+                    Angular.dist(&a, &b),
+                    sum(terms[3].1).clamp(-1.0, 1.0).acos()
+                );
+                let p3 = Minkowski::new(3.0);
+                let cube: Term = |x, y| (x - y).abs().powf(3.0);
+                assert_eq!(p3.dist(&a, &b), sum(cube).powf(1.0 / 3.0));
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use dod::core::nested_loop;
 use dod::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Random 2-d points in a box.
 fn points_strategy(max_n: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -14,6 +15,19 @@ fn points_strategy(max_n: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
         (-50.0f32..50.0, -50.0f32..50.0).prop_map(|(x, y)| vec![x, y]),
         2..max_n,
     )
+}
+
+/// Points on the integer grid `[-3, 3]^dim` for a `dim` in 9..=40, so
+/// squared distances are small integers: many pairs tie at each realized
+/// distance, and the exact sums make `dist == r` ties reproducible in every
+/// summation order.
+fn grid_strategy(max_n: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    let row = prop::collection::vec(-3i32..4, 40);
+    (9usize..41, prop::collection::vec(row, 2..max_n)).prop_map(|(dim, rows)| {
+        rows.into_iter()
+            .map(|r| r[..dim].iter().map(|&c| c as f32).collect())
+            .collect()
+    })
 }
 
 /// Every index spec the engine supports, smallest-degree variants.
@@ -37,21 +51,28 @@ proptest! {
         k in 1usize..8,
         seed in 0u64..500,
     ) {
+        check_every_spec(&VectorSet::from_rows(&rows, L2), r, k, seed)?;
+    }
+
+    #[test]
+    fn every_index_spec_matches_nested_loop_on_grid_ties(
+        rows in grid_strategy(90),
+        (p, m) in (0usize..90, 0usize..16),
+        k in 1usize..8,
+        seed in 0u64..500,
+    ) {
         let data = VectorSet::from_rows(&rows, L2);
-        let truth = nested_loop::detect(&data, &DodParams::new(r, k), seed).outliers;
-        let q = Query::new(r, k).expect("valid query");
-        for spec in all_specs(5) {
-            let name = format!("{spec:?}");
-            let engine = Engine::builder(&data)
-                .index(spec)
-                .seed(seed)
-                .build()
-                .expect("build");
-            prop_assert_eq!(
-                &engine.query(q).expect("query").outliers, &truth,
-                "{} disagrees with the definition", name
-            );
-        }
+        // r is a realized distance, p's to its m-th nearest neighbor, so
+        // at least one pair sits exactly on it and r is near the k-NN
+        // scale, where some points are outliers and some are not.
+        let p = p % data.len();
+        let mut near: Vec<f64> = (0..data.len())
+            .filter(|&q| q != p)
+            .map(|q| data.dist(p, q))
+            .collect();
+        near.sort_by(f64::total_cmp);
+        let r = near[m % near.len()];
+        check_every_spec(&data, r, k, seed)?;
     }
 
     #[test]
@@ -75,6 +96,32 @@ proptest! {
             prop_assert_eq!(got.decided_in_filter, want.decided_in_filter, "{}", name);
         }
     }
+}
+
+/// Every index spec's `(r, k)` answer over `data` equals the nested loop's.
+fn check_every_spec(
+    data: &VectorSet<L2>,
+    r: f64,
+    k: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let truth = nested_loop::detect(data, &DodParams::new(r, k), seed).outliers;
+    let q = Query::new(r, k).expect("valid query");
+    for spec in all_specs(5) {
+        let name = format!("{spec:?}");
+        let engine = Engine::builder(data)
+            .index(spec)
+            .seed(seed)
+            .build()
+            .expect("build");
+        prop_assert_eq!(
+            &engine.query(q).expect("query").outliers,
+            &truth,
+            "{} disagrees with the definition",
+            name
+        );
+    }
+    Ok(())
 }
 
 #[test]
