@@ -512,7 +512,9 @@ fn tables(
 }
 
 /// The `--cost` grid: Algorithm 1's work accounting per index spec. For
-/// every family and every wire-spelled index (`mrpg:8` … `none`), one
+/// every family and every wire-spelled index (`mrpg:{K}`, `nsw:{K}`,
+/// `kgraph:{K}`, `vptree`, `none`, where `K` is the family's graph
+/// degree, so the three graphs compare like with like), one
 /// calibrated query reports its distance evaluations by phase, graph
 /// hops and pruning power `1 − evals ⁄ n·(n−1)` — the paper's headline
 /// quantity, now measured instead of inferred from wall time. A
@@ -521,9 +523,16 @@ fn tables(
 /// (PR 9's phase-span precedent measured ~1.7%).
 fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -> io::Result<()> {
     writeln!(out, "### Query-cost accounting (`--cost`)\n")?;
-    const SPECS: [&str; 5] = ["mrpg:8", "nsw:25", "kgraph:25", "vptree", "none"];
     for &family in &cfg.families {
         let w = Workload::prepare(family, cfg);
+        let k = w.degree;
+        let specs = [
+            format!("mrpg:{k}"),
+            format!("nsw:{k}"),
+            format!("kgraph:{k}"),
+            "vptree".to_string(),
+            "none".to_string(),
+        ];
         writeln!(out, "* workload {w}")?;
         out.flush()?;
         let query = workload_query(&w, cfg.threads);
@@ -536,7 +545,7 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
             "pruning power",
         ]);
         let mut reference: Option<Vec<u32>> = None;
-        for spec in SPECS {
+        for spec in &specs {
             let index: IndexSpec = spec.parse().expect("cost-grid specs are valid");
             let engine = Engine::builder(&w.data)
                 .index(index)
@@ -553,7 +562,7 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
             let cost = report.cost;
             let power = cost.pruning_power(w.n);
             t.row([
-                spec.to_string(),
+                spec.clone(),
                 cost.filter_dist_evals.to_string(),
                 cost.verify_dist_evals.to_string(),
                 cost.total_dist_evals().to_string(),
@@ -565,7 +574,7 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
                     ("experiment", JsonVal::from("tables_cost")),
                     ("dataset", JsonVal::from(family.to_string())),
                     ("n", JsonVal::from(w.n)),
-                    ("index", JsonVal::from(spec)),
+                    ("index", JsonVal::from(spec.as_str())),
                     (
                         "dist_evals",
                         JsonVal::from(cost.total_dist_evals() as usize),

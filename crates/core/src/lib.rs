@@ -32,7 +32,6 @@ pub mod greedy;
 pub mod nested_loop;
 pub mod parallel;
 pub mod params;
-pub mod profile;
 pub mod snif;
 pub mod telemetry;
 pub mod trace;

@@ -15,11 +15,10 @@
 
 use crate::registry::{DurableInfo, SessionEntry, SessionRegistry};
 use crate::streams::AnyDurableSession;
-use dod_core::profile::Profiler;
 use dod_core::telemetry::Counter;
 use dod_core::{DodError, Query};
 use dod_metrics::MetricKind;
-use dod_shard::{DurabilityPolicy, PipelineProfile, ShardSpec, SyncPolicy};
+use dod_shard::{DurabilityPolicy, ShardSpec, SyncPolicy};
 use dod_stream::{Backend, WindowSpec};
 use dod_wire::shapes::{SessionCreateRequest, SyncShape, WindowShape};
 use std::path::Path;
@@ -168,17 +167,12 @@ pub(crate) fn reclaim_session_dir(dir: &Path, cleanup_errors: &Counter) {
 /// the create handler and bind-time recovery). `ingested` starts at
 /// zero on every open: it counts points accepted over HTTP *by this
 /// process* — the window itself is what recovery restores.
-pub(crate) fn session_entry(
-    session: AnyDurableSession,
-    dir: &Path,
-    queue: usize,
-    profile: PipelineProfile,
-) -> SessionEntry {
+pub(crate) fn session_entry(session: AnyDurableSession, dir: &Path, queue: usize) -> SessionEntry {
     let metric = session.metric_name();
     let shards = session.shard_count();
     let telemetry = session.telemetry();
     SessionEntry {
-        pipeline: session.into_pipeline(queue, Some(profile)),
+        pipeline: session.into_pipeline(queue),
         metric,
         shards,
         ingested: Counter::new(),
@@ -204,7 +198,6 @@ pub(crate) fn recover_sessions(
     queue: usize,
     sessions: &mut SessionRegistry,
     cleanup_errors: &Counter,
-    profiler: &std::sync::Arc<Profiler>,
 ) -> Result<Vec<String>, DodError> {
     let root = data_dir.join("sessions");
     if !root.is_dir() {
@@ -236,11 +229,7 @@ pub(crate) fn recover_sessions(
         let dir = root.join(id);
         let create = read_manifest(&dir)?;
         let session = open_session(&create, &dir)?;
-        let profile = PipelineProfile {
-            profiler: std::sync::Arc::clone(profiler),
-            prefix: id.clone(),
-        };
-        let entry = session_entry(session, &dir, queue, profile);
+        let entry = session_entry(session, &dir, queue);
         if sessions.mount(id, entry).is_err() {
             return Err(DodError::InvalidSpec {
                 reason: format!(

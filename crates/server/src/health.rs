@@ -1,16 +1,14 @@
 //! `GET /v1/debug/health`: the index-health document — discovery-recall
 //! estimates, tombstone ratios and degree distributions from the recall
-//! auditor, shard-balance skews from the pipeline's health barrier, and
-//! the thread-phase profile.
+//! auditor, and shard-balance skews from the pipeline's health barrier.
 //!
 //! The document is deliberately *byte-stable*: two scrapes with no
 //! intervening ingest answer identical bytes. Everything rendered here
-//! is either configuration, a lifetime counter that only moves on
-//! ingest, or a phase tally that only moves while some thread is in a
-//! non-idle phase — and serving this route itself sets no phase (see
-//! `dispatch`), so the scrape cannot perturb what it reports. That
-//! property is what lets an operator (or a test) diff two scrapes and
-//! read any change as real work, not measurement noise.
+//! is either configuration or a lifetime counter that only moves on
+//! ingest, and the health barrier itself books no work, so the scrape
+//! cannot perturb what it reports. That property is what lets an
+//! operator (or a test) diff two scrapes and read any change as real
+//! work, not measurement noise.
 //!
 //! Like `/v1/debug/traces`, the query string is strict: `?engine=` and
 //! `?session=` restrict the document to one resource, unknown keys are
@@ -21,7 +19,6 @@ use crate::http::Request;
 use crate::registry::SessionEntry;
 use crate::routes::{bad_request, no_engine, no_session, query_params, valid_name, Response};
 use crate::State;
-use dod_core::profile::{Phase, PHASES};
 use dod_shard::HealthReport;
 use dod_wire::JsonValue;
 
@@ -155,37 +152,6 @@ fn session_health(id: &str, entry: &SessionEntry) -> JsonValue {
     JsonValue::obj(fields)
 }
 
-/// The thread-phase profile: every registered thread's current phase
-/// and its *non-idle* sample tallies. Idle samples are deliberately
-/// absent — they accumulate with wall-clock time alone, and this
-/// document only carries numbers that move when work happens. (They are
-/// still exported, with the idle row, as
-/// `dod_profile_samples_total{thread,phase}` on `/metrics`, where
-/// monotone time-driven counters belong.)
-fn profile_json(state: &State) -> JsonValue {
-    let threads: Vec<JsonValue> = state
-        .profiler
-        .profiles()
-        .iter()
-        .map(|p| {
-            let samples: Vec<(&'static str, JsonValue)> = PHASES
-                .iter()
-                .filter(|ph| **ph != Phase::Idle)
-                .map(|ph| (ph.name(), JsonValue::from(p.samples(*ph))))
-                .collect();
-            JsonValue::obj([
-                ("thread", JsonValue::from(p.name())),
-                ("phase", JsonValue::from(p.current().name())),
-                ("samples", JsonValue::obj(samples)),
-            ])
-        })
-        .collect();
-    JsonValue::obj([
-        ("hz", JsonValue::from(u64::from(state.profile_hz))),
-        ("threads", JsonValue::Arr(threads)),
-    ])
-}
-
 /// `GET /v1/debug/health[?engine=..][&session=..]`.
 pub(crate) fn handle_debug_health(state: &State, req: &Request) -> Response {
     let filter = match parse_health_filter(&req.query) {
@@ -229,7 +195,6 @@ pub(crate) fn handle_debug_health(state: &State, req: &Request) -> Response {
         JsonValue::obj([
             ("engines", JsonValue::Arr(engines)),
             ("sessions", JsonValue::Arr(sessions)),
-            ("profile", profile_json(state)),
         ])
         .render(),
     )

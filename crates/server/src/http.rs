@@ -85,20 +85,35 @@ impl HttpError {
     }
 }
 
+/// A failed socket read: 408 only for timeouts (per-read or
+/// whole-request deadline — the client being slow, even mid-body);
+/// resets and other transport failures are the client's 400.
+fn read_error(e: std::io::Error, context: &str) -> HttpError {
+    let status = match e.kind() {
+        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => 408,
+        _ => 400,
+    };
+    HttpError::new(status, format!("{context}: {e}"))
+}
+
+/// Blocks until the next request's first byte is buffered, without
+/// consuming it. `Ok(false)` means the client closed cleanly instead.
+/// Callers start a request's clock *after* this returns, so a keep-alive
+/// client's think time between requests never counts as request time.
+pub fn await_request<R: BufRead>(r: &mut R) -> Result<bool, HttpError> {
+    r.fill_buf()
+        .map(|buf| !buf.is_empty())
+        .map_err(|e| read_error(e, "read failed"))
+}
+
 /// Reads one line terminated by `\n`, capped at [`MAX_LINE_BYTES`].
 /// Returns `None` on clean EOF before any byte.
 fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
     let mut buf = Vec::new();
     let mut limited = r.take(MAX_LINE_BYTES as u64 + 1);
-    let n = limited.read_until(b'\n', &mut buf).map_err(|e| {
-        // 408 only for timeouts (per-read or whole-request deadline);
-        // resets and other transport failures are the client's 400.
-        let status = match e.kind() {
-            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => 408,
-            _ => 400,
-        };
-        HttpError::new(status, format!("read failed: {e}"))
-    })?;
+    let n = limited
+        .read_until(b'\n', &mut buf)
+        .map_err(|e| read_error(e, "read failed"))?;
     if n == 0 {
         return Ok(None);
     }
@@ -203,15 +218,8 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Req
         ));
     }
     let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| {
-        // A timeout mid-body (per-read or whole-request deadline) is the
-        // client being slow, not the body being short.
-        let status = match e.kind() {
-            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => 408,
-            _ => 400,
-        };
-        HttpError::new(status, format!("body shorter than content-length: {e}"))
-    })?;
+    r.read_exact(&mut body)
+        .map_err(|e| read_error(e, "body shorter than content-length"))?;
     Ok(Some(Request { body, ..req }))
 }
 

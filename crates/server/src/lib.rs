@@ -38,7 +38,7 @@
 //! | `GET /healthz` | — | `{"status": "ok", …}` |
 //! | `GET /metrics` | — | Prometheus text: per-route×status HTTP counters + latency histograms, worker-pool and pipeline gauges, per-engine query telemetry, per-session stream counters, ghost rates and WAL counters |
 //! | `GET /v1/debug/traces` | — | the most recent request traces (`?min_ms=`, `?route=` filters) from an in-memory ring |
-//! | `GET /v1/debug/health` | — | the index-health document: per-session discovery-recall estimates, tombstone ratios, shard-balance skews, and the thread-phase profile (`?engine=`, `?session=` filters) |
+//! | `GET /v1/debug/health` | — | the index-health document: per-session discovery-recall estimates, tombstone ratios, and shard-balance skews (`?engine=`, `?session=` filters) |
 //! | `GET /v1/debug/slow` | — | the N slowest query requests since startup with their cost plans (`?min_ms=`, `?engine=` filters); join on `request_id` against `/v1/debug/traces` |
 //!
 //! # Observability
@@ -121,20 +121,18 @@ pub use routes::{dod_error_kind, dod_error_status, encode, error_body, http_erro
 pub use streams::AnyStreamDetector;
 
 use dod_core::parallel::{PoolStats, WorkerPool};
-use dod_core::profile::{Profiler, Sampler, ThreadProfile};
 use dod_core::telemetry::{Counter, Histogram};
 use dod_core::trace::{
     generate_request_id, sanitize_request_id, TraceContext, TraceRing, TraceSink,
 };
 use dod_core::{DodError, EngineMetrics, OutlierReport, Query};
 use dod_metrics::Dataset;
-use dod_shard::PipelineProfile;
 use registry::{EngineRegistry, SessionEntry, SessionRegistry};
 use routes::Route;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -214,28 +212,7 @@ pub(crate) struct State {
     /// bind-time sweep of aborted creations). Non-zero means on-disk
     /// state the operator believes deleted may still exist.
     pub(crate) cleanup_errors: Counter,
-    /// The thread-phase registry: every pipeline thread
-    /// (`{session}/router`, `{session}/pump-{i}`) and HTTP worker
-    /// (`http-{i}`) publishes its current phase here; a sampler thread
-    /// scrapes it into `dod_profile_samples_total`.
-    pub(crate) profiler: Arc<Profiler>,
-    /// The sampler's configured rate, echoed by `/v1/debug/health`.
-    pub(crate) profile_hz: u32,
-    /// Next `http-{i}` name to hand a worker thread (workers register
-    /// their profile lazily, on their first request).
-    http_threads: AtomicUsize,
     shutting_down: AtomicBool,
-}
-
-impl State {
-    /// The session-pipeline profile for `id` — every thread the pipeline
-    /// spawns registers under `{id}/…` in the shared profiler.
-    pub(crate) fn pipeline_profile(&self, id: &str) -> PipelineProfile {
-        PipelineProfile {
-            profiler: Arc::clone(&self.profiler),
-            prefix: id.to_string(),
-        }
-    }
 }
 
 /// The exact response statuses this server emits, each its own
@@ -319,7 +296,6 @@ pub struct ServerBuilder {
     trace_capacity: usize,
     slow_query_capacity: usize,
     extra_sinks: Vec<Arc<dyn TraceSink>>,
-    profile_hz: u32,
 }
 
 impl Default for ServerBuilder {
@@ -343,10 +319,6 @@ impl Default for ServerBuilder {
             trace_capacity: 256,
             slow_query_capacity: 32,
             extra_sinks: Vec::new(),
-            // A prime default: samples decorrelate from any periodic
-            // pipeline work, and the overhead (one atomic load per thread
-            // per tick) is negligible.
-            profile_hz: 97,
         }
     }
 }
@@ -510,26 +482,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Thread-phase sampling rate in Hz (default 97). Every pipeline and
-    /// HTTP worker thread publishes its current phase; a dedicated
-    /// sampler thread scrapes them this many times per second into
-    /// `dod_profile_samples_total{thread,phase}`. Validated at
-    /// [`bind`](Self::bind): values outside
-    /// `1..=`[`dod_core::profile::MAX_PROFILE_HZ`] fail the bind with a
-    /// typed [`DodError::InvalidSpec`] — never silently clamped.
-    pub fn profile_hz(mut self, hz: u32) -> Self {
-        self.profile_hz = hz;
-        self
-    }
-
     /// Binds the listener (use port `0` for an ephemeral port) and stands
     /// the stream session up on its pipeline threads. The server is not
     /// accepting yet — call [`DodServer::start`] or [`DodServer::run`].
     pub fn bind(self, addr: &str) -> Result<DodServer, DodError> {
-        // Validate the sampling rate before any thread is spawned: a bad
-        // knob must fail the bind, not surface later.
-        let profiler = Arc::new(Profiler::new());
-        let sampler = Sampler::start(Arc::clone(&profiler), self.profile_hz)?;
         let listener = TcpListener::bind(addr)?;
         let mut engines = EngineRegistry::new(self.max_engines);
         if let Some(engine) = self.engine {
@@ -541,13 +497,7 @@ impl ServerBuilder {
             let metric = stream.metric_name();
             let shards = stream.shard_count();
             let entry = SessionEntry {
-                pipeline: stream.into_pipeline(
-                    self.queue,
-                    Some(PipelineProfile {
-                        profiler: Arc::clone(&profiler),
-                        prefix: DEFAULT_RESOURCE.to_string(),
-                    }),
-                ),
+                pipeline: stream.into_pipeline(self.queue),
                 metric,
                 shards,
                 ingested: Counter::new(),
@@ -559,13 +509,7 @@ impl ServerBuilder {
         }
         let cleanup_errors = Counter::new();
         if let Some(data_dir) = &self.data_dir {
-            durable::recover_sessions(
-                data_dir,
-                self.queue,
-                &mut sessions,
-                &cleanup_errors,
-                &profiler,
-            )?;
+            durable::recover_sessions(data_dir, self.queue, &mut sessions, &cleanup_errors)?;
         }
         let trace_ring = Arc::new(TraceRing::new(self.trace_capacity));
         let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::with_capacity(2 + self.extra_sinks.len());
@@ -578,13 +522,6 @@ impl ServerBuilder {
         // saturation gauges are part of State and visible to /metrics
         // from the first scrape.
         let pool = WorkerPool::new(self.workers, self.queue);
-        // Register every worker's profile up front. Registration must not
-        // be lazy (first-request): `/v1/debug/health` is byte-stable
-        // across idle scrapes, and two scrapes served by *different*
-        // workers would otherwise disagree about the thread list.
-        for i in 0..self.workers {
-            let _ = profiler.register(&format!("http-{i}"));
-        }
         let state = Arc::new(State {
             engines: RwLock::new(engines),
             sessions: RwLock::new(sessions),
@@ -598,16 +535,12 @@ impl ServerBuilder {
             sinks,
             pool_stats: pool.stats(),
             cleanup_errors,
-            profiler,
-            profile_hz: self.profile_hz,
-            http_threads: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
         });
         Ok(DodServer {
             listener,
             state,
             pool,
-            sampler,
             read_timeout: self.read_timeout,
             write_timeout: self.write_timeout,
             request_timeout: self.request_timeout,
@@ -623,7 +556,6 @@ pub struct DodServer {
     listener: TcpListener,
     state: Arc<State>,
     pool: WorkerPool,
-    sampler: Sampler,
     read_timeout: Duration,
     write_timeout: Duration,
     request_timeout: Duration,
@@ -649,9 +581,6 @@ impl DodServer {
     /// thread. Most callers want [`start`](Self::start) instead.
     pub fn run(self) {
         let pool = self.pool;
-        // The sampler lives exactly as long as the accept loop: dropping
-        // it at the end of run() stops and joins its thread.
-        let _sampler = self.sampler;
         let conn_cfg = ConnConfig {
             read_timeout: self.read_timeout,
             write_timeout: self.write_timeout,
@@ -826,27 +755,6 @@ impl std::io::Write for DeadlineWriter {
     }
 }
 
-/// This worker thread's phase profile, registered in the server's
-/// profiler on first use as `http-{i}`. Cached per thread: a worker
-/// belongs to exactly one server's pool for its whole life, so the
-/// cache can never serve a stale profiler.
-fn http_profile(state: &State) -> Arc<ThreadProfile> {
-    thread_local! {
-        static PROFILE: std::cell::RefCell<Option<Arc<ThreadProfile>>> =
-            const { std::cell::RefCell::new(None) };
-    }
-    PROFILE.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if let Some(p) = slot.as_ref() {
-            return Arc::clone(p);
-        }
-        let idx = state.http_threads.fetch_add(1, Ordering::Relaxed);
-        let p = state.profiler.register(&format!("http-{idx}"));
-        *slot = Some(Arc::clone(&p));
-        p
-    })
-}
-
 /// Serves one connection: a keep-alive loop of read → dispatch → write,
 /// each request traced from the socket in. Never panics on client
 /// input; on protocol errors it answers once and closes.
@@ -876,7 +784,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
     for served in 0..cfg.keep_alive_requests {
         // Honor shutdown between requests: in-flight requests finish, but
         // an open keep-alive connection must not demand service forever.
-        // (A worker idle in read_request observes this within
+        // (A worker idle in await_request observes this within
         // cfg.read_timeout — or cfg.request_timeout when the per-read
         // cap is disabled — at the latest.)
         if state.shutting_down.load(Ordering::SeqCst) {
@@ -885,8 +793,16 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
         // Each request gets a fresh deadline; within it, every read is
         // still individually bounded by cfg.read_timeout.
         reader.get_mut().deadline.arm(cfg.request_timeout);
+        // The request's clock starts at its first byte: the wait before
+        // it is the connection idling between requests, not request time.
+        let waited = http::await_request(&mut reader);
         let read_start = Instant::now();
-        match http::read_request(&mut reader, cfg.max_body_bytes) {
+        let read = match waited {
+            Ok(true) => http::read_request(&mut reader, cfg.max_body_bytes),
+            Ok(false) => Ok(None),
+            Err(e) => Err(e),
+        };
+        match read {
             Ok(None) => break, // clean close between requests
             Ok(Some(req)) => {
                 let keep_alive = req.keep_alive()
@@ -907,7 +823,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                     vec![("body_bytes", req.body.len().into())],
                 );
                 let dispatch_span = ctx.child("dispatch");
-                let (route, resp) = routes::dispatch(state, &req, &mut ctx, &http_profile(state));
+                let (route, resp) = routes::dispatch(state, &req, &mut ctx);
                 dispatch_span.finish(&mut ctx);
                 // Account and publish the trace *before* the response
                 // goes out: once the client has its answer, a scrape of

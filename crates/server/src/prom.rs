@@ -794,6 +794,11 @@ pub(crate) fn render(state: &State) -> String {
             }
             for (metric, help, nanos) in [
                 (
+                    "dod_wal_append_seconds_total",
+                    "Wall time spent appending WAL frames, the sync policy's fdatasync included.",
+                    &|t: &dod_shard::WalTelemetry| t.append_nanos.get(),
+                ),
+                (
                     "dod_wal_snapshot_seconds_total",
                     "Wall time spent installing window snapshots.",
                     &|t: &dod_shard::WalTelemetry| t.snapshot_nanos.get(),
@@ -804,7 +809,7 @@ pub(crate) fn render(state: &State) -> String {
                     &|t: &dod_shard::WalTelemetry| t.replay_nanos.get(),
                 ),
             ]
-                as [(&str, &str, &dyn Fn(&dod_shard::WalTelemetry) -> u64); 2]
+                as [(&str, &str, &dyn Fn(&dod_shard::WalTelemetry) -> u64); 3]
             {
                 header(&mut out, metric, help, "counter");
                 for (id, t) in &wals {
@@ -817,35 +822,6 @@ pub(crate) fn render(state: &State) -> String {
             }
         }
     }
-    // The thread-phase profile: every registered thread (HTTP workers
-    // plus each session's router and pumps) × every phase, idle
-    // included — rate() over these gives a poor-man's flame graph of
-    // where the process spends its time. Cardinality is bounded by the
-    // worker count and 3 threads per session under max_sessions.
-    header(
-        &mut out,
-        "dod_profile_samples_total",
-        "Sampling-profiler observations of the thread in the phase (see dod_profile_hz).",
-        "counter",
-    );
-    for p in state.profiler.profiles() {
-        for phase in dod_core::profile::PHASES {
-            let _ = writeln!(
-                out,
-                "dod_profile_samples_total{{thread=\"{}\",phase=\"{}\"}} {}",
-                p.name(),
-                phase.name(),
-                p.samples(phase)
-            );
-        }
-    }
-    header(
-        &mut out,
-        "dod_profile_hz",
-        "Configured sampling rate of the thread-phase profiler.",
-        "gauge",
-    );
-    let _ = writeln!(out, "dod_profile_hz {}", state.profile_hz);
     // Always emitted (even with zero live sessions): the error that
     // matters most is the one that happened while *deleting* the last
     // session.

@@ -191,13 +191,14 @@ impl SessionRegistry {
     }
 
     /// Reserves the next `s{n}` id without inserting anything — both
-    /// create paths need the id *before* the entry exists (a durable
-    /// session's directory and every session's profiler threads are
-    /// named after it), and must not hold the registry lock through the
-    /// disk or thread-spawn work. At capacity the reservation is refused
-    /// (the later [`mount`](Self::mount) re-checks anyway, in case
-    /// sessions were created in between). Skipped ids are fine: ids are
-    /// opaque, only uniqueness matters.
+    /// create paths claim a slot *before* the entry exists (a durable
+    /// session's directory is named after the id, and a create refused
+    /// at capacity should spawn no pipeline threads), and must not hold
+    /// the registry lock through the disk or thread-spawn work. At
+    /// capacity the reservation is refused (the later
+    /// [`mount`](Self::mount) re-checks anyway, in case sessions were
+    /// created in between). Skipped ids are fine: ids are opaque, only
+    /// uniqueness matters.
     pub fn reserve(&mut self) -> Option<String> {
         if self.entries.len() >= self.capacity {
             return None;

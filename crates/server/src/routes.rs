@@ -15,7 +15,6 @@ use crate::http::Request;
 use crate::registry::SessionEntry;
 use crate::streams::AnyStreamDetector;
 use crate::{State, DEFAULT_RESOURCE};
-use dod_core::profile::{Phase, ThreadProfile};
 use dod_core::telemetry::Counter;
 use dod_core::trace::TraceContext;
 use dod_core::{DodError, IndexSpec, OutlierReport, Query};
@@ -623,28 +622,10 @@ fn not_found(message: &str) -> Response {
 /// construction: every failure path is a 4xx/5xx response, so a
 /// malformed request can never take the worker (or the connection pool)
 /// down.
-pub(crate) fn dispatch(
-    state: &State,
-    req: &Request,
-    ctx: &mut TraceContext,
-    profile: &std::sync::Arc<ThreadProfile>,
-) -> (Route, Response) {
+pub(crate) fn dispatch(state: &State, req: &Request, ctx: &mut TraceContext) -> (Route, Response) {
     let resource = Resource::parse(&req.path);
     let route = resource.route();
     let method = req.method.as_str();
-    // Observability scrapes must not perturb the profile they report:
-    // if serving `/v1/debug/health` itself counted as a `query` phase,
-    // two back-to-back scrapes of an otherwise idle server could differ
-    // only because the first one was sampled — breaking the endpoint's
-    // byte-stability contract. Scrape routes leave the worker in `idle`.
-    let _phase = match resource {
-        Resource::Healthz
-        | Resource::Metrics
-        | Resource::DebugTraces
-        | Resource::DebugHealth
-        | Resource::DebugSlow => None,
-        _ => Some(profile.enter(Phase::Query)),
-    };
     let resp = match resource {
         // Legacy aliases: same handlers as the named routes, but a
         // missing default resource answers the pre-redesign 503 (the
@@ -1098,9 +1079,9 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
         Ok(det) => det,
         Err(e) => return dod_error_response(&e),
     };
-    // Only a fully validated spec may consume a slot. The id is reserved
-    // *before* the pipeline spins up because its profiler threads are
-    // named after it (`{id}/router`, `{id}/pump-{n}`).
+    // Only a fully validated spec may consume a slot. The slot is
+    // reserved *before* the pipeline spins up, so a create refused at
+    // capacity never spawns threads.
     let Some(id) = state
         .sessions
         .write()
@@ -1112,7 +1093,7 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
     let metric = detector.metric_name();
     let shards = detector.shard_count();
     let entry = SessionEntry {
-        pipeline: detector.into_pipeline(state.pipeline_queue, Some(state.pipeline_profile(&id))),
+        pipeline: detector.into_pipeline(state.pipeline_queue),
         metric,
         shards,
         ingested: Counter::new(),
@@ -1126,11 +1107,8 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
     match mounted {
         Ok(entry) => Response::json(201, session_summary(&id, &entry).render()),
         Err(refused_entry) => {
-            // The refused pipeline's threads join here, outside the lock,
-            // and the profiles they registered under the reserved id go
-            // with them.
+            // The refused pipeline's threads join here, outside the lock.
             drop(refused_entry);
-            state.profiler.unregister_prefix(&id);
             session_capacity_response(state)
         }
     }
@@ -1179,12 +1157,7 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
             return dod_error_response(&e);
         }
     };
-    let entry = crate::durable::session_entry(
-        session,
-        &dir,
-        state.pipeline_queue,
-        state.pipeline_profile(&id),
-    );
+    let entry = crate::durable::session_entry(session, &dir, state.pipeline_queue);
     let mounted = state
         .sessions
         .write()
@@ -1198,7 +1171,6 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
             // close), then the freshly-made files are reclaimed.
             drop(refused);
             crate::durable::reclaim_session_dir(&dir, &state.cleanup_errors);
-            state.profiler.unregister_prefix(&id);
             session_capacity_response(state)
         }
     }
@@ -1231,10 +1203,6 @@ fn handle_session_delete(state: &State, id: &str) -> Response {
             if let Some(dir) = dir {
                 crate::durable::reclaim_session_dir(&dir, &state.cleanup_errors);
             }
-            // Retire the session's thread-profile family with it: a
-            // server creating and deleting sessions all day must not
-            // accumulate dead `thread` labels in `/metrics`.
-            state.profiler.unregister_prefix(id);
             resp
         }
         None => no_session(id),

@@ -13,7 +13,7 @@ use dod_core::{DodError, Query};
 use dod_metrics::{Angular, MetricKind, L1, L2, L4};
 use dod_shard::{
     CommitAck, DurabilityPolicy, DurableSession, GhostRouteStats, HealthReport, IngestPipeline,
-    PipelineProfile, RecoveryStats, ShardSpec, ShardedStreamDetector, WalTelemetry,
+    RecoveryStats, ShardSpec, ShardedStreamDetector, WalTelemetry,
 };
 use dod_stream::{Backend, StreamStats, VectorSpace, WindowSpec};
 use std::path::Path;
@@ -161,32 +161,14 @@ impl AnyStreamDetector {
         }
     }
 
-    /// Moves the detector onto its pipeline threads. With a profile, the
-    /// router and pump threads publish their phases under
-    /// `{prefix}/router` and `{prefix}/pump-{i}` for the sampler.
-    pub(crate) fn into_pipeline(
-        self,
-        queue: usize,
-        profile: Option<PipelineProfile>,
-    ) -> AnyPipeline {
+    /// Moves the detector onto its pipeline threads.
+    pub(crate) fn into_pipeline(self, queue: usize) -> AnyPipeline {
         let dim = self.dim();
         let inner = match self {
-            AnyStreamDetector::L1(det) => InnerPipeline::L1(match profile {
-                Some(p) => det.into_pipeline_profiled(queue, p),
-                None => det.into_pipeline(queue),
-            }),
-            AnyStreamDetector::L2(det) => InnerPipeline::L2(match profile {
-                Some(p) => det.into_pipeline_profiled(queue, p),
-                None => det.into_pipeline(queue),
-            }),
-            AnyStreamDetector::L4(det) => InnerPipeline::L4(match profile {
-                Some(p) => det.into_pipeline_profiled(queue, p),
-                None => det.into_pipeline(queue),
-            }),
-            AnyStreamDetector::Angular(det) => InnerPipeline::Angular(match profile {
-                Some(p) => det.into_pipeline_profiled(queue, p),
-                None => det.into_pipeline(queue),
-            }),
+            AnyStreamDetector::L1(det) => InnerPipeline::L1(det.into_pipeline(queue)),
+            AnyStreamDetector::L2(det) => InnerPipeline::L2(det.into_pipeline(queue)),
+            AnyStreamDetector::L4(det) => InnerPipeline::L4(det.into_pipeline(queue)),
+            AnyStreamDetector::Angular(det) => InnerPipeline::Angular(det.into_pipeline(queue)),
         };
         AnyPipeline { dim, inner }
     }
@@ -331,13 +313,8 @@ impl AnyDurableSession {
     }
 
     /// Moves the session onto its pipeline threads; the WAL rides on the
-    /// router thread (append-before-ack at batch boundaries). With a
-    /// profile, every thread publishes its phase for the sampler.
-    pub(crate) fn into_pipeline(
-        self,
-        queue: usize,
-        profile: Option<PipelineProfile>,
-    ) -> AnyPipeline {
+    /// router thread (append-before-ack at batch boundaries).
+    pub(crate) fn into_pipeline(self, queue: usize) -> AnyPipeline {
         let dim = match &self {
             AnyDurableSession::L1(s) => s.detector().space().dim(),
             AnyDurableSession::L2(s) => s.detector().space().dim(),
@@ -345,22 +322,10 @@ impl AnyDurableSession {
             AnyDurableSession::Angular(s) => s.detector().space().dim(),
         };
         let inner = match self {
-            AnyDurableSession::L1(s) => InnerPipeline::L1(match profile {
-                Some(p) => s.into_pipeline_profiled(queue, p),
-                None => s.into_pipeline(queue),
-            }),
-            AnyDurableSession::L2(s) => InnerPipeline::L2(match profile {
-                Some(p) => s.into_pipeline_profiled(queue, p),
-                None => s.into_pipeline(queue),
-            }),
-            AnyDurableSession::L4(s) => InnerPipeline::L4(match profile {
-                Some(p) => s.into_pipeline_profiled(queue, p),
-                None => s.into_pipeline(queue),
-            }),
-            AnyDurableSession::Angular(s) => InnerPipeline::Angular(match profile {
-                Some(p) => s.into_pipeline_profiled(queue, p),
-                None => s.into_pipeline(queue),
-            }),
+            AnyDurableSession::L1(s) => InnerPipeline::L1(s.into_pipeline(queue)),
+            AnyDurableSession::L2(s) => InnerPipeline::L2(s.into_pipeline(queue)),
+            AnyDurableSession::L4(s) => InnerPipeline::L4(s.into_pipeline(queue)),
+            AnyDurableSession::Angular(s) => InnerPipeline::Angular(s.into_pipeline(queue)),
         };
         AnyPipeline { dim, inner }
     }

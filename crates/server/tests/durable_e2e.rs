@@ -121,6 +121,14 @@ fn durable_sessions_survive_a_server_restart_byte_for_byte() {
         metrics.contains("dod_wal_io_errors_total{session=\"s1\"} 0"),
         "{metrics}"
     );
+    // The acked ingest was appended (and synced) before its 200, so its
+    // wall time is already on the clock.
+    let append_secs: f64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("dod_wal_append_seconds_total{session=\"s1\"} "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no append seconds: {metrics}"));
+    assert!(append_secs > 0.0, "{metrics}");
 
     handle.shutdown();
 

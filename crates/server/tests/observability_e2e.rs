@@ -20,7 +20,11 @@ fn exchange(addr: SocketAddr, raw: &str) -> (u16, Vec<(String, String)>, String)
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(30))).ok();
     conn.write_all(raw.as_bytes()).expect("send");
-    let mut r = BufReader::new(conn);
+    read_response(&mut BufReader::new(conn))
+}
+
+/// Reads one response off a connection, leaving it open for the next.
+fn read_response(r: &mut BufReader<TcpStream>) -> (u16, Vec<(String, String)>, String) {
     let mut line = String::new();
     r.read_line(&mut line).expect("status line");
     let status: u16 = line
@@ -46,7 +50,7 @@ fn exchange(addr: SocketAddr, raw: &str) -> (u16, Vec<(String, String)>, String)
         headers.push((name, value));
     }
     let mut body = vec![0u8; content_length];
-    std::io::Read::read_exact(&mut r, &mut body).expect("body");
+    std::io::Read::read_exact(r, &mut body).expect("body");
     (status, headers, String::from_utf8(body).expect("utf8 body"))
 }
 
@@ -179,6 +183,52 @@ fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
     assert!(
         metrics.contains("dod_http_requests_total{route=\"/v1/query\",status=\"200\"} 1"),
         "{metrics}"
+    );
+    handle.shutdown();
+}
+
+/// A request's clock starts at its first byte: a keep-alive client's
+/// think time before its second request is connection idle time, so it
+/// must not land in that request's trace.
+#[test]
+fn keep_alive_think_time_is_not_request_time() {
+    let handle = builder().bind("127.0.0.1:0").expect("bind").start();
+    let addr = handle.addr();
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    for (i, think) in [(1, 0), (2, 300)] {
+        std::thread::sleep(Duration::from_millis(think));
+        write!(
+            conn,
+            "GET /healthz HTTP/1.1\r\nx-request-id: think-{i}\r\n\r\n"
+        )
+        .expect("send");
+        let (status, _, _) = read_response(&mut reader);
+        assert_eq!(status, 200);
+    }
+    // Close before shutdown: an open keep-alive socket would hold its
+    // worker until the read timeout.
+    drop(reader);
+    drop(conn);
+
+    let (_, _, body) = get(addr, "/v1/debug/traces?route=/healthz");
+    let doc = dod_wire::parse_json(&body).expect("traces json");
+    let trace = doc
+        .get("traces")
+        .and_then(JsonValue::as_arr)
+        .and_then(|ts| {
+            ts.iter()
+                .find(|t| t.get("request_id").and_then(JsonValue::as_str) == Some("think-2"))
+        })
+        .unwrap_or_else(|| panic!("second request not traced: {body}"));
+    let nanos = trace
+        .get("duration_ns")
+        .and_then(JsonValue::as_usize)
+        .expect("duration");
+    assert!(
+        nanos < 100_000_000,
+        "300 ms of think time leaked into the trace: {nanos} ns"
     );
     handle.shutdown();
 }

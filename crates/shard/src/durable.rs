@@ -37,7 +37,6 @@
 
 use crate::detector::ShardedStreamDetector;
 use crate::spec::ShardSpec;
-use dod_core::profile::{enter_opt, Phase, ThreadProfile};
 use dod_core::{DodError, OutlierReport, Query};
 use dod_stream::{Backend, Space, WindowSpec};
 use dod_wal::{Recovered, SessionWal, SnapshotState, SyncPolicy, WalOp, WalPoint, WalTelemetry};
@@ -126,8 +125,6 @@ pub(crate) struct DurableState<P: WalPoint> {
     /// Set on the first WAL I/O failure: the session keeps serving, the
     /// log stops growing (fail-open).
     failed: bool,
-    /// The hosting thread's phase publication point, when profiled.
-    profile: Option<Arc<ThreadProfile>>,
 }
 
 /// The hook `router_loop` drives. A trait (object) so the pipeline stays
@@ -146,10 +143,6 @@ pub(crate) trait DurabilityHook<P>: Send {
     fn healthy(&self) -> bool;
     /// Final commit + snapshot + sync at shutdown.
     fn close(&mut self, now: f64, front_seq: u64);
-    /// Gives the hook the hosting thread's profile so it can publish
-    /// finer-grained phases (the snapshot's fsync-heavy install) inside
-    /// the router's `WalAppend` scope. Default: unprofiled.
-    fn attach_profile(&mut self, _profile: Arc<ThreadProfile>) {}
 }
 
 impl<P: WalPoint + Send> DurabilityHook<P> for DurableState<P> {
@@ -204,18 +197,10 @@ impl<P: WalPoint + Send> DurabilityHook<P> for DurableState<P> {
             self.snapshot(now, front_seq);
         }
     }
-
-    fn attach_profile(&mut self, profile: Arc<ThreadProfile>) {
-        self.profile = Some(profile);
-    }
 }
 
 impl<P: WalPoint> DurableState<P> {
     fn snapshot(&mut self, now: f64, front_seq: u64) {
-        // Snapshot installs end in sync_all on the snapshot file, the
-        // log, and the directory — the fsync-dominated slice of the
-        // router's WalAppend scope.
-        let _phase = enter_opt(&self.profile, Phase::Fsync);
         let snap = SnapshotState {
             ops_applied: self.wal.ops_appended(),
             base_seq: front_seq,
@@ -326,7 +311,6 @@ where
             shadow,
             ops_since_snapshot: 0,
             failed: false,
-            profile: None,
         };
         // Normalize: whatever mix of snapshot + log survived, the next
         // open starts from one clean snapshot. Also makes open idempotent
@@ -417,19 +401,6 @@ where
     /// inserts with [`IngestPipeline::commit`](crate::IngestPipeline::commit)
     /// and acknowledges only on the barrier's reply.
     pub fn into_pipeline(self, queue: usize) -> crate::IngestPipeline<S> {
-        self.det
-            .into_pipeline_durable(queue, Box::new(self.state), None)
-    }
-
-    /// [`into_pipeline`](Self::into_pipeline) with every thread
-    /// publishing its phase into `profile` — the router's WAL work shows
-    /// up as `wal_append` (with snapshot installs refined to `fsync`).
-    pub fn into_pipeline_profiled(
-        self,
-        queue: usize,
-        profile: crate::PipelineProfile,
-    ) -> crate::IngestPipeline<S> {
-        self.det
-            .into_pipeline_durable(queue, Box::new(self.state), Some(profile))
+        self.det.into_pipeline_durable(queue, Box::new(self.state))
     }
 }

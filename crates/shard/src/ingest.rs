@@ -26,7 +26,6 @@ use crate::durable::{CommitAck, DurabilityHook};
 use crate::health::{HealthReport, ShardHealth};
 use crate::router::{GhostRouteStats, Router, ShardOp};
 use crate::shard::{Shard, ShardAnswer};
-use dod_core::profile::{enter_opt, Phase, Profiler, ThreadProfile};
 use dod_core::{DodError, OutlierReport};
 use dod_stream::{Backend, Space, StreamStats};
 use std::io;
@@ -108,27 +107,6 @@ impl PipelineGauges {
     /// (pivot distances, ghost-replication decisions), in nanoseconds.
     pub fn route_nanos(&self) -> u64 {
         self.route_nanos.load(Ordering::Relaxed)
-    }
-}
-
-/// Where a pipeline's threads publish their phases: the shared
-/// [`Profiler`] the server's sampler scrapes, plus the label prefix
-/// (typically the session id) that namespaces this pipeline's threads —
-/// the router registers as `{prefix}/router`, shard pumps as
-/// `{prefix}/pump-{idx}`. Registration is idempotent by name, so a
-/// pipeline torn down and rebuilt (`finish` → `into_pipeline`) keeps
-/// accumulating into the same counters.
-#[derive(Clone)]
-pub struct PipelineProfile {
-    /// The registry the sampling thread scrapes.
-    pub profiler: Arc<Profiler>,
-    /// Label prefix for this pipeline's threads.
-    pub prefix: String,
-}
-
-impl PipelineProfile {
-    fn register(&self, role: &str) -> Arc<ThreadProfile> {
-        self.profiler.register(&format!("{}/{role}", self.prefix))
     }
 }
 
@@ -220,18 +198,7 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
     /// The detector may already hold window state — the threads simply
     /// continue from it.
     pub fn into_pipeline(self, queue: usize) -> IngestPipeline<S> {
-        self.spawn_pipeline(queue, None, None)
-    }
-
-    /// [`into_pipeline`](Self::into_pipeline) with every thread
-    /// publishing its current phase into `profile` for the sampling
-    /// profiler to observe.
-    pub fn into_pipeline_profiled(
-        self,
-        queue: usize,
-        profile: PipelineProfile,
-    ) -> IngestPipeline<S> {
-        self.spawn_pipeline(queue, None, Some(profile))
+        self.spawn_pipeline(queue, None)
     }
 
     /// The durable variant: the WAL hook rides on the router thread and
@@ -240,16 +207,14 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         self,
         queue: usize,
         durable: Box<dyn DurabilityHook<S::Point>>,
-        profile: Option<PipelineProfile>,
     ) -> IngestPipeline<S> {
-        self.spawn_pipeline(queue, Some(durable), profile)
+        self.spawn_pipeline(queue, Some(durable))
     }
 
     fn spawn_pipeline(
         self,
         queue: usize,
         durable: Option<Box<dyn DurabilityHook<S::Point>>>,
-        profile: Option<PipelineProfile>,
     ) -> IngestPipeline<S> {
         let queue = queue.max(1);
         let (router, shards, backend) = self.into_parts();
@@ -259,29 +224,17 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         for (idx, mut shard) in shards.into_iter().enumerate() {
             let (ptx, prx) = sync_channel::<PumpCmd<S::Point>>(queue);
             pump_txs.push(ptx);
-            let pump_profile = profile.as_ref().map(|p| p.register(&format!("pump-{idx}")));
             pump_threads.push(std::thread::spawn(move || {
-                pump_loop(idx, &mut shard, prx, &pump_profile);
+                pump_loop(idx, &mut shard, prx);
                 shard
             }));
         }
         let gauges = Arc::new(PipelineGauges::default());
         let router_gauges = Arc::clone(&gauges);
-        let router_profile = profile.as_ref().map(|p| p.register("router"));
         let router_thread = std::thread::spawn(move || {
             let mut router = router;
             let mut durable = durable;
-            if let (Some(d), Some(p)) = (durable.as_mut(), router_profile.as_ref()) {
-                d.attach_profile(Arc::clone(p));
-            }
-            router_loop(
-                &mut router,
-                rx,
-                pump_txs,
-                &router_gauges,
-                &mut durable,
-                &router_profile,
-            );
+            router_loop(&mut router, rx, pump_txs, &router_gauges, &mut durable);
             router
         });
         IngestPipeline {
@@ -467,7 +420,6 @@ fn router_loop<S: Space>(
     pump_txs: Vec<SyncSender<PumpCmd<S::Point>>>,
     gauges: &PipelineGauges,
     durable: &mut Option<Box<dyn DurabilityHook<S::Point>>>,
-    profile: &Option<Arc<ThreadProfile>>,
 ) {
     type Hook<P> = Option<Box<dyn DurabilityHook<P>>>;
     let mut batches: Vec<Vec<ShardOp<S::Point>>> =
@@ -492,7 +444,6 @@ fn router_loop<S: Space>(
                      p: S::Point,
                      t: f64| {
             let keep = durable.as_ref().map(|_| p.clone());
-            let _phase = enter_opt(profile, Phase::Route);
             let t0 = std::time::Instant::now();
             let ing = router.ingest(p, t);
             gauges
@@ -539,7 +490,6 @@ fn router_loop<S: Space>(
         // make this batch's effects observable. Control barriers (report,
         // stats) flush first, so everything they describe is durable.
         if let Some(d) = durable.as_mut() {
-            let _phase = enter_opt(profile, Phase::WalAppend);
             d.commit(router.now(), router.front_seq());
         }
         for (s, batch) in batches.iter_mut().enumerate() {
@@ -678,19 +628,16 @@ fn pump_loop<S: Space + 'static>(
     idx: usize,
     shard: &mut Shard<S>,
     rx: Receiver<PumpCmd<S::Point>>,
-    profile: &Option<Arc<ThreadProfile>>,
 ) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             PumpCmd::Apply(ops) => {
-                let _phase = enter_opt(profile, Phase::Insert);
                 for op in ops {
                     shard.apply(op);
                 }
             }
             PumpCmd::Collect(now, reply) => {
                 if let Some(now) = now {
-                    let _phase = enter_opt(profile, Phase::Expiry);
                     shard.advance(now);
                 }
                 let _ = reply.send((idx, shard.collect()));
@@ -698,8 +645,6 @@ fn pump_loop<S: Space + 'static>(
             PumpCmd::Stats(reply) => {
                 let _ = reply.send(shard.stats());
             }
-            // No phase here: health scrapes must not perturb the
-            // profile they report.
             PumpCmd::Health(reply) => {
                 let _ = reply.send((idx, shard.health()));
             }

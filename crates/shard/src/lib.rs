@@ -119,7 +119,7 @@ mod spec;
 pub use detector::{ShardSlideReport, ShardedStreamDetector};
 pub use durable::{CommitAck, DurabilityPolicy, DurableSession, RecoveryStats};
 pub use health::{HealthReport, ShardHealth};
-pub use ingest::{IngestHandle, IngestPipeline, PipelineGauges, PipelineProfile};
+pub use ingest::{IngestHandle, IngestPipeline, PipelineGauges};
 pub use router::GhostRouteStats;
 pub use spec::ShardSpec;
 // Durable sessions are configured in the WAL's vocabulary; re-exported so

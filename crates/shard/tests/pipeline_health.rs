@@ -1,15 +1,12 @@
-//! The pipeline's health barrier and the thread-phase profiler: the
-//! document must be snapshot-consistent with every preceding insert,
-//! agree with the synchronous detector's aggregation, and the profiled
-//! pipeline must publish phases the sampler can observe.
+//! The pipeline's health barrier: the document must be
+//! snapshot-consistent with every preceding insert and agree with the
+//! synchronous detector's aggregation.
 
-use dod_core::profile::{Phase, Profiler, Sampler, PHASES};
 use dod_core::Query;
 use dod_datasets::StreamScenario;
 use dod_metrics::L2;
-use dod_shard::{PipelineProfile, ShardSpec, ShardedStreamDetector};
+use dod_shard::{ShardSpec, ShardedStreamDetector};
 use dod_stream::{Backend, GraphParams, VectorSpace, WindowSpec};
-use std::sync::Arc;
 
 const DIM: usize = 2;
 
@@ -94,53 +91,4 @@ fn pipeline_health_matches_synchronous_and_covers_the_window() {
         health.stats().inserts + 64 + (after.stats().ghost_inserts - health.stats().ghost_inserts)
     );
     drop(pipeline);
-}
-
-/// A profiled pipeline registers `{prefix}/router` and
-/// `{prefix}/pump-{i}` and publishes non-idle phases the sampler
-/// accumulates.
-#[test]
-fn profiled_pipeline_publishes_phases() {
-    let profiler = Arc::new(Profiler::new());
-    let det = open(2, Backend::Exhaustive);
-    let pipeline = det.into_pipeline_profiled(
-        8,
-        PipelineProfile {
-            profiler: Arc::clone(&profiler),
-            prefix: "s1".into(),
-        },
-    );
-    let names: Vec<String> = profiler
-        .profiles()
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
-    assert_eq!(names, ["s1/pump-0", "s1/pump-1", "s1/router"]);
-
-    let sampler = Sampler::start(Arc::clone(&profiler), 1000).expect("valid rate");
-    let stream = points(4000, 3);
-    for chunk in stream.chunks(256) {
-        pipeline.insert_many(chunk.to_vec()).expect("live");
-        let _ = pipeline.report().expect("live");
-    }
-    sampler.shutdown();
-
-    let non_idle: u64 = profiler
-        .profiles()
-        .iter()
-        .flat_map(|p| {
-            PHASES
-                .iter()
-                .filter(|&&ph| ph != Phase::Idle)
-                .map(|&ph| p.samples(ph))
-                .collect::<Vec<_>>()
-        })
-        .sum();
-    assert!(non_idle > 0, "no worker was ever sampled off idle");
-    // Workers settle back to idle once the queues drain.
-    let det = pipeline.finish().expect("clean finish");
-    for p in profiler.profiles() {
-        assert_eq!(p.current(), Phase::Idle, "{} stuck non-idle", p.name());
-    }
-    drop(det);
 }

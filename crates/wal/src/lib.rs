@@ -102,6 +102,9 @@ pub struct WalTelemetry {
     pub appended_ops: Counter,
     /// `fsync`/`fdatasync` calls issued.
     pub fsyncs: Counter,
+    /// Wall time spent appending frames, the sync policy's `fdatasync`
+    /// included, nanoseconds.
+    pub append_nanos: Counter,
     /// Snapshots committed.
     pub snapshots: Counter,
     /// Wall time spent writing snapshots, nanoseconds.
@@ -390,6 +393,7 @@ impl<P: WalPoint> SessionWal<P> {
         if ops.is_empty() {
             return Ok(());
         }
+        let t0 = std::time::Instant::now();
         let mut payload = std::mem::take(&mut self.scratch);
         payload.clear();
         payload.extend_from_slice(&self.ops_appended.to_le_bytes());
@@ -437,6 +441,9 @@ impl<P: WalPoint> SessionWal<P> {
                 self.telemetry.appended_records.inc();
                 self.telemetry.appended_ops.add(ops.len() as u64);
                 self.telemetry.appended_bytes.add(frame_len);
+                self.telemetry
+                    .append_nanos
+                    .add(t0.elapsed().as_nanos() as u64);
                 Ok(())
             }
             Err(e) => {
@@ -761,6 +768,10 @@ mod tests {
         assert_eq!(t.appended_records.get(), 2);
         assert_eq!(t.appended_ops.get(), 3);
         assert!(t.fsyncs.get() >= 2);
+        let append_nanos = t.append_nanos.get();
+        assert!(append_nanos > 0, "appends are timed");
+        wal.append(&[]).unwrap();
+        assert_eq!(t.append_nanos.get(), append_nanos, "empty append is free");
         drop(wal);
 
         let (wal, rec) = SessionWal::<Vec<f32>>::open(&dir, SyncPolicy::Always).unwrap();
