@@ -22,7 +22,7 @@
 //! let mut ctx = TraceContext::new("req-1");
 //! let span = ctx.child("filter").with_field("candidates", 12u64);
 //! span.finish(&mut ctx);
-//! ring.record(Arc::new(ctx.finish("/v1/query", 200)));
+//! ring.record(Arc::new(ctx.finish("/v1/engines/{name}/query", 200)));
 //! let traces = ring.snapshot();
 //! assert_eq!(traces[0].spans[0].name, "filter");
 //! ```
@@ -354,8 +354,8 @@ mod tests {
             Duration::from_micros(250),
             vec![("candidates", FieldValue::U64(9))],
         );
-        let trace = ctx.finish("/v1/query", 200);
-        assert_eq!(trace.route, "/v1/query");
+        let trace = ctx.finish("/v1/engines/{name}/query", 200);
+        assert_eq!(trace.route, "/v1/engines/{name}/query");
         assert_eq!(trace.status, 200);
         assert!(trace.duration_nanos >= 2_000_000);
         let engine = trace.span("engine").expect("recorded");

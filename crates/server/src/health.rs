@@ -17,43 +17,10 @@
 
 use crate::http::Request;
 use crate::registry::SessionEntry;
-use crate::routes::{bad_request, no_engine, no_session, query_params, valid_name, Response};
+use crate::routes::{bad_request, no_engine, no_session, parse_debug_filter, Response};
 use crate::State;
 use dod_shard::HealthReport;
 use dod_wire::JsonValue;
-
-/// The validated filter of a `GET /v1/debug/health` request.
-#[derive(Debug, PartialEq, Eq)]
-struct HealthFilter {
-    engine: Option<String>,
-    session: Option<String>,
-}
-
-/// Parses and strictly validates the health query string, in the same
-/// spirit as the traces filter: every parameter checked, mistakes named.
-fn parse_health_filter(query: &str) -> Result<HealthFilter, String> {
-    let mut filter = HealthFilter {
-        engine: None,
-        session: None,
-    };
-    for (k, v) in query_params(query) {
-        match k.as_str() {
-            "engine" if valid_name(&v) => filter.engine = Some(v),
-            "session" if valid_name(&v) => filter.session = Some(v),
-            "engine" | "session" => {
-                return Err(format!(
-                "{k} must be a resource name (1-64 alphanumeric, '_' or '-' characters), got {v:?}"
-            ))
-            }
-            _ => {
-                return Err(format!(
-                    "unknown query parameter {k:?}; supported: engine, session"
-                ))
-            }
-        }
-    }
-    Ok(filter)
-}
 
 /// One engine's row: static identity plus size — engines have no
 /// streaming health, their indexes are immutable once built.
@@ -154,7 +121,7 @@ fn session_health(id: &str, entry: &SessionEntry) -> JsonValue {
 
 /// `GET /v1/debug/health[?engine=..][&session=..]`.
 pub(crate) fn handle_debug_health(state: &State, req: &Request) -> Response {
-    let filter = match parse_health_filter(&req.query) {
+    let filter = match parse_debug_filter(&req.query, &["engine", "session"]) {
         Ok(f) => f,
         Err(msg) => return bad_request(&msg),
     };
@@ -202,44 +169,40 @@ pub(crate) fn handle_debug_health(state: &State, req: &Request) -> Response {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::routes::{parse_debug_filter, DebugFilter};
 
     /// The health filter is strict, like the traces filter: every
     /// accepted spelling and every rejection is pinned.
     #[test]
     fn health_filters_parse_strictly() {
+        let parse = |q: &str| parse_debug_filter(q, &["engine", "session"]);
+        assert_eq!(parse(""), Ok(DebugFilter::default()));
         assert_eq!(
-            parse_health_filter(""),
-            Ok(HealthFilter {
-                engine: None,
-                session: None
-            })
-        );
-        assert_eq!(
-            parse_health_filter("engine=prod&session=s1"),
-            Ok(HealthFilter {
+            parse("engine=prod&session=s1"),
+            Ok(DebugFilter {
                 engine: Some("prod".to_string()),
-                session: Some("s1".to_string())
+                session: Some("s1".to_string()),
+                ..DebugFilter::default()
             })
         );
         // Percent-encoded values decode like every other query string.
         assert_eq!(
-            parse_health_filter("session=s%31").unwrap().session,
+            parse("session=s%31").unwrap().session,
             Some("s1".to_string())
         );
         // A malformed resource name is a named 400, not a silent
         // no-match 404 (the name could never exist).
-        let err = parse_health_filter("session=bad name").unwrap_err();
+        let err = parse("session=bad name").unwrap_err();
         assert!(err.starts_with("session must be a resource name"), "{err}");
-        let err = parse_health_filter("engine=").unwrap_err();
+        let err = parse("engine=").unwrap_err();
         assert!(err.starts_with("engine must be a resource name"), "{err}");
         // Unknown keys are named, supported ones listed.
-        let err = parse_health_filter("sesion=s1").unwrap_err();
+        let err = parse("sesion=s1").unwrap_err();
         assert_eq!(
             err,
             "unknown query parameter \"sesion\"; supported: engine, session"
         );
         // The first offending pair wins; valid ones before it are fine.
-        assert!(parse_health_filter("engine=prod&oops=1").is_err());
+        assert!(parse("engine=prod&oops=1").is_err());
     }
 }

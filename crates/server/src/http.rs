@@ -284,11 +284,11 @@ mod tests {
     #[test]
     fn parses_a_post_with_body_and_strips_query() {
         let req =
-            parse("POST /v1/query?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbodyEXTRA")
+            parse("POST /v1/engines/e/query?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbodyEXTRA")
                 .expect("ok")
                 .expect("some");
         assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/query");
+        assert_eq!(req.path, "/v1/engines/e/query");
         assert_eq!(req.query, "x=1");
         assert_eq!(req.header("host"), Some("h"));
         assert_eq!(req.body, b"body");

@@ -16,8 +16,9 @@
 //! The `/v1` API is resource-oriented: a registry of **named engines**
 //! (batch detectors over generated datasets, LRU-bounded) and a registry
 //! of **ingest sessions** (sharded sliding windows, capacity-bounded),
-//! each with its own lifecycle routes. The original singleton routes
-//! remain as aliases for the resources named [`DEFAULT_RESOURCE`].
+//! each with its own lifecycle routes. Every engine and session is
+//! created and addressed through these routes; the builder only
+//! configures the server.
 //!
 //! | Route | Body | Answer |
 //! |---|---|---|
@@ -32,10 +33,7 @@
 //! | `DELETE /v1/sessions/{id}` | — | `{"deleted": id}` — joins the session's pipeline |
 //! | `POST /v1/sessions/{id}/ingest` | `{"points": [[…], …]}` | `{"accepted": n}` — enqueued into the [`IngestPipeline`](dod_shard::IngestPipeline); durable sessions add `"durable": bool` and answer only after a WAL commit barrier |
 //! | `GET /v1/sessions/{id}/report` | — | `{"outliers": [seq, …]}`, snapshot-consistent with every prior ingest |
-//! | `POST /v1/query` | as engine query | alias for `/v1/engines/default/query` |
-//! | `POST /v1/ingest` | as session ingest | alias for `/v1/sessions/default/ingest` |
-//! | `GET /v1/report` | — | alias for `/v1/sessions/default/report` |
-//! | `GET /healthz` | — | `{"status": "ok", …}` |
+//! | `GET /healthz` | — | `{"status": "ok", "engines": n, "sessions": n}` |
 //! | `GET /metrics` | — | Prometheus text: per-route×status HTTP counters + latency histograms, worker-pool and pipeline gauges, per-engine query telemetry, per-session stream counters, ghost rates and WAL counters |
 //! | `GET /v1/debug/traces` | — | the most recent request traces (`?min_ms=`, `?route=` filters) from an in-memory ring |
 //! | `GET /v1/debug/health` | — | the index-health document: per-session discovery-recall estimates, tombstone ratios, and shard-balance skews (`?engine=`, `?session=` filters) |
@@ -75,32 +73,26 @@
 //! # Quickstart
 //!
 //! ```
-//! use dod_core::IndexSpec;
-//! use dod_datasets::Family;
 //! use dod_server::DodServer;
 //! use std::io::{Read, Write};
 //!
-//! let engine = Family::Sift
-//!     .generate(300, 7)
-//!     .data
-//!     .into_engine()
-//!     .index(IndexSpec::VpTree)
-//!     .build()?;
 //! let handle = DodServer::builder()
-//!     .engine(engine)
 //!     .workers(2)
 //!     .bind("127.0.0.1:0")? // ephemeral port
 //!     .start();
-//!
-//! let mut conn = std::net::TcpStream::connect(handle.addr())?;
-//! let body = r#"{"queries": [{"r": 100.0, "k": 40}]}"#;
-//! write!(
-//!     conn,
-//!     "POST /v1/query HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-//!     body.len()
-//! )?;
-//! let mut reply = String::new();
-//! conn.read_to_string(&mut reply)?;
+//! // One request per connection; answers the whole raw response.
+//! let send = |method: &str, path: &str, body: &str| -> std::io::Result<String> {
+//!     let mut conn = std::net::TcpStream::connect(handle.addr())?;
+//!     let len = body.len();
+//!     write!(conn, "{method} {path} HTTP/1.1\r\ncontent-length: {len}\r\nconnection: close\r\n\r\n{body}")?;
+//!     let mut reply = String::new();
+//!     conn.read_to_string(&mut reply)?;
+//!     Ok(reply)
+//! };
+//! let spec = r#"{"family": "sift", "n": 300, "seed": 7, "index": "vptree"}"#;
+//! let reply = send("PUT", "/v1/engines/sift", spec)?;
+//! assert!(reply.starts_with("HTTP/1.1 201 Created"), "{reply}");
+//! let reply = send("POST", "/v1/engines/sift/query", r#"{"queries": [{"r": 100.0, "k": 40}]}"#)?;
 //! assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
 //! assert!(reply.contains("\"results\""), "{reply}");
 //! handle.shutdown();
@@ -118,16 +110,14 @@ mod slow;
 mod streams;
 
 pub use routes::{dod_error_kind, dod_error_status, encode, error_body, http_error_kind};
-pub use streams::AnyStreamDetector;
 
 use dod_core::parallel::{PoolStats, WorkerPool};
 use dod_core::telemetry::{Counter, Histogram};
 use dod_core::trace::{
     generate_request_id, sanitize_request_id, TraceContext, TraceRing, TraceSink,
 };
-use dod_core::{DodError, EngineMetrics, OutlierReport, Query};
-use dod_metrics::Dataset;
-use registry::{EngineRegistry, SessionEntry, SessionRegistry};
+use dod_core::DodError;
+use registry::{EngineRegistry, SessionRegistry};
 use routes::Route;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -135,51 +125,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-
-/// The engine name and session id the legacy singleton routes
-/// (`/v1/query`, `/v1/ingest`, `/v1/report`) alias: resources mounted by
-/// [`ServerBuilder::engine`] / [`ServerBuilder::stream`] land here.
-pub const DEFAULT_RESOURCE: &str = "default";
-
-/// What a server needs from an engine: the object-safe slice of
-/// [`dod_core::Engine`], blanket-implemented for every dataset type, so
-/// one server type serves `Engine<VectorSet<L2>>`, the dataset-erased
-/// `dod_datasets::AnyEngine`, and anything else alike.
-pub trait QueryEngine: Send + Sync {
-    /// Answers a batch of queries (see
-    /// [`Engine::query_many`](dod_core::Engine::query_many)).
-    fn query_many(&self, queries: &[Query]) -> Result<Vec<OutlierReport>, DodError>;
-    /// Number of objects served.
-    fn len(&self) -> usize;
-    /// `true` when the engine serves no objects.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Display name of the backing index.
-    fn index_name(&self) -> &'static str;
-    /// Index footprint in bytes — the `GET /v1/engines` memory estimate.
-    fn index_bytes(&self) -> usize;
-    /// Live query telemetry.
-    fn metrics(&self) -> &EngineMetrics;
-}
-
-impl<D: Dataset + Send> QueryEngine for dod_core::Engine<D> {
-    fn query_many(&self, queries: &[Query]) -> Result<Vec<OutlierReport>, DodError> {
-        dod_core::Engine::query_many(self, queries)
-    }
-    fn len(&self) -> usize {
-        dod_core::Engine::len(self)
-    }
-    fn index_name(&self) -> &'static str {
-        dod_core::Engine::index_name(self)
-    }
-    fn index_bytes(&self) -> usize {
-        dod_core::Engine::index_bytes(self)
-    }
-    fn metrics(&self) -> &EngineMetrics {
-        dod_core::Engine::metrics(self)
-    }
-}
 
 /// Everything the route handlers see: the resource registries plus the
 /// serving counters. Shared across workers; the registries are the only
@@ -279,8 +224,6 @@ impl HttpMetrics {
 
 /// Configures a [`DodServer`]. Created by [`DodServer::builder`].
 pub struct ServerBuilder {
-    engine: Option<Arc<dyn QueryEngine>>,
-    stream: Option<AnyStreamDetector>,
     workers: usize,
     queue: usize,
     max_body_bytes: usize,
@@ -302,8 +245,6 @@ impl Default for ServerBuilder {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
         ServerBuilder {
-            engine: None,
-            stream: None,
             workers: cores,
             queue: 1024,
             max_body_bytes: 8 * 1024 * 1024,
@@ -324,32 +265,6 @@ impl Default for ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// Mounts a batch engine as the [`DEFAULT_RESOURCE`] engine — served
-    /// at `/v1/engines/default` and aliased by the legacy `POST
-    /// /v1/query` (any dataset type; the engine is moved behind an
-    /// `Arc`).
-    pub fn engine<E: QueryEngine + 'static>(mut self, engine: E) -> Self {
-        self.engine = Some(Arc::new(engine));
-        self
-    }
-
-    /// Mounts an already-shared engine (e.g. one also queried
-    /// in-process) as the [`DEFAULT_RESOURCE`] engine.
-    pub fn shared_engine(mut self, engine: Arc<dyn QueryEngine>) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Mounts a sharded sliding-window session as the
-    /// [`DEFAULT_RESOURCE`] session — served at `/v1/sessions/default`
-    /// and aliased by the legacy `POST /v1/ingest` / `GET /v1/report`.
-    /// The detector (possibly already holding window state) is moved
-    /// onto its pipeline threads when the server binds.
-    pub fn stream(mut self, stream: impl Into<AnyStreamDetector>) -> Self {
-        self.stream = Some(stream.into());
-        self
-    }
-
     /// Resident-engine capacity (default 8, clamped to ≥ 1). Creating an
     /// engine past the bound evicts the least recently *used* one — an
     /// engine is a pure function of its spec, so eviction costs a
@@ -433,7 +348,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Upper bound on the per-query `"threads"` a `/v1/query` body may
+    /// Upper bound on the per-query `"threads"` a query body may
     /// request (default: the machine's parallelism; clamped to ≥ 1).
     /// Wire values above the cap are clamped, not rejected, so the cap
     /// bounds resource use without breaking portable clients.
@@ -482,31 +397,13 @@ impl ServerBuilder {
         self
     }
 
-    /// Binds the listener (use port `0` for an ephemeral port) and stands
-    /// the stream session up on its pipeline threads. The server is not
-    /// accepting yet — call [`DodServer::start`] or [`DodServer::run`].
+    /// Binds the listener (use port `0` for an ephemeral port) and
+    /// recovers any durable sessions under the data directory. The server
+    /// is not accepting yet — call [`DodServer::start`] or
+    /// [`DodServer::run`].
     pub fn bind(self, addr: &str) -> Result<DodServer, DodError> {
         let listener = TcpListener::bind(addr)?;
-        let mut engines = EngineRegistry::new(self.max_engines);
-        if let Some(engine) = self.engine {
-            let index = routes::index_wire_name(engine.index_name()).to_string();
-            engines.insert(DEFAULT_RESOURCE, engine, index);
-        }
         let mut sessions = SessionRegistry::new(self.max_sessions);
-        if let Some(stream) = self.stream {
-            let metric = stream.metric_name();
-            let shards = stream.shard_count();
-            let entry = SessionEntry {
-                pipeline: stream.into_pipeline(self.queue),
-                metric,
-                shards,
-                ingested: Counter::new(),
-                durable: None,
-            };
-            sessions
-                .mount(DEFAULT_RESOURCE, entry)
-                .unwrap_or_else(|_| unreachable!("an empty registry has room (capacity ≥ 1)"));
-        }
         let cleanup_errors = Counter::new();
         if let Some(data_dir) = &self.data_dir {
             durable::recover_sessions(data_dir, self.queue, &mut sessions, &cleanup_errors)?;
@@ -523,7 +420,7 @@ impl ServerBuilder {
         // from the first scrape.
         let pool = WorkerPool::new(self.workers, self.queue);
         let state = Arc::new(State {
-            engines: RwLock::new(engines),
+            engines: RwLock::new(EngineRegistry::new(self.max_engines)),
             sessions: RwLock::new(sessions),
             http: HttpMetrics::new(),
             ingested_points: Counter::new(),
@@ -666,6 +563,12 @@ impl Drop for ServerHandle {
     }
 }
 
+/// The slice a worker waits in for the next request on a kept-alive
+/// connection. Between slices it checks whether it is needed elsewhere
+/// (queued connections, shutdown), so an idle client holds a worker for
+/// at most this long once someone else wants it.
+const IDLE_POLL: Duration = Duration::from_millis(10);
+
 #[derive(Clone, Copy)]
 struct ConnConfig {
     read_timeout: Duration,
@@ -755,6 +658,37 @@ impl std::io::Write for DeadlineWriter {
     }
 }
 
+/// Waits for the first byte of a kept-alive connection's next request in
+/// [`IDLE_POLL`] slices, so an idle client cannot park a worker that
+/// others need: after each empty slice the connection closes cleanly
+/// (`Ok(false)`, as if the client had hung up) when a connection is
+/// queued for a worker or the server is shutting down. A client idle for
+/// the whole read budget — `read_timeout`, or the request deadline when
+/// that is shorter or the per-read cap is disabled — gets the same single
+/// 408 a silent new connection gets.
+fn await_next_request(
+    reader: &mut BufReader<DeadlineStream>,
+    state: &State,
+) -> Result<bool, http::HttpError> {
+    let deadline = reader.get_ref().deadline;
+    // The budget one blocking read would have had.
+    let idle_until = Instant::now() + deadline.op_budget("request").unwrap_or_default();
+    reader.get_mut().deadline.per_op = IDLE_POLL;
+    let waited = loop {
+        match http::await_request(reader) {
+            Err(e) if e.status == 408 && Instant::now() < idle_until => {
+                if state.pool_stats.queue_depth() > 0 || state.shutting_down.load(Ordering::SeqCst)
+                {
+                    break Ok(false);
+                }
+            }
+            other => break other,
+        }
+    };
+    reader.get_mut().deadline.per_op = deadline.per_op;
+    waited
+}
+
 /// Serves one connection: a keep-alive loop of read → dispatch → write,
 /// each request traced from the socket in. Never panics on client
 /// input; on protocol errors it answers once and closes.
@@ -784,9 +718,8 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
     for served in 0..cfg.keep_alive_requests {
         // Honor shutdown between requests: in-flight requests finish, but
         // an open keep-alive connection must not demand service forever.
-        // (A worker idle in await_request observes this within
-        // cfg.read_timeout — or cfg.request_timeout when the per-read
-        // cap is disabled — at the latest.)
+        // (A worker idle between requests observes this within
+        // IDLE_POLL; see await_next_request.)
         if state.shutting_down.load(Ordering::SeqCst) {
             break;
         }
@@ -795,7 +728,14 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
         reader.get_mut().deadline.arm(cfg.request_timeout);
         // The request's clock starts at its first byte: the wait before
         // it is the connection idling between requests, not request time.
-        let waited = http::await_request(&mut reader);
+        // A fresh connection's first wait does not yield: its client has
+        // just connected to send a request, and closing would only make
+        // it queue again.
+        let waited = if served == 0 {
+            http::await_request(&mut reader)
+        } else {
+            await_next_request(&mut reader, state)
+        };
         let read_start = Instant::now();
         let read = match waited {
             Ok(true) => http::read_request(&mut reader, cfg.max_body_bytes),

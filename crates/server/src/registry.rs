@@ -21,8 +21,8 @@
 //!   session fails with `429` until the client deletes one.
 
 use crate::streams::AnyPipeline;
-use crate::QueryEngine;
 use dod_core::telemetry::Counter;
+use dod_datasets::AnyEngine;
 use dod_shard::WalTelemetry;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -33,7 +33,7 @@ use std::sync::Arc;
 /// was created with.
 pub(crate) struct EngineEntry {
     /// The engine itself, shared with in-flight query handlers.
-    pub engine: Arc<dyn QueryEngine>,
+    pub engine: Arc<AnyEngine>,
     /// Canonical index spelling for listings (`mrpg:8`, `vptree`, …).
     pub index: String,
     /// LRU tick of the last create or query (relaxed: the LRU order is a
@@ -91,7 +91,7 @@ impl EngineRegistry {
     pub fn insert(
         &mut self,
         name: &str,
-        engine: Arc<dyn QueryEngine>,
+        engine: Arc<AnyEngine>,
         index: String,
     ) -> (bool, Vec<String>) {
         let entry = Arc::new(EngineEntry {
@@ -208,9 +208,9 @@ impl SessionRegistry {
         Some(id)
     }
 
-    /// Mounts a session under a caller-chosen id (the builder's
-    /// `"default"` alias target, a reserved durable id, or an id
-    /// recovered from disk). Same capacity rule as [`reserve`](Self::reserve).
+    /// Mounts a session under a caller-chosen id (a reserved id, or an
+    /// id recovered from disk). Same capacity rule as
+    /// [`reserve`](Self::reserve).
     /// A recovered `s{n}` id pushes `next_id` past `n`, so fresh opens
     /// can never collide with sessions that survived a restart.
     pub fn mount(

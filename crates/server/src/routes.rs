@@ -6,15 +6,12 @@
 //! (`/v1/engines`, `/v1/sessions`) plus item routes carrying one path
 //! parameter (`/v1/engines/{name}`, `/v1/sessions/{id}/ingest`, …),
 //! parsed by `Resource::parse` into a borrowed enum — no regex, no
-//! allocation. The three original singleton routes stay mounted as
-//! aliases for the [`DEFAULT_RESOURCE`] engine/session, with their
-//! pre-redesign bodies preserved
-//! byte-for-byte (the compat-shim tests pin this).
+//! allocation.
 
 use crate::http::Request;
 use crate::registry::SessionEntry;
 use crate::streams::AnyStreamDetector;
-use crate::{State, DEFAULT_RESOURCE};
+use crate::State;
 use dod_core::telemetry::Counter;
 use dod_core::trace::TraceContext;
 use dod_core::{DodError, IndexSpec, OutlierReport, Query};
@@ -31,12 +28,6 @@ use dod_wire::{parse_json, JsonValue};
 /// is bounded by construction (unknown paths all land in `Other`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Route {
-    /// `POST /v1/query` (alias for the default engine's query).
-    Query,
-    /// `POST /v1/ingest` (alias for the default session's ingest).
-    Ingest,
-    /// `GET /v1/report` (alias for the default session's report).
-    Report,
     /// `GET /v1/engines`
     Engines,
     /// `PUT`/`GET`/`DELETE /v1/engines/{name}`
@@ -70,10 +61,7 @@ pub(crate) enum Route {
 }
 
 impl Route {
-    pub(crate) const ALL: [Route; 17] = [
-        Route::Query,
-        Route::Ingest,
-        Route::Report,
+    pub(crate) const ALL: [Route; 14] = [
         Route::Engines,
         Route::Engine,
         Route::EngineQuery,
@@ -96,9 +84,6 @@ impl Route {
     /// are spelled so they can never collide with a real path.
     pub(crate) fn pattern(self) -> &'static str {
         match self {
-            Route::Query => "/v1/query",
-            Route::Ingest => "/v1/ingest",
-            Route::Report => "/v1/report",
             Route::Engines => "/v1/engines",
             Route::Engine => "/v1/engines/{name}",
             Route::EngineQuery => "/v1/engines/{name}/query",
@@ -118,8 +103,8 @@ impl Route {
 }
 
 /// Every route the server mounts, as `(method, path pattern)` — the
-/// source of truth the README's API table is checked against by
-/// `scripts/check_api_table.sh` in CI.
+/// source of truth the README's API table is checked against by the
+/// root package's `readme_api_table` test.
 pub const API_ROUTES: &[(&str, &str)] = &[
     ("GET", "/v1/engines"),
     ("PUT", "/v1/engines/{name}"),
@@ -132,9 +117,6 @@ pub const API_ROUTES: &[(&str, &str)] = &[
     ("DELETE", "/v1/sessions/{id}"),
     ("POST", "/v1/sessions/{id}/ingest"),
     ("GET", "/v1/sessions/{id}/report"),
-    ("POST", "/v1/query"),
-    ("POST", "/v1/ingest"),
-    ("GET", "/v1/report"),
     ("GET", "/healthz"),
     ("GET", "/metrics"),
     ("GET", "/v1/debug/traces"),
@@ -146,9 +128,6 @@ pub const API_ROUTES: &[(&str, &str)] = &[
 /// from the request.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Resource<'a> {
-    Query,
-    Ingest,
-    Report,
     Engines,
     Engine(&'a str),
     EngineQuery(&'a str),
@@ -176,9 +155,6 @@ pub(crate) fn valid_name(s: &str) -> bool {
 impl<'a> Resource<'a> {
     pub(crate) fn parse(path: &'a str) -> Resource<'a> {
         match path {
-            "/v1/query" => return Resource::Query,
-            "/v1/ingest" => return Resource::Ingest,
-            "/v1/report" => return Resource::Report,
             "/v1/engines" => return Resource::Engines,
             "/v1/sessions" => return Resource::Sessions,
             "/healthz" => return Resource::Healthz,
@@ -209,9 +185,6 @@ impl<'a> Resource<'a> {
     /// The bounded-cardinality metrics label for this resource.
     pub(crate) fn route(&self) -> Route {
         match self {
-            Resource::Query => Route::Query,
-            Resource::Ingest => Route::Ingest,
-            Resource::Report => Route::Report,
             Resource::Engines => Route::Engines,
             Resource::Engine(_) => Route::Engine,
             Resource::EngineQuery(_) => Route::EngineQuery,
@@ -329,20 +302,6 @@ pub fn http_error_kind(status: u16) -> &'static str {
     }
 }
 
-/// Maps an engine's [`index_name`](crate::QueryEngine::index_name)
-/// display string to the canonical wire spelling, for engines mounted
-/// through the builder (wire-created engines keep their spec's exact
-/// spelling, degree included).
-pub(crate) fn index_wire_name(display: &str) -> &'static str {
-    match display {
-        "MRPG" => "mrpg",
-        "NSW" => "nsw",
-        "KGraph" => "kgraph",
-        "VP-tree" => "vptree",
-        _ => "none",
-    }
-}
-
 fn dod_error_response(e: &DodError) -> Response {
     Response::json(
         dod_error_status(e),
@@ -369,8 +328,8 @@ pub mod encode {
         ])
     }
 
-    /// The query response body for a batch of reports (`/v1/query` and
-    /// `/v1/engines/{name}/query` answer identical bytes).
+    /// The `POST /v1/engines/{name}/query` response body for a batch of
+    /// reports.
     pub fn query_response(reports: &[OutlierReport]) -> String {
         JsonValue::obj([(
             "results",
@@ -627,32 +586,6 @@ pub(crate) fn dispatch(state: &State, req: &Request, ctx: &mut TraceContext) -> 
     let route = resource.route();
     let method = req.method.as_str();
     let resp = match resource {
-        // Legacy aliases: same handlers as the named routes, but a
-        // missing default resource answers the pre-redesign 503 (the
-        // server "was started without" it), not a 404 — these routes
-        // predate the registry and their bodies are pinned.
-        Resource::Query => match method {
-            "POST" => {
-                handle_engine_query(state, DEFAULT_RESOURCE, req, unavailable("an engine"), ctx)
-            }
-            _ => method_not_allowed("POST"),
-        },
-        Resource::Ingest => match method {
-            "POST" => handle_session_ingest(
-                state,
-                DEFAULT_RESOURCE,
-                req,
-                unavailable("a stream session"),
-                ctx,
-            ),
-            _ => method_not_allowed("POST"),
-        },
-        Resource::Report => match method {
-            "GET" => {
-                handle_session_report(state, DEFAULT_RESOURCE, unavailable("a stream session"))
-            }
-            _ => method_not_allowed("GET"),
-        },
         Resource::Engines => match method {
             "GET" => handle_engine_list(state),
             _ => method_not_allowed("GET"),
@@ -664,7 +597,7 @@ pub(crate) fn dispatch(state: &State, req: &Request, ctx: &mut TraceContext) -> 
             _ => method_not_allowed("PUT, GET or DELETE"),
         },
         Resource::EngineQuery(name) => match method {
-            "POST" => handle_engine_query(state, name, req, no_engine(name), ctx),
+            "POST" => handle_engine_query(state, name, req, ctx),
             _ => method_not_allowed("POST"),
         },
         Resource::Sessions => match method {
@@ -678,11 +611,11 @@ pub(crate) fn dispatch(state: &State, req: &Request, ctx: &mut TraceContext) -> 
             _ => method_not_allowed("GET or DELETE"),
         },
         Resource::SessionIngest(id) => match method {
-            "POST" => handle_session_ingest(state, id, req, no_session(id), ctx),
+            "POST" => handle_session_ingest(state, id, req, ctx),
             _ => method_not_allowed("POST"),
         },
         Resource::SessionReport(id) => match method {
-            "GET" => handle_session_report(state, id, no_session(id)),
+            "GET" => handle_session_report(state, id),
             _ => method_not_allowed("GET"),
         },
         Resource::Healthz => match method {
@@ -719,20 +652,12 @@ pub(crate) fn no_session(id: &str) -> Response {
 }
 
 fn handle_healthz(state: &State) -> Response {
-    let (default_engine, engines) = {
-        let reg = state.engines.read().expect("engine registry lock");
-        (reg.peek(DEFAULT_RESOURCE).is_some(), reg.len())
-    };
-    let (default_session, sessions) = {
-        let reg = state.sessions.read().expect("session registry lock");
-        (reg.get(DEFAULT_RESOURCE).is_some(), reg.len())
-    };
+    let engines = state.engines.read().expect("engine registry lock").len();
+    let sessions = state.sessions.read().expect("session registry lock").len();
     Response::json(
         200,
         JsonValue::obj([
             ("status", JsonValue::from("ok")),
-            ("engine", JsonValue::from(default_engine)),
-            ("stream", JsonValue::from(default_session)),
             ("engines", JsonValue::from(engines)),
             ("sessions", JsonValue::from(sessions)),
         ])
@@ -885,7 +810,6 @@ fn handle_engine_query(
     state: &State,
     name: &str,
     req: &Request,
-    missing: Response,
     ctx: &mut TraceContext,
 ) -> Response {
     // get, not peek: answering queries is exactly what "recently used"
@@ -896,7 +820,7 @@ fn handle_engine_query(
         .expect("engine registry lock")
         .get(name)
     else {
-        return missing;
+        return no_engine(name);
     };
     let (queries, explain) = match parse_queries(&req.body, state.max_query_threads) {
         Ok(parsed) => parsed,
@@ -1213,7 +1137,6 @@ fn handle_session_ingest(
     state: &State,
     id: &str,
     req: &Request,
-    missing: Response,
     ctx: &mut TraceContext,
 ) -> Response {
     let Some(entry) = state
@@ -1222,7 +1145,7 @@ fn handle_session_ingest(
         .expect("session registry lock")
         .get(id)
     else {
-        return missing;
+        return no_session(id);
     };
     let points = match parse_points(&req.body, entry.pipeline.dim()) {
         Ok(p) => p,
@@ -1310,40 +1233,56 @@ pub(crate) fn query_params(query: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// The validated filter of a `GET /v1/debug/traces` request.
-#[derive(Debug, PartialEq, Eq)]
-struct TraceFilter {
-    min_nanos: u64,
-    route: Option<String>,
+/// The validated query string of a `GET /v1/debug/*` request; each
+/// endpoint accepts a subset of the keys.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct DebugFilter {
+    pub min_nanos: u64,
+    pub route: Option<String>,
+    pub engine: Option<String>,
+    pub session: Option<String>,
 }
 
-/// Parses and strictly validates the traces query string. Every
-/// parameter is checked: unknown keys and route values that match no
+/// Parses and strictly validates a debug endpoint's query string; the
+/// endpoint passes the keys it accepts as `supported`. Every parameter is
+/// checked: unknown keys, malformed values and route values that match no
 /// mounted pattern are 400s rather than silently ignored — on a debug
 /// endpoint, a typoed `?min_mss=5` quietly returning *everything* (or a
 /// misspelled route returning nothing) sends the operator down the wrong
-/// path exactly when they are debugging.
-fn parse_trace_filter(query: &str) -> Result<TraceFilter, String> {
-    let mut filter = TraceFilter {
-        min_nanos: 0,
-        route: None,
-    };
+/// path exactly when they are debugging. `engine` and `session` accept
+/// any registry-valid name: whether it exists is the endpoint's call.
+pub(crate) fn parse_debug_filter(query: &str, supported: &[&str]) -> Result<DebugFilter, String> {
+    let mut filter = DebugFilter::default();
     for (k, v) in query_params(query) {
+        let known = supported.contains(&k.as_str());
         match k.as_str() {
-            "min_ms" => match v.parse::<f64>() {
+            "min_ms" if known => match v.parse::<f64>() {
                 Ok(ms) if ms.is_finite() && ms >= 0.0 => filter.min_nanos = (ms * 1e6) as u64,
                 _ => return Err(format!("min_ms must be a non-negative number, got {v:?}")),
             },
-            "route" => {
+            "route" if known => {
                 if !Route::ALL.iter().any(|r| r.pattern() == v) {
                     let known: Vec<&str> = Route::ALL.iter().map(|r| r.pattern()).collect();
                     return Err(format!("unknown route {v:?}; one of: {}", known.join(", ")));
                 }
                 filter.route = Some(v);
             }
+            "engine" | "session" if known => {
+                if !valid_name(&v) {
+                    return Err(format!(
+                        "{k} must be a resource name (1-64 alphanumeric, '_' or '-' characters), got {v:?}"
+                    ));
+                }
+                if k == "engine" {
+                    filter.engine = Some(v);
+                } else {
+                    filter.session = Some(v);
+                }
+            }
             _ => {
                 return Err(format!(
-                    "unknown query parameter {k:?}; supported: min_ms, route"
+                    "unknown query parameter {k:?}; supported: {}",
+                    supported.join(", ")
                 ))
             }
         }
@@ -1357,7 +1296,7 @@ fn parse_trace_filter(query: &str) -> Result<TraceFilter, String> {
 /// the pattern spelling — percent-encode the slashes or not, both work).
 /// Malformed or unknown parameters answer 400 with the mistake named.
 fn handle_debug_traces(state: &State, req: &Request) -> Response {
-    let filter = match parse_trace_filter(&req.query) {
+    let filter = match parse_debug_filter(&req.query, &["min_ms", "route"]) {
         Ok(f) => f,
         Err(msg) => return bad_request(&msg),
     };
@@ -1380,51 +1319,14 @@ fn handle_debug_traces(state: &State, req: &Request) -> Response {
     )
 }
 
-/// The validated filter of a `GET /v1/debug/slow` request.
-#[derive(Debug, PartialEq, Eq)]
-struct SlowFilter {
-    min_nanos: u64,
-    engine: Option<String>,
-}
-
-/// Parses and strictly validates the slow-log query string, with the
-/// same contract as [`parse_trace_filter`]: unknown keys and malformed
-/// values are named 400s. `engine` accepts any registry-valid name —
-/// entries outlive engine deletion, so membership is checked against
-/// the log, not the registry.
-fn parse_slow_filter(query: &str) -> Result<SlowFilter, String> {
-    let mut filter = SlowFilter {
-        min_nanos: 0,
-        engine: None,
-    };
-    for (k, v) in query_params(query) {
-        match k.as_str() {
-            "min_ms" => match v.parse::<f64>() {
-                Ok(ms) if ms.is_finite() && ms >= 0.0 => filter.min_nanos = (ms * 1e6) as u64,
-                _ => return Err(format!("min_ms must be a non-negative number, got {v:?}")),
-            },
-            "engine" => {
-                if !valid_name(&v) {
-                    return Err(format!("engine must be a valid resource name, got {v:?}"));
-                }
-                filter.engine = Some(v);
-            }
-            _ => {
-                return Err(format!(
-                    "unknown query parameter {k:?}; supported: min_ms, engine"
-                ))
-            }
-        }
-    }
-    Ok(filter)
-}
-
 /// `GET /v1/debug/slow[?min_ms=..][&engine=..]`: the N slowest query
 /// requests since startup, slowest first, each with its aggregated cost
 /// plan and the request id its trace was published under. Malformed or
 /// unknown parameters answer 400 with the mistake named.
 fn handle_debug_slow(state: &State, req: &Request) -> Response {
-    let filter = match parse_slow_filter(&req.query) {
+    // Entries outlive engine deletion, so an engine name is matched
+    // against the log, not the registry.
+    let filter = match parse_debug_filter(&req.query, &["min_ms", "engine"]) {
         Ok(f) => f,
         Err(msg) => return bad_request(&msg),
     };
@@ -1446,14 +1348,14 @@ fn handle_debug_slow(state: &State, req: &Request) -> Response {
     )
 }
 
-fn handle_session_report(state: &State, id: &str, missing: Response) -> Response {
+fn handle_session_report(state: &State, id: &str) -> Response {
     let Some(entry) = state
         .sessions
         .read()
         .expect("session registry lock")
         .get(id)
     else {
-        return missing;
+        return no_session(id);
     };
     match entry.pipeline.outliers() {
         Ok(seqs) => Response::json(200, encode::stream_report_response(&seqs)),
@@ -1564,9 +1466,6 @@ mod tests {
     fn resource_paths_parse() {
         use Resource::*;
         let cases: Vec<(&str, Resource)> = vec![
-            ("/v1/query", Query),
-            ("/v1/ingest", Ingest),
-            ("/v1/report", Report),
             ("/v1/engines", Engines),
             ("/v1/engines/prod", Engine("prod")),
             ("/v1/engines/prod/query", EngineQuery("prod")),
@@ -1589,6 +1488,10 @@ mod tests {
             ("/v1/engines/../etc", Unknown),
             ("/v1/sessions/s1/flush", Unknown),
             ("/v2/engines", Unknown),
+            // The retired singleton routes are unknown paths like any other.
+            ("/v1/query", Unknown),
+            ("/v1/ingest", Unknown),
+            ("/v1/report", Unknown),
         ];
         for (path, want) in cases {
             assert_eq!(Resource::parse(path), want, "{path}");
@@ -1617,10 +1520,10 @@ mod tests {
     fn query_params_decode_pairs_and_escapes() {
         assert_eq!(query_params(""), vec![]);
         assert_eq!(
-            query_params("min_ms=1.5&route=%2Fv1%2Fquery"),
+            query_params("min_ms=1.5&route=%2Fv1%2Fengines"),
             vec![
                 ("min_ms".to_string(), "1.5".to_string()),
-                ("route".to_string(), "/v1/query".to_string()),
+                ("route".to_string(), "/v1/engines".to_string()),
             ]
         );
         assert_eq!(query_params("a+b=c+d"), vec![("a b".into(), "c d".into())]);
@@ -1635,85 +1538,77 @@ mod tests {
     /// hand and a silently-ignored typo misleads a debugging session.
     #[test]
     fn trace_filters_parse_strictly() {
+        let parse = |q: &str| parse_debug_filter(q, &["min_ms", "route"]);
+        assert_eq!(parse(""), Ok(DebugFilter::default()));
         assert_eq!(
-            parse_trace_filter(""),
-            Ok(TraceFilter {
-                min_nanos: 0,
-                route: None
-            })
-        );
-        assert_eq!(
-            parse_trace_filter("min_ms=1.5&route=%2Fv1%2Fquery"),
-            Ok(TraceFilter {
+            parse("min_ms=1.5&route=%2Fv1%2Fengines"),
+            Ok(DebugFilter {
                 min_nanos: 1_500_000,
-                route: Some("/v1/query".to_string())
+                route: Some("/v1/engines".to_string()),
+                ..DebugFilter::default()
             })
         );
         // Unencoded slashes and the synthetic labels work too.
         assert_eq!(
-            parse_trace_filter("route=/v1/sessions/{id}/ingest")
+            parse("route=/v1/sessions/{id}/ingest")
                 .unwrap()
                 .route
                 .as_deref(),
             Some("/v1/sessions/{id}/ingest")
         );
-        assert!(parse_trace_filter("route=%3Cparse%3E").is_ok());
+        assert!(parse("route=%3Cparse%3E").is_ok());
         // A non-numeric min_ms is a named 400, not a silent zero.
-        let err = parse_trace_filter("min_ms=abc").unwrap_err();
+        let err = parse("min_ms=abc").unwrap_err();
         assert_eq!(err, "min_ms must be a non-negative number, got \"abc\"");
         for bad in ["min_ms=-1", "min_ms=inf", "min_ms="] {
-            assert!(parse_trace_filter(bad).is_err(), "{bad}");
+            assert!(parse(bad).is_err(), "{bad}");
         }
         // A route matching no mounted pattern is a named 400, not an
         // empty 200.
-        let err = parse_trace_filter("route=/v1/quary").unwrap_err();
+        let err = parse("route=/v1/engnes").unwrap_err();
         assert!(
-            err.starts_with("unknown route \"/v1/quary\"; one of: "),
+            err.starts_with("unknown route \"/v1/engnes\"; one of: "),
             "{err}"
         );
-        assert!(err.contains("/v1/query"), "{err}");
+        assert!(err.contains("/v1/engines/{name}/query"), "{err}");
         // Unknown keys are named too (the old behavior ignored them).
-        let err = parse_trace_filter("min_mss=5").unwrap_err();
+        let err = parse("min_mss=5").unwrap_err();
         assert_eq!(
             err,
             "unknown query parameter \"min_mss\"; supported: min_ms, route"
         );
         // The first offending pair wins; valid ones before it are fine.
-        assert!(parse_trace_filter("min_ms=2&oops=1").is_err());
+        assert!(parse("min_ms=2&oops=1").is_err());
     }
 
     /// The slow-log filter mirrors the traces filter's strictness: every
     /// rejection is a named 400 (operators curl this endpoint by hand).
     #[test]
     fn slow_filters_parse_strictly() {
+        let parse = |q: &str| parse_debug_filter(q, &["min_ms", "engine"]);
+        assert_eq!(parse(""), Ok(DebugFilter::default()));
         assert_eq!(
-            parse_slow_filter(""),
-            Ok(SlowFilter {
-                min_nanos: 0,
-                engine: None
-            })
-        );
-        assert_eq!(
-            parse_slow_filter("min_ms=2.5&engine=prod"),
-            Ok(SlowFilter {
+            parse("min_ms=2.5&engine=prod"),
+            Ok(DebugFilter {
                 min_nanos: 2_500_000,
-                engine: Some("prod".to_string())
+                engine: Some("prod".to_string()),
+                ..DebugFilter::default()
             })
         );
-        let err = parse_slow_filter("min_ms=abc").unwrap_err();
+        let err = parse("min_ms=abc").unwrap_err();
         assert_eq!(err, "min_ms must be a non-negative number, got \"abc\"");
         for bad in ["min_ms=-1", "min_ms=inf", "min_ms="] {
-            assert!(parse_slow_filter(bad).is_err(), "{bad}");
+            assert!(parse(bad).is_err(), "{bad}");
         }
         // An engine value that could never name a resource is a named
         // 400, not an empty 200.
-        let err = parse_slow_filter("engine=bad%20name").unwrap_err();
+        let err = parse("engine=bad%20name").unwrap_err();
         assert_eq!(
             err,
-            "engine must be a valid resource name, got \"bad name\""
+            "engine must be a resource name (1-64 alphanumeric, '_' or '-' characters), got \"bad name\""
         );
         // Unknown keys are named, with this endpoint's supported set.
-        let err = parse_slow_filter("route=/v1/query").unwrap_err();
+        let err = parse("route=/v1/engines").unwrap_err();
         assert_eq!(
             err,
             "unknown query parameter \"route\"; supported: min_ms, engine"
@@ -1770,20 +1665,5 @@ mod tests {
         // The synthetic labels can never collide with a served path.
         assert!(Route::Parse.pattern().starts_with('<'));
         assert!(Route::Other.pattern().starts_with('<'));
-    }
-
-    #[test]
-    fn index_wire_names_cover_every_display_name() {
-        for (display, wire) in [
-            ("MRPG", "mrpg"),
-            ("NSW", "nsw"),
-            ("KGraph", "kgraph"),
-            ("VP-tree", "vptree"),
-            ("Nested-loop", "none"),
-        ] {
-            assert_eq!(index_wire_name(display), wire);
-            let spec: IndexSpec = wire.parse().expect("wire spelling parses");
-            let _ = spec; // the mapping lands inside the canonical grammar
-        }
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 /// One completed trace as its wire object:
 ///
 /// ```json
-/// {"request_id": "…", "route": "/v1/query", "status": 200,
+/// {"request_id": "…", "route": "/v1/engines/{name}/query", "status": 200,
 ///  "duration_ns": 1234567,
 ///  "spans": [{"name": "filter", "start_ns": 120, "duration_ns": 900,
 ///             "fields": {"candidates": 12}}, …]}
@@ -105,7 +105,7 @@ mod tests {
             std::time::Duration::from_micros(5),
             vec![("candidates", 7u64.into()), ("backend", "mrpg".into())],
         );
-        let trace = ctx.finish("/v1/query", 200);
+        let trace = ctx.finish("/v1/engines/{name}/query", 200);
         let rendered = trace_json(&trace).render();
         let doc = dod_wire::parse_json(&rendered).expect("valid json");
         assert_eq!(
@@ -114,7 +114,7 @@ mod tests {
         );
         assert_eq!(
             doc.get("route").and_then(JsonValue::as_str),
-            Some("/v1/query")
+            Some("/v1/engines/{name}/query")
         );
         assert_eq!(doc.get("status").and_then(JsonValue::as_usize), Some(200));
         let spans = doc.get("spans").and_then(JsonValue::as_arr).expect("spans");

@@ -13,8 +13,7 @@ pub(crate) struct SlowQuery {
     /// The request id the response echoed — look the same id up in
     /// `/v1/debug/traces` for the span breakdown.
     pub(crate) request_id: String,
-    /// The engine that answered (legacy `/v1/query` records as
-    /// `"default"`).
+    /// The engine that answered.
     pub(crate) engine: String,
     /// Wall time of the `query_many` call, socket time excluded.
     pub(crate) duration_nanos: u64,
@@ -114,7 +113,7 @@ mod tests {
     fn entry(id: &str, nanos: u64) -> SlowQuery {
         SlowQuery {
             request_id: id.to_string(),
-            engine: "default".to_string(),
+            engine: "prod".to_string(),
             duration_nanos: nanos,
             queries: 1,
             dataset_size: 100,

@@ -1,4 +1,4 @@
-//! The ingest session behind `/v1/ingest` and `/v1/report`: a
+//! The ingest sessions behind `/v1/sessions/{id}`: a
 //! [`ShardedStreamDetector`] over any vector metric, erased into one
 //! server-side type and moved onto its [`IngestPipeline`] threads.
 //!
@@ -19,30 +19,14 @@ use dod_stream::{Backend, StreamStats, VectorSpace, WindowSpec};
 use std::path::Path;
 use std::sync::Arc;
 
-/// A sharded sliding-window detector over any served vector metric,
-/// ready to be mounted on a server. Build the concrete detector with
-/// [`ShardedStreamDetector::open`] and let the `From` impls erase it.
-pub enum AnyStreamDetector {
-    /// Vectors under the L1 norm.
+/// A volatile wire session: a sharded sliding-window detector over any
+/// served vector metric, before it moves onto its pipeline threads.
+pub(crate) enum AnyStreamDetector {
     L1(ShardedStreamDetector<VectorSpace<L1>>),
-    /// Vectors under the L2 norm.
     L2(ShardedStreamDetector<VectorSpace<L2>>),
-    /// Vectors under the L4 norm.
     L4(ShardedStreamDetector<VectorSpace<L4>>),
-    /// Unit vectors under angular distance.
     Angular(ShardedStreamDetector<VectorSpace<Angular>>),
 }
-
-macro_rules! impl_from {
-    ($($v:ident),+) => {$(
-        impl From<ShardedStreamDetector<VectorSpace<$v>>> for AnyStreamDetector {
-            fn from(det: ShardedStreamDetector<VectorSpace<$v>>) -> Self {
-                AnyStreamDetector::$v(det)
-            }
-        }
-    )+};
-}
-impl_from!(L1, L2, L4, Angular);
 
 impl AnyStreamDetector {
     /// Opens a sharded detector from wire-level configuration: the
@@ -54,7 +38,7 @@ impl AnyStreamDetector {
     /// JSON point shape, and no served space uses
     /// [`MetricKind::Chebyshev`]); others answer
     /// [`DodError::InvalidSpec`].
-    pub fn open(
+    pub(crate) fn open(
         kind: MetricKind,
         dim: usize,
         query: Query,
@@ -68,38 +52,34 @@ impl AnyStreamDetector {
             });
         }
         Ok(match kind {
-            MetricKind::L1 => ShardedStreamDetector::open(
+            MetricKind::L1 => AnyStreamDetector::L1(ShardedStreamDetector::open(
                 VectorSpace::new(L1, dim),
                 query,
                 window,
                 backend,
                 spec,
-            )?
-            .into(),
-            MetricKind::L2 => ShardedStreamDetector::open(
+            )?),
+            MetricKind::L2 => AnyStreamDetector::L2(ShardedStreamDetector::open(
                 VectorSpace::new(L2, dim),
                 query,
                 window,
                 backend,
                 spec,
-            )?
-            .into(),
-            MetricKind::L4 => ShardedStreamDetector::open(
+            )?),
+            MetricKind::L4 => AnyStreamDetector::L4(ShardedStreamDetector::open(
                 VectorSpace::new(L4, dim),
                 query,
                 window,
                 backend,
                 spec,
-            )?
-            .into(),
-            MetricKind::Angular => ShardedStreamDetector::open(
+            )?),
+            MetricKind::Angular => AnyStreamDetector::Angular(ShardedStreamDetector::open(
                 VectorSpace::new(Angular, dim),
                 query,
                 window,
                 backend,
                 spec,
-            )?
-            .into(),
+            )?),
             other => {
                 return Err(DodError::InvalidSpec {
                     reason: format!(

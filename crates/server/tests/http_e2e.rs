@@ -3,7 +3,7 @@
 //! in-process engines it fronts.
 
 use dod_core::{IndexSpec, Query};
-use dod_datasets::Family;
+use dod_datasets::{EngineSpec, Family};
 use dod_metrics::L2;
 use dod_server::{encode, DodServer, ServerHandle};
 use dod_shard::{ShardSpec, ShardedStreamDetector};
@@ -53,14 +53,32 @@ fn request(addr: SocketAddr, raw: &str) -> (u16, String) {
     roundtrip(&mut conn, raw)
 }
 
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+fn send(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     request(
         addr,
         &format!(
-            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
             body.len()
         ),
     )
+}
+
+fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+    send(addr, "POST", path, body)
+}
+
+/// Creates engine `e` over the wire; `spec` is the `PUT` body.
+fn create_engine(addr: SocketAddr, spec: &str) {
+    let (status, body) = send(addr, "PUT", "/v1/engines/e", spec);
+    assert_eq!(status, 201, "{body}");
+}
+
+/// Opens session `s1` over the wire; `spec` is the `POST /v1/sessions`
+/// body.
+fn open_session(addr: SocketAddr, spec: &str) {
+    let (status, body) = post(addr, "/v1/sessions", spec);
+    assert_eq!(status, 201, "{body}");
+    assert!(body.contains("\"id\":\"s1\""), "{body}");
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -70,25 +88,31 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
     )
 }
 
-/// An engine-backed server plus an identically-built in-process twin.
+/// A server with engine `e` plus an identically-specified in-process
+/// twin.
 fn engine_server() -> (ServerHandle, dod_datasets::AnyEngine) {
-    let build = || {
-        Family::Sift
-            .generate(400, 11)
-            .data
-            .into_engine()
-            .index(IndexSpec::Mrpg(dod_graph::MrpgParams::new(6)))
-            .build()
-            .expect("engine")
-    };
     let handle = DodServer::builder()
-        .engine(build())
         .workers(2)
         .bind("127.0.0.1:0")
         .expect("bind")
         .start();
-    (handle, build())
+    create_engine(
+        handle.addr(),
+        r#"{"family":"sift","n":400,"seed":11,"index":"mrpg:6"}"#,
+    );
+    let twin = EngineSpec {
+        family: Family::Sift,
+        n: 400,
+        seed: 11,
+        index: IndexSpec::Mrpg(dod_graph::MrpgParams::new(6)),
+    }
+    .build()
+    .expect("twin");
+    (handle, twin)
 }
+
+/// The wire spelling of [`stream_detector`]'s parameters.
+const SESSION_SPEC: &str = r#"{"metric":"l2","dim":1,"r":1,"k":2,"window":{"count":64},"shards":2,"warmup":4,"pivots_per_shard":1}"#;
 
 fn stream_detector() -> ShardedStreamDetector<VectorSpace<L2>> {
     ShardedStreamDetector::open(
@@ -139,7 +163,7 @@ fn query_route_is_byte_identical_to_in_process_query_many() {
         Query::new(60.0, 40).unwrap(), // duplicate: exercises batch dedupe
     ];
     let body = r#"{"queries":[{"r":60,"k":40},{"r":120,"k":40},{"r":60,"k":40}]}"#;
-    let (status, http_body) = post(handle.addr(), "/v1/query", body);
+    let (status, http_body) = post(handle.addr(), "/v1/engines/e/query", body);
     assert_eq!(status, 200, "{http_body}");
     let expected = encode::query_response(&twin.query_many(&queries).expect("in-process"));
     assert_eq!(http_body, expected, "HTTP answer must be byte-identical");
@@ -150,7 +174,7 @@ fn query_route_is_byte_identical_to_in_process_query_many() {
 }
 
 /// EXPLAIN is additive and opt-in: `"explain": false` answers the exact
-/// legacy bytes (the absent-key case is pinned above), `"explain": true`
+/// pre-EXPLAIN bytes (the absent-key case is pinned above), `"explain": true`
 /// appends a deterministic `"cost"` plan to every result.
 #[test]
 fn explain_adds_a_cost_plan_and_off_stays_byte_identical() {
@@ -163,7 +187,7 @@ fn explain_adds_a_cost_plan_and_off_stays_byte_identical() {
     let reports = twin.query_many(&queries).expect("in-process");
 
     let body = r#"{"queries":[{"r":80,"k":30},{"r":120,"k":10}],"explain":false}"#;
-    let (status, plain) = post(addr, "/v1/query", body);
+    let (status, plain) = post(addr, "/v1/engines/e/query", body);
     assert_eq!(status, 200, "{plain}");
     assert_eq!(
         plain,
@@ -172,7 +196,7 @@ fn explain_adds_a_cost_plan_and_off_stays_byte_identical() {
     );
 
     let body = r#"{"queries":[{"r":80,"k":30},{"r":120,"k":10}],"explain":true}"#;
-    let (status, explained) = post(addr, "/v1/engines/default/query", body);
+    let (status, explained) = post(addr, "/v1/engines/e/query", body);
     assert_eq!(status, 200, "{explained}");
     assert_eq!(
         explained,
@@ -227,7 +251,7 @@ fn unknown_query_body_keys_answer_400_envelopes() {
             "explain",
         ),
     ] {
-        let (status, resp) = post(addr, "/v1/query", body);
+        let (status, resp) = post(addr, "/v1/engines/e/query", body);
         assert_eq!(status, 400, "{body} -> {resp}");
         let doc = dod_wire::parse_json(&resp).expect("json");
         let env = dod_wire::shapes::ErrorEnvelope::from_json(&doc).expect("envelope");
@@ -235,7 +259,11 @@ fn unknown_query_body_keys_answer_400_envelopes() {
         assert!(env.message.contains(needle), "{}", env.message);
     }
     // After the rejections, valid queries still answer.
-    let (status, _) = post(addr, "/v1/query", r#"{"queries":[{"r":60,"k":40}]}"#);
+    let (status, _) = post(
+        addr,
+        "/v1/engines/e/query",
+        r#"{"queries":[{"r":60,"k":40}]}"#,
+    );
     assert_eq!(status, 200);
     handle.shutdown();
 }
@@ -254,7 +282,7 @@ fn metrics_expose_cost_series_matching_the_twin() {
     let reports = twin.query_many(&queries).expect("in-process");
     let (status, _) = post(
         addr,
-        "/v1/query",
+        "/v1/engines/e/query",
         r#"{"queries":[{"r":60,"k":40},{"r":120,"k":40}]}"#,
     );
     assert_eq!(status, 200);
@@ -283,10 +311,10 @@ fn metrics_expose_cost_series_matching_the_twin() {
         ("dod_cost_false_positives_total", false_pos as u64),
     ];
     for (metric, want) in series {
-        let got = metric_value(&text, &format!("{metric}{{engine=\"default\"}}")) as u64;
+        let got = metric_value(&text, &format!("{metric}{{engine=\"e\"}}")) as u64;
         assert_eq!(got, want, "{metric}: {text}");
     }
-    let power = metric_value(&text, "dod_cost_pruning_power{engine=\"default\"}");
+    let power = metric_value(&text, "dod_cost_pruning_power{engine=\"e\"}");
     let n = twin.len() as f64;
     let baseline = reports.len() as f64 * n * (n - 1.0);
     let want = (1.0 - expected.total_dist_evals() as f64 / baseline).max(0.0);
@@ -303,7 +331,7 @@ fn wire_supplied_threads_are_clamped_server_side() {
     // A hostile thread count must not spawn 4 billion OS threads — the
     // server clamps it to its cap, and the (exact) answer is unchanged.
     let body = r#"{"queries":[{"r":60,"k":40,"threads":4000000000}]}"#;
-    let (status, http_body) = post(handle.addr(), "/v1/query", body);
+    let (status, http_body) = post(handle.addr(), "/v1/engines/e/query", body);
     assert_eq!(status, 200, "{http_body}");
     let expected =
         encode::query_response(&twin.query_many(&[Query::new(60.0, 40).unwrap()]).unwrap());
@@ -359,11 +387,11 @@ fn http10_requests_default_to_connection_close() {
 #[test]
 fn ingest_and_report_match_the_in_process_sharded_detector() {
     let handle = DodServer::builder()
-        .stream(stream_detector())
         .workers(2)
         .bind("127.0.0.1:0")
         .expect("bind")
         .start();
+    open_session(handle.addr(), SESSION_SPEC);
     let mut twin = stream_detector();
 
     let points = stream_points();
@@ -371,19 +399,19 @@ fn ingest_and_report_match_the_in_process_sharded_detector() {
     // snapshot must reflect exactly the first chunk.
     let (first, rest) = points.split_at(points.len() / 2);
     for chunk in [first, rest] {
-        let (status, body) = post(handle.addr(), "/v1/ingest", &points_body(chunk));
+        let (status, body) = post(handle.addr(), "/v1/sessions/s1/ingest", &points_body(chunk));
         assert_eq!(status, 200, "{body}");
         assert_eq!(body, encode::ingest_response(chunk.len()));
         for p in chunk {
             twin.insert(p.clone());
         }
-        let (status, http_report) = get(handle.addr(), "/v1/report");
+        let (status, http_report) = get(handle.addr(), "/v1/sessions/s1/report");
         assert_eq!(status, 200, "{http_report}");
         let expected = encode::stream_report_response(&twin.outliers());
         assert_eq!(http_report, expected, "snapshot must match the twin");
     }
     // The planted isolated point is among the reported outliers.
-    let (_, http_report) = get(handle.addr(), "/v1/report");
+    let (_, http_report) = get(handle.addr(), "/v1/sessions/s1/report");
     let isolated_seq = points.len() as u64 - 1;
     assert!(
         http_report.contains(&isolated_seq.to_string()),
@@ -401,55 +429,58 @@ fn metrics_expose_query_counters_latency_buckets_and_ghost_rates() {
     // Drive the query route: 1 batch of 3 (one duplicate) + 1 batch of 1.
     post(
         addr,
-        "/v1/query",
+        "/v1/engines/e/query",
         r#"{"queries":[{"r":60,"k":40},{"r":120,"k":40},{"r":60,"k":40}]}"#,
     );
-    post(addr, "/v1/query", r#"{"queries":[{"r":60,"k":40}]}"#);
+    post(
+        addr,
+        "/v1/engines/e/query",
+        r#"{"queries":[{"r":60,"k":40}]}"#,
+    );
     let (status, text) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    // Engine series are labeled by registry name; a builder-mounted
-    // engine is the "default" one.
+    // Engine series are labeled by registry name.
     assert!(
-        text.contains("dod_engine_queries_total{engine=\"default\"} 4"),
+        text.contains("dod_engine_queries_total{engine=\"e\"} 4"),
         "{text}"
     );
     assert!(
-        text.contains("dod_engine_batches_total{engine=\"default\"} 2"),
+        text.contains("dod_engine_batches_total{engine=\"e\"} 2"),
         "{text}"
     );
     assert!(
-        text.contains("dod_engine_query_errors_total{engine=\"default\"} 0"),
+        text.contains("dod_engine_query_errors_total{engine=\"e\"} 0"),
         "{text}"
     );
     assert!(text.contains("dod_engine_resident 1"), "{text}");
     // Histogram: buckets, +Inf, sum and count; 3 timed observations (the
     // duplicate was answered by clone, not re-timed).
     assert!(
-        text.contains("dod_engine_query_latency_seconds_bucket{engine=\"default\",le=\"+Inf\"} 3"),
+        text.contains("dod_engine_query_latency_seconds_bucket{engine=\"e\",le=\"+Inf\"} 3"),
         "{text}"
     );
     assert!(
-        text.contains(
-            "dod_engine_query_latency_seconds_bucket{engine=\"default\",le=\"0.000001\"}"
-        ),
+        text.contains("dod_engine_query_latency_seconds_bucket{engine=\"e\",le=\"0.000001\"}"),
         "{text}"
     );
     assert!(
-        text.contains("dod_engine_query_latency_seconds_sum{engine=\"default\"}"),
+        text.contains("dod_engine_query_latency_seconds_sum{engine=\"e\"}"),
         "{text}"
     );
     assert!(
-        text.contains("dod_engine_query_latency_seconds_count{engine=\"default\"} 3"),
+        text.contains("dod_engine_query_latency_seconds_count{engine=\"e\"} 3"),
         "{text}"
     );
     // Request accounting by route pattern and status, plus the per-route
     // latency histogram and pool gauges that ride along.
     assert!(
-        text.contains("dod_http_requests_total{route=\"/v1/query\",status=\"200\"} 2"),
+        text.contains(
+            "dod_http_requests_total{route=\"/v1/engines/{name}/query\",status=\"200\"} 2"
+        ),
         "{text}"
     );
     assert!(
-        text.contains("dod_http_request_seconds_count{route=\"/v1/query\"} 2"),
+        text.contains("dod_http_request_seconds_count{route=\"/v1/engines/{name}/query\"} 2"),
         "{text}"
     );
     assert!(text.contains("dod_http_queue_wait_seconds_count"), "{text}");
@@ -458,21 +489,25 @@ fn metrics_expose_query_counters_latency_buckets_and_ghost_rates() {
 
     // Stream-backed server: ghost-pair counters and rates after load.
     let handle = DodServer::builder()
-        .stream(stream_detector())
         .bind("127.0.0.1:0")
         .expect("bind")
         .start();
-    let (status, body) = post(handle.addr(), "/v1/ingest", &points_body(&stream_points()));
+    open_session(handle.addr(), SESSION_SPEC);
+    let (status, body) = post(
+        handle.addr(),
+        "/v1/sessions/s1/ingest",
+        &points_body(&stream_points()),
+    );
     assert_eq!(status, 200, "{body}");
-    let (_, _) = get(handle.addr(), "/v1/report"); // barrier: drain queues
+    let (_, _) = get(handle.addr(), "/v1/sessions/s1/report"); // barrier: drain queues
     let (status, text) = get(handle.addr(), "/metrics");
     assert_eq!(status, 200);
     assert!(
-        text.contains("dod_stream_inserts_total{session=\"default\"}"),
+        text.contains("dod_stream_inserts_total{session=\"s1\"}"),
         "{text}"
     );
     assert!(
-        text.contains("dod_stream_ghost_inserts_total{session=\"default\"}"),
+        text.contains("dod_stream_ghost_inserts_total{session=\"s1\"}"),
         "{text}"
     );
     assert!(text.contains("dod_session_active 1"), "{text}");
@@ -493,31 +528,31 @@ fn metrics_expose_query_counters_latency_buckets_and_ghost_rates() {
         .sum();
     assert!(total_ghosts > 0, "boundary points must replicate: {text}");
     assert!(
-        text.contains("dod_shard_ghost_rate{session=\"default\",owner=\"0\",target=\"1\"}"),
+        text.contains("dod_shard_ghost_rate{session=\"s1\",owner=\"0\",target=\"1\"}"),
         "{text}"
     );
     assert!(
-        text.contains("dod_shard_ghost_rate{session=\"default\",owner=\"1\",target=\"0\"}"),
+        text.contains("dod_shard_ghost_rate{session=\"s1\",owner=\"1\",target=\"0\"}"),
         "{text}"
     );
     // Ghost rates are per-owner: rate[o][t] = routes[o][t] / owned[o],
     // and the owned counts partition the stream exactly.
     let owned0 = metric_value(
         &text,
-        "dod_shard_owned_points_total{session=\"default\",shard=\"0\"}",
+        "dod_shard_owned_points_total{session=\"s1\",shard=\"0\"}",
     );
     let owned1 = metric_value(
         &text,
-        "dod_shard_owned_points_total{session=\"default\",shard=\"1\"}",
+        "dod_shard_owned_points_total{session=\"s1\",shard=\"1\"}",
     );
     assert_eq!((owned0 + owned1) as usize, stream_points().len(), "{text}");
     let routes01 = metric_value(
         &text,
-        "dod_shard_ghost_routes_total{session=\"default\",owner=\"0\",target=\"1\"}",
+        "dod_shard_ghost_routes_total{session=\"s1\",owner=\"0\",target=\"1\"}",
     );
     let rate01 = metric_value(
         &text,
-        "dod_shard_ghost_rate{session=\"default\",owner=\"0\",target=\"1\"}",
+        "dod_shard_ghost_rate{session=\"s1\",owner=\"0\",target=\"1\"}",
     );
     assert!(owned0 > 0.0 && owned1 > 0.0, "{text}");
     assert!(
@@ -539,69 +574,71 @@ fn metric_value(text: &str, line_start: &str) -> f64 {
 #[test]
 fn malformed_requests_get_typed_4xx_and_the_server_survives() {
     let handle = DodServer::builder()
-        .engine(
-            Family::Sift
-                .generate(120, 3)
-                .data
-                .into_engine()
-                .index(IndexSpec::VpTree)
-                .build()
-                .expect("engine"),
-        )
-        .stream(stream_detector())
         .max_body_bytes(1024)
         .bind("127.0.0.1:0")
         .expect("bind")
         .start();
     let addr = handle.addr();
+    create_engine(
+        addr,
+        r#"{"family":"sift","n":120,"seed":3,"index":"vptree"}"#,
+    );
+    open_session(addr, SESSION_SPEC);
 
     // Bad JSON.
-    let (status, body) = post(addr, "/v1/query", "{not json");
+    let (status, body) = post(addr, "/v1/engines/e/query", "{not json");
     assert_eq!(status, 400);
     assert!(body.contains("\"kind\":\"bad_json\""), "{body}");
     // Wrong shape.
-    let (status, body) = post(addr, "/v1/query", r#"{"nope":1}"#);
+    let (status, body) = post(addr, "/v1/engines/e/query", r#"{"nope":1}"#);
     assert_eq!(status, 400, "{body}");
     // Invalid radius: the DodError variant comes through as the kind.
-    let (status, body) = post(addr, "/v1/query", r#"{"queries":[{"r":-2,"k":3}]}"#);
+    let (status, body) = post(
+        addr,
+        "/v1/engines/e/query",
+        r#"{"queries":[{"r":-2,"k":3}]}"#,
+    );
     assert_eq!(status, 400);
     assert!(body.contains("\"kind\":\"invalid_radius\""), "{body}");
     assert!(body.contains("finite non-negative"), "{body}");
     // Wrong family: a string where this stream's vectors belong.
-    let (status, body) = post(addr, "/v1/ingest", r#"{"points":["hello"]}"#);
+    let (status, body) = post(addr, "/v1/sessions/s1/ingest", r#"{"points":["hello"]}"#);
     assert_eq!(status, 400);
     assert!(body.contains("\"kind\":\"family_mismatch\""), "{body}");
     // Wrong dimension.
-    let (status, body) = post(addr, "/v1/ingest", r#"{"points":[[1.0,2.0]]}"#);
+    let (status, body) = post(addr, "/v1/sessions/s1/ingest", r#"{"points":[[1.0,2.0]]}"#);
     assert_eq!(status, 400);
     assert!(body.contains("\"kind\":\"family_mismatch\""), "{body}");
     // Oversized body: rejected from the Content-Length alone.
     let big = format!("{{\"points\":[{}]}}", "[1.0],".repeat(400) + "[1.0]");
-    let (status, body) = post(addr, "/v1/ingest", &big);
+    let (status, body) = post(addr, "/v1/sessions/s1/ingest", &big);
     assert_eq!(status, 413, "{body}");
     // Unknown route, wrong method, garbage request line, chunked bodies.
     let (status, _) = get(addr, "/v2/nope");
     assert_eq!(status, 404);
-    let (status, _) = get(addr, "/v1/query");
+    // The retired singleton route is an unknown path like any other.
+    let (status, body) = post(addr, "/v1/query", r#"{"queries":[{"r":1,"k":1}]}"#);
+    assert_eq!(status, 404, "{body}");
+    let doc = dod_wire::parse_json(&body).expect("json");
+    let env = dod_wire::shapes::ErrorEnvelope::from_json(&doc).expect("envelope");
+    assert_eq!(env.kind, "not_found");
+    let (status, _) = get(addr, "/v1/engines/e/query");
     assert_eq!(status, 405);
     let (status, _) = request(addr, "total garbage\r\n\r\n");
     assert_eq!(status, 400);
     let (status, _) = request(
         addr,
-        "POST /v1/query HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
+        "POST /v1/engines/e/query HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
     );
     assert_eq!(status, 501);
 
     // After all of that abuse the server still answers.
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
-    assert_eq!(
-        body,
-        r#"{"status":"ok","engine":true,"stream":true,"engines":1,"sessions":1}"#
-    );
+    assert_eq!(body, r#"{"status":"ok","engines":1,"sessions":1}"#);
     // The stream session survived the rejected ingests untouched: no
     // point ever reached it.
-    let (status, report) = get(addr, "/v1/report");
+    let (status, report) = get(addr, "/v1/sessions/s1/report");
     assert_eq!(status, 200);
     assert_eq!(report, encode::stream_report_response(&[]));
     handle.shutdown();
@@ -619,7 +656,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
         let (status, resp) = roundtrip(
             &mut conn,
             &format!(
-                "POST /v1/query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+                "POST /v1/engines/e/query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
                 body.len()
             ),
         );
@@ -635,6 +672,39 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     handle.shutdown();
 }
 
+/// Idle keep-alive clients must not starve new connections: a worker
+/// parked on an idle connection gives itself back once another
+/// connection is queued, instead of holding out until the read timeout.
+#[test]
+fn idle_keep_alive_clients_do_not_block_new_connections() {
+    let handle = DodServer::builder()
+        .workers(2)
+        .read_timeout(Duration::from_secs(5))
+        .bind("127.0.0.1:0")
+        .expect("bind")
+        .start();
+    // As many idle clients as workers, each served once and left open.
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(30))).ok();
+            let (status, _) = roundtrip(&mut conn, "GET /healthz HTTP/1.1\r\n\r\n");
+            assert_eq!(status, 200);
+            conn
+        })
+        .collect();
+    let started = std::time::Instant::now();
+    let (status, _) = get(handle.addr(), "/healthz");
+    assert_eq!(status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a new connection waited {:?} behind idle keep-alive clients",
+        started.elapsed()
+    );
+    drop(idle);
+    handle.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -646,22 +716,23 @@ proptest! {
         ks in proptest::collection::vec(0usize..60, 1..4),
         seed in 0u64..100,
     ) {
-        let build = || {
-            Family::Sift
-                .generate(150, seed)
-                .data
-                .into_engine()
-                .index(IndexSpec::VpTree)
-                .build()
-                .expect("engine")
-        };
         let handle = DodServer::builder()
-            .engine(build())
             .workers(1)
             .bind("127.0.0.1:0")
             .expect("bind")
             .start();
-        let twin = build();
+        create_engine(
+            handle.addr(),
+            &format!(r#"{{"family":"sift","n":150,"seed":{seed},"index":"vptree"}}"#),
+        );
+        let twin = EngineSpec {
+            family: Family::Sift,
+            n: 150,
+            seed,
+            index: IndexSpec::VpTree,
+        }
+        .build()
+        .expect("twin");
         let queries: Vec<Query> = rs
             .iter()
             .zip(&ks)
@@ -673,7 +744,7 @@ proptest! {
             .collect();
         let (status, http_body) = post(
             handle.addr(),
-            "/v1/query",
+            "/v1/engines/e/query",
             &format!("{{\"queries\":[{}]}}", items.join(",")),
         );
         prop_assert_eq!(status, 200);
@@ -707,18 +778,27 @@ proptest! {
         }
         .generate(n, seed);
         let handle = DodServer::builder()
-            .stream(open())
             .workers(1)
             .bind("127.0.0.1:0")
             .expect("bind")
             .start();
+        open_session(
+            handle.addr(),
+            &format!(
+                r#"{{"metric":"l2","dim":2,"r":0.8,"k":2,"window":{{"count":32}},"shards":{shards},"warmup":8}}"#
+            ),
+        );
         let mut twin = open();
         for p in &points {
             twin.insert(p.clone());
         }
-        let (status, body) = post(handle.addr(), "/v1/ingest", &points_body(&points));
+        let (status, body) = post(
+            handle.addr(),
+            "/v1/sessions/s1/ingest",
+            &points_body(&points),
+        );
         prop_assert_eq!(status, 200, "{}", body);
-        let (status, http_report) = get(handle.addr(), "/v1/report");
+        let (status, http_report) = get(handle.addr(), "/v1/sessions/s1/report");
         prop_assert_eq!(status, 200);
         prop_assert_eq!(http_report, encode::stream_report_response(&twin.outliers()));
         handle.shutdown();

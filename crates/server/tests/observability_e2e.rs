@@ -3,12 +3,7 @@
 //! and the JSON-lines access log — all driven with hand-written
 //! HTTP/1.1 against a server on an ephemeral port.
 
-use dod_core::{IndexSpec, Query};
-use dod_datasets::Family;
-use dod_metrics::L2;
-use dod_server::DodServer;
-use dod_shard::{ShardSpec, ShardedStreamDetector};
-use dod_stream::{Backend, VectorSpace, WindowSpec};
+use dod_server::{DodServer, ServerBuilder, ServerHandle};
 use dod_wire::JsonValue;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -61,8 +56,9 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn post(
+fn send(
     addr: SocketAddr,
+    method: &str,
     path: &str,
     body: &str,
     extra: &str,
@@ -70,10 +66,19 @@ fn post(
     exchange(
         addr,
         &format!(
-            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n{extra}connection: close\r\n\r\n{body}",
+            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n{extra}connection: close\r\n\r\n{body}",
             body.len()
         ),
     )
+}
+
+fn post(
+    addr: SocketAddr,
+    path: &str,
+    body: &str,
+    extra: &str,
+) -> (u16, Vec<(String, String)>, String) {
+    send(addr, "POST", path, body, extra)
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, Vec<(String, String)>, String) {
@@ -83,26 +88,31 @@ fn get(addr: SocketAddr, path: &str) -> (u16, Vec<(String, String)>, String) {
     )
 }
 
-fn builder() -> dod_server::ServerBuilder {
-    let engine = Family::Sift
-        .generate(300, 11)
-        .data
-        .into_engine()
-        .index(IndexSpec::Mrpg(dod_graph::MrpgParams::new(6)))
-        .build()
-        .expect("engine");
-    let stream = ShardedStreamDetector::open(
-        VectorSpace::new(L2, 1),
-        Query::new(1.0, 2).expect("query"),
-        WindowSpec::Count(64),
-        Backend::Exhaustive,
-        ShardSpec::new(2).with_warmup(4).with_pivots_per_shard(1),
-    )
-    .expect("detector");
-    DodServer::builder()
-        .engine(engine)
-        .stream(stream)
-        .workers(2)
+fn builder() -> ServerBuilder {
+    DodServer::builder().workers(2)
+}
+
+/// Binds and starts the server, then creates engine `e` and session `s1`
+/// over the wire. Both setup requests are traced like any other, so
+/// every sink sees them first.
+fn serve(builder: ServerBuilder) -> ServerHandle {
+    let handle = builder.bind("127.0.0.1:0").expect("bind").start();
+    let (status, _, body) = send(
+        handle.addr(),
+        "PUT",
+        "/v1/engines/e",
+        r#"{"family":"sift","n":300,"seed":11,"index":"mrpg:6"}"#,
+        "",
+    );
+    assert_eq!(status, 201, "{body}");
+    let (status, _, body) = post(
+        handle.addr(),
+        "/v1/sessions",
+        r#"{"metric":"l2","dim":1,"r":1,"k":2,"window":{"count":64},"shards":2,"warmup":4,"pivots_per_shard":1}"#,
+        "",
+    );
+    assert_eq!(status, 201, "{body}");
+    handle
 }
 
 /// A trace object's span by name, if present.
@@ -123,12 +133,12 @@ fn span_duration_ns(trace: &JsonValue, name: &str) -> u64 {
 
 #[test]
 fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
-    let handle = builder().bind("127.0.0.1:0").expect("bind").start();
+    let handle = serve(builder());
     let addr = handle.addr();
 
     let (status, headers, _) = post(
         addr,
-        "/v1/query",
+        "/v1/engines/e/query",
         r#"{"queries":[{"r":100.0,"k":40}]}"#,
         "x-request-id: trace-me-42\r\n",
     );
@@ -150,7 +160,7 @@ fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
         .expect("the query's trace is in the ring");
     assert_eq!(
         trace.get("route").and_then(JsonValue::as_str),
-        Some("/v1/query")
+        Some("/v1/engines/{name}/query")
     );
     assert_eq!(trace.get("status").and_then(JsonValue::as_usize), Some(200));
     // The whole path is covered: pool queue wait, socket read, dispatch,
@@ -181,7 +191,9 @@ fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
     // The same request shows up in the per-route×status counters.
     let (_, _, metrics) = get(addr, "/metrics");
     assert!(
-        metrics.contains("dod_http_requests_total{route=\"/v1/query\",status=\"200\"} 1"),
+        metrics.contains(
+            "dod_http_requests_total{route=\"/v1/engines/{name}/query\",status=\"200\"} 1"
+        ),
         "{metrics}"
     );
     handle.shutdown();
@@ -192,7 +204,7 @@ fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
 /// must not land in that request's trace.
 #[test]
 fn keep_alive_think_time_is_not_request_time() {
-    let handle = builder().bind("127.0.0.1:0").expect("bind").start();
+    let handle = serve(builder());
     let addr = handle.addr();
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(30))).ok();
@@ -207,10 +219,8 @@ fn keep_alive_think_time_is_not_request_time() {
         let (status, _, _) = read_response(&mut reader);
         assert_eq!(status, 200);
     }
-    // Close before shutdown: an open keep-alive socket would hold its
-    // worker until the read timeout.
-    drop(reader);
-    drop(conn);
+    // The connection stays open: its idle worker notices the shutdown
+    // below within one idle poll.
 
     let (_, _, body) = get(addr, "/v1/debug/traces?route=/healthz");
     let doc = dod_wire::parse_json(&body).expect("traces json");
@@ -235,10 +245,10 @@ fn keep_alive_think_time_is_not_request_time() {
 
 #[test]
 fn inbound_request_ids_are_sanitized_not_trusted() {
-    let handle = builder().bind("127.0.0.1:0").expect("bind").start();
+    let handle = serve(builder());
     let (status, headers, _) = post(
         handle.addr(),
-        "/v1/query",
+        "/v1/engines/e/query",
         r#"{"queries":[{"r":100.0,"k":40}]}"#,
         "x-request-id: bad id\"with{junk}\r\n",
     );
@@ -254,14 +264,19 @@ fn inbound_request_ids_are_sanitized_not_trusted() {
 
 #[test]
 fn debug_traces_filter_by_route_and_min_ms() {
-    let handle = builder().bind("127.0.0.1:0").expect("bind").start();
+    let handle = serve(builder());
     let addr = handle.addr();
-    let (status, _, _) = post(addr, "/v1/query", r#"{"queries":[{"r":100.0,"k":40}]}"#, "");
+    let (status, _, _) = post(
+        addr,
+        "/v1/engines/e/query",
+        r#"{"queries":[{"r":100.0,"k":40}]}"#,
+        "",
+    );
     assert_eq!(status, 200);
     let (status, _, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
 
-    let (status, _, body) = get(addr, "/v1/debug/traces?route=/v1/query");
+    let (status, _, body) = get(addr, "/v1/debug/traces?route=/v1/engines/{name}/query");
     assert_eq!(status, 200, "{body}");
     let doc = dod_wire::parse_json(&body).expect("json");
     let traces = doc
@@ -272,7 +287,7 @@ fn debug_traces_filter_by_route_and_min_ms() {
     for t in traces {
         assert_eq!(
             t.get("route").and_then(JsonValue::as_str),
-            Some("/v1/query")
+            Some("/v1/engines/{name}/query")
         );
     }
 
@@ -307,11 +322,7 @@ fn debug_traces_filter_by_route_and_min_ms() {
 /// to the trace ring through the request id each entry records.
 #[test]
 fn debug_slow_serves_the_bounded_ring_with_request_id_linkage() {
-    let handle = builder()
-        .slow_query_capacity(2)
-        .bind("127.0.0.1:0")
-        .expect("bind")
-        .start();
+    let handle = serve(builder().slow_query_capacity(2));
     let addr = handle.addr();
 
     // Empty before any query — and the capacity knob is echoed.
@@ -327,7 +338,7 @@ fn debug_slow_serves_the_bounded_ring_with_request_id_linkage() {
     for id in ["slow-a", "slow-b", "slow-c"] {
         let (status, _, _) = post(
             addr,
-            "/v1/query",
+            "/v1/engines/e/query",
             r#"{"queries":[{"r":100.0,"k":40}]}"#,
             &format!("x-request-id: {id}\r\n"),
         );
@@ -355,7 +366,7 @@ fn debug_slow_serves_the_bounded_ring_with_request_id_linkage() {
         .and_then(JsonValue::as_arr)
         .expect("traces");
     for e in slow {
-        assert_eq!(e.get("engine").and_then(JsonValue::as_str), Some("default"));
+        assert_eq!(e.get("engine").and_then(JsonValue::as_str), Some("e"));
         assert_eq!(e.get("queries").and_then(JsonValue::as_usize), Some(1));
         let cost = e.get("cost").expect("cost plan");
         assert!(
@@ -394,7 +405,7 @@ fn debug_slow_serves_the_bounded_ring_with_request_id_linkage() {
         let len = doc.get("slow").and_then(JsonValue::as_arr).map(<[_]>::len);
         assert_eq!(len == Some(0), expect_empty, "{query}: {body}");
     }
-    for q in ["?min_ms=soon", "?route=/v1/query", "?engine=bad%20name"] {
+    for q in ["?min_ms=soon", "?route=/v1/engines", "?engine=bad%20name"] {
         let (status, _, body) = get(addr, &format!("/v1/debug/slow{q}"));
         assert_eq!(status, 400, "{q}: {body}");
         let doc = dod_wire::parse_json(&body).expect("json");
@@ -408,22 +419,22 @@ fn debug_slow_serves_the_bounded_ring_with_request_id_linkage() {
 /// window scan per insert, visible as `dod_cost_insert_dist_evals_total`.
 #[test]
 fn metrics_expose_stream_cost_series() {
-    let handle = builder().bind("127.0.0.1:0").expect("bind").start();
+    let handle = serve(builder());
     let addr = handle.addr();
     let (status, _, _) = post(
         addr,
-        "/v1/ingest",
+        "/v1/sessions/s1/ingest",
         r#"{"points":[[0.5],[0.6],[0.7],[0.8],[50.0]]}"#,
         "",
     );
     assert_eq!(status, 200);
-    let (status, _, report) = get(addr, "/v1/report");
+    let (status, _, report) = get(addr, "/v1/sessions/s1/report");
     assert_eq!(status, 200, "{report}");
     let (_, _, metrics) = get(addr, "/metrics");
     let series_value = |name: &str| {
         metrics
             .lines()
-            .find(|l| l.starts_with(&format!("{name}{{session=\"default\"}}")))
+            .find(|l| l.starts_with(&format!("{name}{{session=\"s1\"}}")))
             .and_then(|l| l.rsplit(' ').next())
             .and_then(|v| v.parse::<f64>().ok())
             .unwrap_or_else(|| panic!("missing {name}: {metrics}"))
@@ -447,16 +458,12 @@ fn the_access_log_records_every_request_parsably() {
         std::thread::current().id()
     ));
     let log = std::fs::File::create(&path).expect("create log");
-    let handle = builder()
-        .access_log(log)
-        .bind("127.0.0.1:0")
-        .expect("bind")
-        .start();
+    let handle = serve(builder().access_log(log));
     let addr = handle.addr();
 
     let (status, headers, _) = post(
         addr,
-        "/v1/query",
+        "/v1/engines/e/query",
         r#"{"queries":[{"r":100.0,"k":40}]}"#,
         "x-request-id: logged-query\r\n",
     );
@@ -464,7 +471,7 @@ fn the_access_log_records_every_request_parsably() {
     assert_eq!(header(&headers, "x-request-id"), Some("logged-query"));
     let (status, _, _) = post(
         addr,
-        "/v1/ingest",
+        "/v1/sessions/s1/ingest",
         r#"{"points":[[0.5],[0.6],[0.7]]}"#,
         "x-request-id: logged-ingest\r\n",
     );
@@ -472,7 +479,7 @@ fn the_access_log_records_every_request_parsably() {
     // A routed client error: invalid JSON body on a real route.
     let (status, _, _) = post(
         addr,
-        "/v1/query",
+        "/v1/engines/e/query",
         "{not json",
         "x-request-id: logged-bad\r\n",
     );
@@ -485,9 +492,10 @@ fn the_access_log_records_every_request_parsably() {
     let text = std::fs::read_to_string(&path).expect("read log");
     let _ = std::fs::remove_file(&path);
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 4, "one line per request: {text}");
+    // The two setup requests (engine and session creation) come first.
+    assert_eq!(lines.len(), 6, "one line per request: {text}");
     let mut logged = Vec::new();
-    for line in &lines {
+    for line in &lines[2..] {
         let doc = dod_wire::parse_json(line)
             .unwrap_or_else(|e| panic!("unparsable access-log line {line:?}: {e:?}"));
         assert!(
@@ -511,15 +519,27 @@ fn the_access_log_records_every_request_parsably() {
     }
     assert_eq!(
         logged[0],
-        ("logged-query".to_string(), "/v1/query".to_string(), 200)
+        (
+            "logged-query".to_string(),
+            "/v1/engines/{name}/query".to_string(),
+            200
+        )
     );
     assert_eq!(
         logged[1],
-        ("logged-ingest".to_string(), "/v1/ingest".to_string(), 200)
+        (
+            "logged-ingest".to_string(),
+            "/v1/sessions/{id}/ingest".to_string(),
+            200
+        )
     );
     assert_eq!(
         logged[2],
-        ("logged-bad".to_string(), "/v1/query".to_string(), 400)
+        (
+            "logged-bad".to_string(),
+            "/v1/engines/{name}/query".to_string(),
+            400
+        )
     );
     // The unparsable request got a generated id and the synthetic route.
     assert_eq!(logged[3].1, "<parse>");
@@ -529,7 +549,7 @@ fn the_access_log_records_every_request_parsably() {
 
 #[test]
 fn parse_failures_are_counted_under_the_synthetic_route() {
-    let handle = builder().bind("127.0.0.1:0").expect("bind").start();
+    let handle = serve(builder());
     let addr = handle.addr();
     let (status, headers, _) = exchange(addr, "gibberish\r\n\r\n");
     assert_eq!(status, 400);

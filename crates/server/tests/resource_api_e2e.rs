@@ -1,8 +1,6 @@
 //! End-to-end tests for the resource-oriented `/v1` API over real
-//! sockets: named engines (create, list, query, LRU-evict, delete),
-//! concurrent ingest sessions (isolation, capacity, lifecycle), and the
-//! compat shim that keeps the legacy singleton routes byte-identical to
-//! their pre-redesign behavior.
+//! sockets: named engines (create, list, query, LRU-evict, delete) and
+//! concurrent ingest sessions (isolation, capacity, lifecycle).
 
 use dod_core::{IndexSpec, Query};
 use dod_datasets::{EngineSpec, Family};
@@ -104,8 +102,11 @@ fn named_engines_create_list_query_and_delete() {
     let handle = bare_server();
     let addr = handle.addr();
 
-    // An empty registry lists empty — and the legacy alias has nothing
-    // to serve.
+    // A bare server holds no resources, and an empty registry lists
+    // empty.
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(body, r#"{"status":"ok","engines":0,"sessions":0}"#);
     let (status, body) = get(addr, "/v1/engines");
     assert_eq!(status, 200);
     assert_eq!(body, r#"{"engines":[],"capacity":8}"#);
@@ -575,123 +576,5 @@ fn sessions_are_refused_at_capacity_and_validated() {
         assert!((400..=429).contains(&status), "{req} -> {status} {body}");
         assert_envelope(&body, kind);
     }
-    handle.shutdown();
-}
-
-// ---- compat shim ---------------------------------------------------------
-
-/// The legacy singleton routes must keep answering the exact bytes they
-/// answered before the resource API existed — for present *and* missing
-/// resources — and must be interchangeable with the `default`-named
-/// routes.
-#[test]
-fn legacy_routes_alias_the_default_resources_byte_for_byte() {
-    // A server with neither resource: the legacy routes answer the
-    // pre-redesign 503 ("started without"), not the resource API's 404.
-    let handle = bare_server();
-    let addr = handle.addr();
-    let legacy_unavailable = [
-        post(addr, "/v1/query", r#"{"queries":[{"r":1,"k":1}]}"#),
-        post(addr, "/v1/ingest", r#"{"points":[[1]]}"#),
-        get(addr, "/v1/report"),
-    ];
-    for (status, body) in legacy_unavailable {
-        assert_eq!(status, 503, "{body}");
-        assert!(body.contains("this server was started without"), "{body}");
-        assert_envelope(&body, "unavailable");
-    }
-    let (status, body) = get(addr, "/healthz");
-    assert_eq!(status, 200);
-    assert_eq!(
-        body,
-        r#"{"status":"ok","engine":false,"stream":false,"engines":0,"sessions":0}"#
-    );
-    handle.shutdown();
-
-    // A server with builder-mounted resources: they surface as the
-    // "default" engine and session, and both route spellings answer
-    // identical bytes.
-    let build = || {
-        Family::Sift
-            .generate(300, 7)
-            .data
-            .into_engine()
-            .index(IndexSpec::VpTree)
-            .build()
-            .expect("engine")
-    };
-    let open = || {
-        ShardedStreamDetector::open(
-            VectorSpace::new(L2, 1),
-            Query::new(1.0, 2).expect("query"),
-            WindowSpec::Count(64),
-            Backend::Exhaustive,
-            ShardSpec::new(2).with_warmup(4).with_pivots_per_shard(1),
-        )
-        .expect("detector")
-    };
-    let handle = DodServer::builder()
-        .engine(build())
-        .stream(open())
-        .workers(2)
-        .bind("127.0.0.1:0")
-        .expect("bind")
-        .start();
-    let addr = handle.addr();
-
-    let (_, listing) = get(addr, "/v1/engines");
-    assert!(listing.contains(r#""name":"default""#), "{listing}");
-    assert!(listing.contains(r#""index":"vptree""#), "{listing}");
-    let (_, listing) = get(addr, "/v1/sessions");
-    assert!(listing.contains(r#""id":"default""#), "{listing}");
-
-    // Query: legacy and named answers are the same bytes, equal to the
-    // in-process twin's encoding (the pre-redesign contract).
-    let twin = build();
-    let qbody = r#"{"queries":[{"r":60,"k":40},{"r":120,"k":40}]}"#;
-    let queries = [
-        Query::new(60.0, 40).unwrap(),
-        Query::new(120.0, 40).unwrap(),
-    ];
-    let (status, legacy) = post(addr, "/v1/query", qbody);
-    assert_eq!(status, 200, "{legacy}");
-    let (_, named) = post(addr, "/v1/engines/default/query", qbody);
-    let expected = encode::query_response(&twin.query_many(&queries).expect("in-process"));
-    assert_eq!(legacy, expected, "legacy bytes must be pre-redesign");
-    assert_eq!(named, expected, "both spellings serve one engine");
-
-    // Ingest + report: legacy routes drive the default session; the
-    // named report sees exactly what the legacy ingest fed.
-    let mut twin_stream = open();
-    let points: Vec<Vec<f32>> = (0..30)
-        .map(|i| {
-            vec![if i % 2 == 0 {
-                0.1 * (i % 5) as f32
-            } else {
-                60.0
-            }]
-        })
-        .chain([vec![-200.0]])
-        .collect();
-    for p in &points {
-        twin_stream.insert(p.clone());
-    }
-    let (status, body) = post(addr, "/v1/ingest", &points_body(&points));
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(body, encode::ingest_response(points.len()));
-    let expected_report = encode::stream_report_response(&twin_stream.outliers());
-    let (status, legacy_report) = get(addr, "/v1/report");
-    assert_eq!(status, 200);
-    assert_eq!(legacy_report, expected_report, "legacy report bytes");
-    let (_, named_report) = get(addr, "/v1/sessions/default/report");
-    assert_eq!(named_report, expected_report, "one session, two spellings");
-
-    // Deleting the default session through the resource API switches the
-    // legacy routes to their "missing resource" answer.
-    let (status, _) = delete(addr, "/v1/sessions/default");
-    assert_eq!(status, 200);
-    let (status, body) = get(addr, "/v1/report");
-    assert_eq!(status, 503, "{body}");
-    assert_envelope(&body, "unavailable");
     handle.shutdown();
 }

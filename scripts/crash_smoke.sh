@@ -2,9 +2,9 @@
 # Crash-recovery smoke test: serve with a data directory, let the
 # walkthrough create a durable session and ingest into it, SIGKILL the
 # server, restart it over the same directory, and diff the recovered
-# /v1/report against the pre-kill snapshot. Exercises the full stack the
-# way an operator would meet it: no in-process shortcuts, a real process
-# killed with no shutdown courtesy.
+# /v1/sessions/s1/report against the pre-kill snapshot. Exercises the
+# full stack the way an operator would meet it: no in-process shortcuts,
+# a real process killed with no shutdown courtesy.
 #
 # Usage: scripts/crash_smoke.sh [port]
 set -euo pipefail
@@ -87,14 +87,14 @@ grep -q 'dod_wal_replayed_records_total{session="s1"}' <(curl -sf "${BASE}/metri
     echo "FAIL: /metrics lacks WAL replay counters for s1" >&2
     exit 1
 }
-echo "OK: post-restart /v1/report is byte-identical to the pre-kill snapshot"
+echo "OK: post-restart /v1/sessions/s1/report is byte-identical to the pre-kill snapshot"
 
 echo "== life 2 continued: acked-only batch, then SIGKILL with no barrier =="
 # The ack-is-durability contract, with nothing to hide behind: ingest one
 # full window (the session's window is count=256) with three planted far
-# points and SIGKILL the moment the 200 lands — no /v1/report, nothing
-# that would flush the pipeline as a side effect. The ack itself is the
-# only promise the points get.
+# points and SIGKILL the moment the 200 lands — no report request,
+# nothing that would flush the pipeline as a side effect. The ack itself
+# is the only promise the points get.
 #
 # The walkthrough ingested exactly 400 points (seqs 0..399), so this
 # batch is seqs 400..655 and the planted indices 10/100/200 are global

@@ -169,25 +169,24 @@
 //! ## Serving over HTTP
 //!
 //! [`server`] turns all of the above into a network service — std-only,
-//! no framework: `POST /v1/query` answers batches through
-//! [`Engine::query_many`](core::Engine::query_many), `POST /v1/ingest` /
-//! `GET /v1/report` run a sharded sliding-window session, and
-//! `GET /metrics` exposes the engine's query counters and latency
-//! histogram plus per-shard-pair ghost rates in Prometheus text format:
+//! no framework. Clients create named engines from a dataset spec
+//! (`PUT /v1/engines/{name}`) and query them in batches through
+//! [`Engine::query_many`](core::Engine::query_many)
+//! (`POST /v1/engines/{name}/query`), open sharded sliding-window
+//! sessions (`POST /v1/sessions`) and feed and read them
+//! (`/v1/sessions/{id}/ingest`, `/v1/sessions/{id}/report`), and scrape
+//! `GET /metrics` for per-engine query counters and latency histograms
+//! plus per-shard-pair ghost rates in Prometheus text format:
 //!
 //! ```
 //! use dod::prelude::*;
 //!
-//! # let rows: Vec<Vec<f32>> = (0..200).map(|i| vec![(i % 10) as f32, (i / 10) as f32]).collect();
-//! # let data = VectorSet::from_rows(&rows, L2);
-//! let engine = Engine::builder(data)
-//!     .index(IndexSpec::Mrpg(MrpgParams::new(8)))
-//!     .build()?;
 //! let handle = DodServer::builder()
-//!     .engine(engine)
+//!     .workers(2)
 //!     .bind("127.0.0.1:0")? // ephemeral port; production binds e.g. 0.0.0.0:8080
 //!     .start();
-//! // curl -d '{"queries":[{"r":1.5,"k":3}]}' http://<addr>/v1/query
+//! // curl -X PUT -d '{"family":"sift","n":1000,"index":"mrpg:8"}' http://<addr>/v1/engines/prod
+//! // curl -d '{"queries":[{"r":60,"k":40}]}' http://<addr>/v1/engines/prod/query
 //! let addr = handle.addr();
 //! assert_ne!(addr.port(), 0);
 //! handle.shutdown(); // graceful: in-flight requests finish
@@ -217,7 +216,7 @@ pub mod prelude {
     pub use dod_datasets::{AnyDataset, AnyEngine, Family};
     pub use dod_graph::{GraphKind, MrpgParams, ProximityGraph};
     pub use dod_metrics::{Angular, Dataset, StringSet, VectorSet, L1, L2, L4};
-    pub use dod_server::{AnyStreamDetector, DodServer, QueryEngine, ServerHandle};
+    pub use dod_server::{DodServer, ServerHandle};
     pub use dod_shard::{
         DurabilityPolicy, DurableSession, IngestHandle, IngestPipeline, RecoveryStats, ShardSpec,
         ShardedStreamDetector, SyncPolicy,
