@@ -563,10 +563,10 @@ impl Drop for ServerHandle {
     }
 }
 
-/// The slice a worker waits in for the next request on a kept-alive
-/// connection. Between slices it checks whether it is needed elsewhere
-/// (queued connections, shutdown), so an idle client holds a worker for
-/// at most this long once someone else wants it.
+/// The slice a worker waits in for a connection's next request. Between
+/// slices it checks whether it is needed elsewhere (queued connections,
+/// shutdown), so an idle client holds a worker for at most this long once
+/// someone else wants it.
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 #[derive(Clone, Copy)]
@@ -658,14 +658,14 @@ impl std::io::Write for DeadlineWriter {
     }
 }
 
-/// Waits for the first byte of a kept-alive connection's next request in
-/// [`IDLE_POLL`] slices, so an idle client cannot park a worker that
-/// others need: after each empty slice the connection closes cleanly
-/// (`Ok(false)`, as if the client had hung up) when a connection is
-/// queued for a worker or the server is shutting down. A client idle for
-/// the whole read budget — `read_timeout`, or the request deadline when
-/// that is shorter or the per-read cap is disabled — gets the same single
-/// 408 a silent new connection gets.
+/// Waits for the first byte of a connection's next request — its first
+/// one included — in [`IDLE_POLL`] slices, so an idle client cannot park
+/// a worker that others need: after each empty slice the connection
+/// closes without a response (`Ok(false)`, as if the client had hung up)
+/// when a connection is queued for a worker or the server is shutting
+/// down. A client idle for the whole read budget — `read_timeout`, or the
+/// request deadline when that is shorter or the per-read cap is disabled
+/// — gets a single 408.
 fn await_next_request(
     reader: &mut BufReader<DeadlineStream>,
     state: &State,
@@ -718,7 +718,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
     for served in 0..cfg.keep_alive_requests {
         // Honor shutdown between requests: in-flight requests finish, but
         // an open keep-alive connection must not demand service forever.
-        // (A worker idle between requests observes this within
+        // (A worker waiting for a request observes this within
         // IDLE_POLL; see await_next_request.)
         if state.shutting_down.load(Ordering::SeqCst) {
             break;
@@ -727,15 +727,8 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
         // still individually bounded by cfg.read_timeout.
         reader.get_mut().deadline.arm(cfg.request_timeout);
         // The request's clock starts at its first byte: the wait before
-        // it is the connection idling between requests, not request time.
-        // A fresh connection's first wait does not yield: its client has
-        // just connected to send a request, and closing would only make
-        // it queue again.
-        let waited = if served == 0 {
-            http::await_request(&mut reader)
-        } else {
-            await_next_request(&mut reader, state)
-        };
+        // it is the connection idling, not request time.
+        let waited = await_next_request(&mut reader, state);
         let read_start = Instant::now();
         let read = match waited {
             Ok(true) => http::read_request(&mut reader, cfg.max_body_bytes),

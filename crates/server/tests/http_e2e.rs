@@ -672,9 +672,11 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     handle.shutdown();
 }
 
-/// Idle keep-alive clients must not starve new connections: a worker
-/// parked on an idle connection gives itself back once another
-/// connection is queued, instead of holding out until the read timeout.
+/// Idle clients must not starve new connections: a worker parked on an
+/// idle connection gives itself back once another connection is queued,
+/// instead of holding out until the read timeout. That holds between
+/// requests and before the first one (a pre-opened pool, a slowloris
+/// opener).
 #[test]
 fn idle_keep_alive_clients_do_not_block_new_connections() {
     let handle = DodServer::builder()
@@ -683,25 +685,29 @@ fn idle_keep_alive_clients_do_not_block_new_connections() {
         .bind("127.0.0.1:0")
         .expect("bind")
         .start();
-    // As many idle clients as workers, each served once and left open.
-    let idle: Vec<TcpStream> = (0..2)
-        .map(|_| {
-            let mut conn = TcpStream::connect(handle.addr()).expect("connect");
-            conn.set_read_timeout(Some(Duration::from_secs(30))).ok();
-            let (status, _) = roundtrip(&mut conn, "GET /healthz HTTP/1.1\r\n\r\n");
-            assert_eq!(status, 200);
-            conn
-        })
-        .collect();
-    let started = std::time::Instant::now();
-    let (status, _) = get(handle.addr(), "/healthz");
-    assert_eq!(status, 200);
-    assert!(
-        started.elapsed() < Duration::from_secs(1),
-        "a new connection waited {:?} behind idle keep-alive clients",
-        started.elapsed()
-    );
-    drop(idle);
+    for served_once in [true, false] {
+        // As many idle clients as workers, left open.
+        let idle: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+                conn.set_read_timeout(Some(Duration::from_secs(30))).ok();
+                if served_once {
+                    let (status, _) = roundtrip(&mut conn, "GET /healthz HTTP/1.1\r\n\r\n");
+                    assert_eq!(status, 200);
+                }
+                conn
+            })
+            .collect();
+        let started = std::time::Instant::now();
+        let (status, _) = get(handle.addr(), "/healthz");
+        assert_eq!(status, 200);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a new connection waited {:?} behind idle clients (served once: {served_once})",
+            started.elapsed()
+        );
+        drop(idle);
+    }
     handle.shutdown();
 }
 
