@@ -15,8 +15,8 @@ where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
 {
-    // Clamp to the work available (as par_for_each_mut does): a thread
-    // count beyond n would only spawn workers with empty strides.
+    // Clamp to the work available: a thread count beyond n would only
+    // spawn workers with empty strides.
     let threads = threads.max(1).min(n.max(1));
     if threads == 1 || n < 2 {
         return (0..n).map(f).collect();
@@ -44,39 +44,12 @@ where
     out
 }
 
-/// Runs `f(i, &mut items[i])` for every item with `threads` workers, each
-/// worker owning a contiguous chunk. The mutations are independent per
-/// item, so the result is deterministic for any thread count.
-///
-/// This is the in-place companion of [`par_map_strided`] for state that
-/// cannot be rebuilt from a return value — the sharded streaming engine
-/// fans per-shard slide work (insert/expire/repair) over its shard array
-/// with it.
-pub fn par_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 || n < 2 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, slab) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (off, item) in slab.iter_mut().enumerate() {
-                    f(c * chunk + off, item);
-                }
-            });
-        }
-    });
-}
+/// Runs `f(i, &mut items[i])` for every item over contiguous chunks —
+/// the in-place companion of [`par_map_strided`] for state that cannot
+/// be rebuilt from a return value. The sharded streaming engine fans
+/// per-shard slide work (insert/expire/repair) over its shard array with
+/// it.
+pub use dod_graph::parallel::par_for_each_mut;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 

@@ -9,18 +9,15 @@
 //! [`dod_wal::SessionWal`]) plus `manifest.json` — the session's
 //! creation body, verbatim, in the [`SessionCreateRequest`] wire shape.
 //! Storing the request rather than some parallel schema means the
-//! manifest can never drift from what `POST /v1/sessions` accepts: the
-//! recovery path replays creation through the same parser and the same
-//! [`AnyDurableSession::open`] the handler uses.
+//! manifest can never drift from what `POST /v1/sessions` accepts:
+//! recovery reads the body back through the same parser and opens the
+//! session through the same [`crate::streams::open`] as the handler.
 
-use crate::registry::{DurableInfo, SessionEntry, SessionRegistry};
-use crate::streams::AnyDurableSession;
+use crate::registry::SessionRegistry;
 use dod_core::telemetry::Counter;
-use dod_core::{DodError, Query};
-use dod_metrics::MetricKind;
-use dod_shard::{DurabilityPolicy, ShardSpec, SyncPolicy};
-use dod_stream::{Backend, WindowSpec};
-use dod_wire::shapes::{SessionCreateRequest, SyncShape, WindowShape};
+use dod_core::DodError;
+use dod_shard::{DurabilityPolicy, SyncPolicy};
+use dod_wire::shapes::{SessionCreateRequest, SyncShape};
 use std::path::Path;
 
 /// The session-spec file next to the WAL, in the
@@ -40,61 +37,6 @@ pub(crate) fn policy_from(create: &SessionCreateRequest) -> DurabilityPolicy {
         policy.snapshot_ops = n.max(1);
     }
     policy
-}
-
-/// Opens (or recovers) the durable session a creation body describes,
-/// in `dir`. The caller has already validated the body's wire limits;
-/// this re-derives the engine-level spec from the same fields, so the
-/// manifest replay at bind time and the create handler take one path.
-pub(crate) fn open_session(
-    create: &SessionCreateRequest,
-    dir: &Path,
-) -> Result<AnyDurableSession, DodError> {
-    let Some(kind) = MetricKind::parse_wire(&create.metric) else {
-        return Err(DodError::InvalidSpec {
-            reason: format!(
-                "unknown metric {:?}; one of: l1, l2, l4, angular",
-                create.metric
-            ),
-        });
-    };
-    let query = Query::new(create.r, create.k as usize)?;
-    let window = match create.window {
-        WindowShape::Count(w) => WindowSpec::Count(w as usize),
-        WindowShape::Time(horizon) => WindowSpec::Time(horizon),
-    };
-    let mut spec = ShardSpec::new(create.shards as usize);
-    if let Some(warmup) = create.warmup {
-        spec = spec.with_warmup(warmup as usize);
-    }
-    if let Some(pivots) = create.pivots_per_shard {
-        spec = spec.with_pivots_per_shard(pivots as usize);
-    }
-    // Exhaustive per-shard backend, exactly like volatile wire sessions:
-    // wire sessions promise exact answers.
-    let (mut session, _stats) = AnyDurableSession::open(
-        kind,
-        create.dim as usize,
-        query,
-        window,
-        Backend::Exhaustive,
-        spec,
-        dir,
-        policy_from(create),
-    )?;
-    // Audit cadence comes from the manifest on every open (create and
-    // recovery alike) — it is observability configuration, not logged
-    // window state.
-    if create.sample_rate.is_some() || create.audit_sample.is_some() {
-        let defaults = dod_stream::GraphParams::default();
-        session.set_audit_params(
-            create.sample_rate.unwrap_or(defaults.sample_rate),
-            create
-                .audit_sample
-                .map_or(defaults.audit_sample, |n| n as usize),
-        )?;
-    }
-    Ok(session)
 }
 
 /// Persists the creation body as the session's manifest, atomically
@@ -163,26 +105,6 @@ pub(crate) fn reclaim_session_dir(dir: &Path, cleanup_errors: &Counter) {
     }
 }
 
-/// Builds the registry entry for an opened durable session (shared by
-/// the create handler and bind-time recovery). `ingested` starts at
-/// zero on every open: it counts points accepted over HTTP *by this
-/// process* — the window itself is what recovery restores.
-pub(crate) fn session_entry(session: AnyDurableSession, dir: &Path, queue: usize) -> SessionEntry {
-    let metric = session.metric_name();
-    let shards = session.shard_count();
-    let telemetry = session.telemetry();
-    SessionEntry {
-        pipeline: session.into_pipeline(queue),
-        metric,
-        shards,
-        ingested: Counter::new(),
-        durable: Some(DurableInfo {
-            telemetry,
-            dir: dir.to_path_buf(),
-        }),
-    }
-}
-
 /// Bind-time recovery: scans `{data_dir}/sessions/*` for directories
 /// holding a manifest, replays each session and mounts it under its
 /// original id (bumping the registry's id counter past recovered ids).
@@ -228,8 +150,7 @@ pub(crate) fn recover_sessions(
     for id in &ids {
         let dir = root.join(id);
         let create = read_manifest(&dir)?;
-        let session = open_session(&create, &dir)?;
-        let entry = session_entry(session, &dir, queue);
+        let entry = crate::streams::open(&create, Some(&dir))?.start(queue);
         if sessions.mount(id, entry).is_err() {
             return Err(DodError::InvalidSpec {
                 reason: format!(

@@ -28,7 +28,7 @@
 //! | `DELETE /v1/engines/{name}` | — | `{"deleted": name}` |
 //! | `POST /v1/engines/{name}/query` | `{"queries": [{"r": 2.0, "k": 5}, …]}` | `{"results": [{"outliers": […], …}, …]}` via [`Engine::query_many`](dod_core::Engine::query_many) |
 //! | `POST /v1/sessions` | `{"metric", "dim", "r", "k", "window", "shards"?, …}` | `201` with the session summary (server-assigned id) |
-//! | `GET /v1/sessions` | — | `{"sessions": [{id, metric, dim, shards, ingested}, …], "capacity"}` |
+//! | `GET /v1/sessions` | — | `{"sessions": [{id, metric, dim, shards, ingested, durable, durability?}, …], "capacity"}` |
 //! | `GET /v1/sessions/{id}` | — | one session summary |
 //! | `DELETE /v1/sessions/{id}` | — | `{"deleted": id}` — joins the session's pipeline |
 //! | `POST /v1/sessions/{id}/ingest` | `{"points": [[…], …]}` | `{"accepted": n}` — enqueued into the [`IngestPipeline`](dod_shard::IngestPipeline); durable sessions add `"durable": bool` and answer only after a WAL commit barrier |

@@ -487,7 +487,7 @@ pub(crate) fn render(state: &State) -> String {
             let _ = writeln!(
                 out,
                 "dod_ingest_queue_depth{{session=\"{id}\"}} {}",
-                entry.pipeline.queue_depth()
+                entry.pipeline.gauges().queue_depth()
             );
         }
         header(
@@ -500,7 +500,7 @@ pub(crate) fn render(state: &State) -> String {
             let _ = writeln!(
                 out,
                 "dod_shard_route_seconds_total{{session=\"{id}\"}} {}",
-                dod_wire::render_number(entry.pipeline.route_nanos() as f64 / 1e9)
+                dod_wire::render_number(entry.pipeline.gauges().route_nanos() as f64 / 1e9)
             );
         }
         let ghosts: Vec<_> = sessions

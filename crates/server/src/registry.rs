@@ -20,7 +20,7 @@
 //!   destroys data the client cannot re-send. At capacity, opening a new
 //!   session fails with `429` until the client deletes one.
 
-use crate::streams::AnyPipeline;
+use crate::streams::SessionPipeline;
 use dod_core::telemetry::Counter;
 use dod_datasets::AnyEngine;
 use dod_shard::WalTelemetry;
@@ -137,7 +137,12 @@ impl EngineRegistry {
 pub(crate) struct SessionEntry {
     /// The running pipeline. Channel-fed with `&self` methods, so
     /// concurrent handlers share the entry without locking.
-    pub pipeline: AnyPipeline,
+    pub pipeline: Box<dyn SessionPipeline>,
+    /// The pinned vector dimension — the validation boundary for wire
+    /// points. (A wrong-length point must be rejected at the route,
+    /// because `Space::prepare` enforces the dimension with an assert on
+    /// the pipeline's router thread.)
+    pub dim: usize,
     /// Wire name of the session's metric (`l1`, `l2`, …).
     pub metric: &'static str,
     /// Shards the window is partitioned across.

@@ -10,17 +10,13 @@
 
 use crate::http::Request;
 use crate::registry::SessionEntry;
-use crate::streams::AnyStreamDetector;
+use crate::streams::{self, OpenSession};
 use crate::State;
-use dod_core::telemetry::Counter;
 use dod_core::trace::TraceContext;
 use dod_core::{DodError, IndexSpec, OutlierReport, Query};
 use dod_datasets::{EngineSpec, Family};
 use dod_metrics::MetricKind;
-use dod_stream::{Backend, WindowSpec};
-use dod_wire::shapes::{
-    EngineCreateRequest, EngineSummary, SessionCreateRequest, SessionSummary, WindowShape,
-};
+use dod_wire::shapes::{EngineCreateRequest, EngineSummary, SessionCreateRequest, SessionSummary};
 use dod_wire::{parse_json, JsonValue};
 
 /// The served route *shapes*, used as the metrics label: one variant per
@@ -892,7 +888,7 @@ fn session_summary(id: &str, entry: &SessionEntry) -> JsonValue {
     SessionSummary {
         id: id.to_string(),
         metric: entry.metric.to_string(),
-        dim: entry.pipeline.dim() as u64,
+        dim: entry.dim as u64,
         shards: entry.shards as u64,
         ingested: entry.ingested.get(),
         durable: entry.durable.is_some(),
@@ -946,61 +942,26 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
         Ok(c) => c,
         Err(msg) => return bad_request(&msg),
     };
-    let Some(kind) = MetricKind::parse_wire(&create.metric) else {
-        return invalid_spec(&format!(
-            "unknown metric {:?}; one of: l1, l2, l4, angular",
-            create.metric
-        ));
-    };
+    // The wire checks that run before anything is reserved — for a
+    // durable session, before its id and directory exist. The session
+    // itself is derived once, by `streams::open`.
+    if MetricKind::parse_wire(&create.metric).is_none() {
+        return invalid_spec(&streams::unknown_metric(&create.metric));
+    }
     if create.dim as usize > MAX_SESSION_DIM {
         return bad_request(&format!(
             "\"dim\" of {} exceeds the limit of {MAX_SESSION_DIM}",
             create.dim
         ));
     }
-    let query = match Query::new(create.r, create.k as usize) {
-        Ok(q) => q,
-        Err(e) => return dod_error_response(&e),
-    };
-    let window = match create.window {
-        WindowShape::Count(w) => WindowSpec::Count(w as usize),
-        WindowShape::Time(horizon) => WindowSpec::Time(horizon),
-    };
-    let mut shard_spec = dod_shard::ShardSpec::new(create.shards as usize);
-    if let Some(warmup) = create.warmup {
-        shard_spec = shard_spec.with_warmup(warmup as usize);
-    }
-    if let Some(pivots) = create.pivots_per_shard {
-        shard_spec = shard_spec.with_pivots_per_shard(pivots as usize);
+    if let Err(e) = Query::new(create.r, create.k as usize) {
+        return dod_error_response(&e);
     }
     if create.durable {
         return handle_durable_session_create(state, &create);
     }
-    // Exhaustive per-shard backend: wire sessions promise exact answers.
-    let detector = AnyStreamDetector::open(
-        kind,
-        create.dim as usize,
-        query,
-        window,
-        Backend::Exhaustive,
-        shard_spec,
-    )
-    .and_then(|mut det| {
-        // Audit cadence knobs apply before any point arrives; a zero
-        // sample_rate is a typed 400, never a silent clamp.
-        if create.sample_rate.is_some() || create.audit_sample.is_some() {
-            let defaults = dod_stream::GraphParams::default();
-            det.set_audit_params(
-                create.sample_rate.unwrap_or(defaults.sample_rate),
-                create
-                    .audit_sample
-                    .map_or(defaults.audit_sample, |n| n as usize),
-            )?;
-        }
-        Ok(det)
-    });
-    let detector = match detector {
-        Ok(det) => det,
+    let session = match streams::open(&create, None) {
+        Ok(session) => session,
         Err(e) => return dod_error_response(&e),
     };
     // Only a fully validated spec may consume a slot. The slot is
@@ -1014,28 +975,7 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
     else {
         return session_capacity_response(state);
     };
-    let metric = detector.metric_name();
-    let shards = detector.shard_count();
-    let entry = SessionEntry {
-        pipeline: detector.into_pipeline(state.pipeline_queue),
-        metric,
-        shards,
-        ingested: Counter::new(),
-        durable: None,
-    };
-    let mounted = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .mount(&id, entry);
-    match mounted {
-        Ok(entry) => Response::json(201, session_summary(&id, &entry).render()),
-        Err(refused_entry) => {
-            // The refused pipeline's threads join here, outside the lock.
-            drop(refused_entry);
-            session_capacity_response(state)
-        }
-    }
+    mount_session(state, &id, session)
 }
 
 fn session_capacity_response(state: &State) -> Response {
@@ -1072,29 +1012,38 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
     // The expensive, fallible part — creating the directory, fsyncing
     // the log header and first snapshot — runs with no lock held. On any
     // failure the half-made directory is reclaimed before answering.
-    let built = crate::durable::open_session(create, &dir)
-        .and_then(|sess| crate::durable::write_manifest(&dir, create).map(|()| sess));
-    let session = match built {
-        Ok(s) => s,
+    let opened = streams::open(create, Some(&dir))
+        .and_then(|session| crate::durable::write_manifest(&dir, create).map(|()| session));
+    match opened {
+        Ok(session) => mount_session(state, &id, session),
         Err(e) => {
             crate::durable::reclaim_session_dir(&dir, &state.cleanup_errors);
-            return dod_error_response(&e);
+            dod_error_response(&e)
         }
-    };
-    let entry = crate::durable::session_entry(session, &dir, state.pipeline_queue);
+    }
+}
+
+/// Starts an opened session's pipeline and mounts it under its reserved
+/// id.
+fn mount_session(state: &State, id: &str, session: OpenSession) -> Response {
+    let entry = session.start(state.pipeline_queue);
     let mounted = state
         .sessions
         .write()
         .expect("session registry lock")
-        .mount(&id, entry);
+        .mount(id, entry);
     match mounted {
-        Ok(entry) => Response::json(201, session_summary(&id, &entry).render()),
+        Ok(entry) => Response::json(201, session_summary(id, &entry).render()),
         Err(refused) => {
             // Concurrent creates filled the registry between reserve and
-            // mount. Dropping the entry joins the pipeline (final WAL
-            // close), then the freshly-made files are reclaimed.
+            // mount. Dropping the entry joins its pipeline threads (for a
+            // durable session, the final WAL close) outside the lock;
+            // then a durable session's freshly made files are reclaimed.
+            let dir = refused.durable.as_ref().map(|d| d.dir.clone());
             drop(refused);
-            crate::durable::reclaim_session_dir(&dir, &state.cleanup_errors);
+            if let Some(dir) = dir {
+                crate::durable::reclaim_session_dir(&dir, &state.cleanup_errors);
+            }
             session_capacity_response(state)
         }
     }
@@ -1147,7 +1096,7 @@ fn handle_session_ingest(
     else {
         return no_session(id);
     };
-    let points = match parse_points(&req.body, entry.pipeline.dim()) {
+    let points = match parse_points(&req.body, entry.dim) {
         Ok(p) => p,
         Err(resp) => return resp,
     };
@@ -1155,7 +1104,7 @@ fn handle_session_ingest(
     let span = ctx
         .child("ingest")
         .with_field("points", accepted)
-        .with_field("queue_depth", entry.pipeline.queue_depth());
+        .with_field("queue_depth", entry.pipeline.gauges().queue_depth());
     // For a durable session the 200 is a durability promise, so the
     // handler blocks on a commit barrier: the router flushes every op
     // enqueued before the barrier through the WAL (append + sync per

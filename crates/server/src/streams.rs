@@ -1,423 +1,238 @@
 //! The ingest sessions behind `/v1/sessions/{id}`: a
-//! [`ShardedStreamDetector`] over any vector metric, erased into one
-//! server-side type and moved onto its [`IngestPipeline`] threads.
+//! [`ShardedStreamDetector`] over any served vector metric, running on
+//! its [`IngestPipeline`] threads.
 //!
-//! The erasure mirrors `dod_datasets::AnyDataset` (a small enum over the
-//! concrete spaces, not a trait object), because the pipeline type is
-//! generic over the space and the server must pick it from configuration
-//! at runtime. Only vector spaces are served — points travel as JSON
-//! number arrays; a string-space session has no natural wire shape here
-//! and stays an in-process API.
+//! The metric is chosen once per session. [`open`] holds the server's one
+//! per-metric `match` and hands the metric type to the generic
+//! [`open_with`], which derives the session from its creation body — for
+//! a volatile create, a durable create and bind-time recovery alike.
+//! From then on the session is a [`SessionPipeline`] trait object: a
+//! request pays one virtual call, while every distance evaluation stays
+//! compiled for its metric.
+//!
+//! Only vector spaces are served — points travel as JSON number arrays;
+//! a string-space session has no natural wire shape here and stays an
+//! in-process API.
 
+use crate::registry::{DurableInfo, SessionEntry};
+use dod_core::telemetry::Counter;
 use dod_core::{DodError, Query};
-use dod_metrics::{Angular, MetricKind, L1, L2, L4};
+use dod_metrics::{Angular, MetricKind, VectorMetric, L1, L2, L4};
 use dod_shard::{
-    CommitAck, DurabilityPolicy, DurableSession, GhostRouteStats, HealthReport, IngestPipeline,
-    RecoveryStats, ShardSpec, ShardedStreamDetector, WalTelemetry,
+    CommitAck, DurableSession, GhostRouteStats, HealthReport, IngestPipeline, PipelineGauges,
+    ShardSpec, ShardedStreamDetector,
 };
-use dod_stream::{Backend, StreamStats, VectorSpace, WindowSpec};
+use dod_stream::{Backend, GraphParams, StreamStats, VectorSpace, WindowSpec};
+use dod_wire::shapes::{SessionCreateRequest, WindowShape};
 use std::path::Path;
 use std::sync::Arc;
 
-/// A volatile wire session: a sharded sliding-window detector over any
-/// served vector metric, before it moves onto its pipeline threads.
-pub(crate) enum AnyStreamDetector {
-    L1(ShardedStreamDetector<VectorSpace<L1>>),
-    L2(ShardedStreamDetector<VectorSpace<L2>>),
-    L4(ShardedStreamDetector<VectorSpace<L4>>),
-    Angular(ShardedStreamDetector<VectorSpace<Angular>>),
-}
-
-impl AnyStreamDetector {
-    /// Opens a sharded detector from wire-level configuration: the
-    /// metric by [`MetricKind`] instead of by type. This is how
-    /// `POST /v1/sessions` builds a session — the metric arrives as a
-    /// string, so the type dispatch has to happen at runtime, here.
-    ///
-    /// Only the vector metrics are servable ([`MetricKind::Edit`] has no
-    /// JSON point shape, and no served space uses
-    /// [`MetricKind::Chebyshev`]); others answer
-    /// [`DodError::InvalidSpec`].
-    pub(crate) fn open(
-        kind: MetricKind,
-        dim: usize,
-        query: Query,
-        window: WindowSpec,
-        backend: Backend,
-        spec: ShardSpec,
-    ) -> Result<Self, DodError> {
-        if dim == 0 {
-            return Err(DodError::InvalidSpec {
-                reason: "a session's vector dimension must be at least 1".to_string(),
-            });
-        }
-        Ok(match kind {
-            MetricKind::L1 => AnyStreamDetector::L1(ShardedStreamDetector::open(
-                VectorSpace::new(L1, dim),
-                query,
-                window,
-                backend,
-                spec,
-            )?),
-            MetricKind::L2 => AnyStreamDetector::L2(ShardedStreamDetector::open(
-                VectorSpace::new(L2, dim),
-                query,
-                window,
-                backend,
-                spec,
-            )?),
-            MetricKind::L4 => AnyStreamDetector::L4(ShardedStreamDetector::open(
-                VectorSpace::new(L4, dim),
-                query,
-                window,
-                backend,
-                spec,
-            )?),
-            MetricKind::Angular => AnyStreamDetector::Angular(ShardedStreamDetector::open(
-                VectorSpace::new(Angular, dim),
-                query,
-                window,
-                backend,
-                spec,
-            )?),
-            other => {
-                return Err(DodError::InvalidSpec {
-                    reason: format!(
-                        "metric {:?} is not servable over HTTP; use one of l1, l2, l4, angular",
-                        other.wire_name()
-                    ),
-                })
-            }
-        })
-    }
-
-    /// Wire name of the session's metric (`l1`, `l2`, `l4`, `angular`).
-    pub(crate) fn metric_name(&self) -> &'static str {
-        match self {
-            AnyStreamDetector::L1(_) => MetricKind::L1.wire_name(),
-            AnyStreamDetector::L2(_) => MetricKind::L2.wire_name(),
-            AnyStreamDetector::L4(_) => MetricKind::L4.wire_name(),
-            AnyStreamDetector::Angular(_) => MetricKind::Angular.wire_name(),
-        }
-    }
-
-    /// Shards the window is partitioned across (listing metadata,
-    /// captured before the detector moves onto its pipeline threads).
-    pub(crate) fn shard_count(&self) -> usize {
-        match self {
-            AnyStreamDetector::L1(det) => det.spec().shards,
-            AnyStreamDetector::L2(det) => det.spec().shards,
-            AnyStreamDetector::L4(det) => det.spec().shards,
-            AnyStreamDetector::Angular(det) => det.spec().shards,
-        }
-    }
-
-    /// The pinned vector dimension of the session's space — the
-    /// validation boundary for wire points. (A wrong-length point must be
-    /// rejected at the route, because `Space::prepare` enforces the
-    /// dimension with an assert on the pipeline's router thread.)
-    pub(crate) fn dim(&self) -> usize {
-        match self {
-            AnyStreamDetector::L1(det) => det.space().dim(),
-            AnyStreamDetector::L2(det) => det.space().dim(),
-            AnyStreamDetector::L4(det) => det.space().dim(),
-            AnyStreamDetector::Angular(det) => det.space().dim(),
-        }
-    }
-
-    /// Reconfigures the sampled recall auditor on every shard (see
-    /// [`ShardedStreamDetector::set_audit_params`]); wire knobs are
-    /// validated here with typed errors, never clamped.
-    pub(crate) fn set_audit_params(
-        &mut self,
-        sample_rate: u64,
-        audit_sample: usize,
-    ) -> Result<(), DodError> {
-        match self {
-            AnyStreamDetector::L1(det) => det.set_audit_params(sample_rate, audit_sample),
-            AnyStreamDetector::L2(det) => det.set_audit_params(sample_rate, audit_sample),
-            AnyStreamDetector::L4(det) => det.set_audit_params(sample_rate, audit_sample),
-            AnyStreamDetector::Angular(det) => det.set_audit_params(sample_rate, audit_sample),
-        }
-    }
-
-    /// Moves the detector onto its pipeline threads.
-    pub(crate) fn into_pipeline(self, queue: usize) -> AnyPipeline {
-        let dim = self.dim();
-        let inner = match self {
-            AnyStreamDetector::L1(det) => InnerPipeline::L1(det.into_pipeline(queue)),
-            AnyStreamDetector::L2(det) => InnerPipeline::L2(det.into_pipeline(queue)),
-            AnyStreamDetector::L4(det) => InnerPipeline::L4(det.into_pipeline(queue)),
-            AnyStreamDetector::Angular(det) => InnerPipeline::Angular(det.into_pipeline(queue)),
-        };
-        AnyPipeline { dim, inner }
-    }
-}
-
-/// A *durable* wire session: the same metric erasure as
-/// [`AnyStreamDetector`], wrapped around [`DurableSession`] so every
-/// accepted operation is WAL-logged and the session can be rebuilt from
-/// its directory after a restart (see `dod_shard::DurableSession`).
-pub(crate) enum AnyDurableSession {
-    L1(DurableSession<VectorSpace<L1>>),
-    L2(DurableSession<VectorSpace<L2>>),
-    L4(DurableSession<VectorSpace<L4>>),
-    Angular(DurableSession<VectorSpace<Angular>>),
-}
-
-impl AnyDurableSession {
-    /// Opens (or recovers) a durable sharded session in `dir` from
-    /// wire-level configuration — the durable twin of
-    /// [`AnyStreamDetector::open`], with identical validation.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn open(
-        kind: MetricKind,
-        dim: usize,
-        query: Query,
-        window: WindowSpec,
-        backend: Backend,
-        spec: ShardSpec,
-        dir: &Path,
-        policy: DurabilityPolicy,
-    ) -> Result<(Self, RecoveryStats), DodError> {
-        if dim == 0 {
-            return Err(DodError::InvalidSpec {
-                reason: "a session's vector dimension must be at least 1".to_string(),
-            });
-        }
-        Ok(match kind {
-            MetricKind::L1 => {
-                let (s, stats) = DurableSession::open(
-                    VectorSpace::new(L1, dim),
-                    query,
-                    window,
-                    backend,
-                    spec,
-                    dir,
-                    policy,
-                )?;
-                (AnyDurableSession::L1(s), stats)
-            }
-            MetricKind::L2 => {
-                let (s, stats) = DurableSession::open(
-                    VectorSpace::new(L2, dim),
-                    query,
-                    window,
-                    backend,
-                    spec,
-                    dir,
-                    policy,
-                )?;
-                (AnyDurableSession::L2(s), stats)
-            }
-            MetricKind::L4 => {
-                let (s, stats) = DurableSession::open(
-                    VectorSpace::new(L4, dim),
-                    query,
-                    window,
-                    backend,
-                    spec,
-                    dir,
-                    policy,
-                )?;
-                (AnyDurableSession::L4(s), stats)
-            }
-            MetricKind::Angular => {
-                let (s, stats) = DurableSession::open(
-                    VectorSpace::new(Angular, dim),
-                    query,
-                    window,
-                    backend,
-                    spec,
-                    dir,
-                    policy,
-                )?;
-                (AnyDurableSession::Angular(s), stats)
-            }
-            other => {
-                return Err(DodError::InvalidSpec {
-                    reason: format!(
-                        "metric {:?} is not servable over HTTP; use one of l1, l2, l4, angular",
-                        other.wire_name()
-                    ),
-                })
-            }
-        })
-    }
-
-    /// Wire name of the session's metric.
-    pub(crate) fn metric_name(&self) -> &'static str {
-        match self {
-            AnyDurableSession::L1(_) => MetricKind::L1.wire_name(),
-            AnyDurableSession::L2(_) => MetricKind::L2.wire_name(),
-            AnyDurableSession::L4(_) => MetricKind::L4.wire_name(),
-            AnyDurableSession::Angular(_) => MetricKind::Angular.wire_name(),
-        }
-    }
-
-    /// Shards the window is partitioned across.
-    pub(crate) fn shard_count(&self) -> usize {
-        match self {
-            AnyDurableSession::L1(s) => s.detector().spec().shards,
-            AnyDurableSession::L2(s) => s.detector().spec().shards,
-            AnyDurableSession::L4(s) => s.detector().spec().shards,
-            AnyDurableSession::Angular(s) => s.detector().spec().shards,
-        }
-    }
-
-    /// The session's WAL counters, shareable with `/metrics` scrapers
-    /// after the session moves onto its pipeline threads.
-    pub(crate) fn telemetry(&self) -> Arc<WalTelemetry> {
-        match self {
-            AnyDurableSession::L1(s) => s.telemetry(),
-            AnyDurableSession::L2(s) => s.telemetry(),
-            AnyDurableSession::L4(s) => s.telemetry(),
-            AnyDurableSession::Angular(s) => s.telemetry(),
-        }
-    }
-
-    /// Reconfigures the sampled recall auditor on every shard. Applied
-    /// on every open (create *and* recovery), since audit cadence lives
-    /// in the manifest, not the WAL.
-    pub(crate) fn set_audit_params(
-        &mut self,
-        sample_rate: u64,
-        audit_sample: usize,
-    ) -> Result<(), DodError> {
-        match self {
-            AnyDurableSession::L1(s) => s.set_audit_params(sample_rate, audit_sample),
-            AnyDurableSession::L2(s) => s.set_audit_params(sample_rate, audit_sample),
-            AnyDurableSession::L4(s) => s.set_audit_params(sample_rate, audit_sample),
-            AnyDurableSession::Angular(s) => s.set_audit_params(sample_rate, audit_sample),
-        }
-    }
-
-    /// Moves the session onto its pipeline threads; the WAL rides on the
-    /// router thread (append-before-ack at batch boundaries).
-    pub(crate) fn into_pipeline(self, queue: usize) -> AnyPipeline {
-        let dim = match &self {
-            AnyDurableSession::L1(s) => s.detector().space().dim(),
-            AnyDurableSession::L2(s) => s.detector().space().dim(),
-            AnyDurableSession::L4(s) => s.detector().space().dim(),
-            AnyDurableSession::Angular(s) => s.detector().space().dim(),
-        };
-        let inner = match self {
-            AnyDurableSession::L1(s) => InnerPipeline::L1(s.into_pipeline(queue)),
-            AnyDurableSession::L2(s) => InnerPipeline::L2(s.into_pipeline(queue)),
-            AnyDurableSession::L4(s) => InnerPipeline::L4(s.into_pipeline(queue)),
-            AnyDurableSession::Angular(s) => InnerPipeline::Angular(s.into_pipeline(queue)),
-        };
-        AnyPipeline { dim, inner }
-    }
-}
-
-enum InnerPipeline {
-    L1(IngestPipeline<VectorSpace<L1>>),
-    L2(IngestPipeline<VectorSpace<L2>>),
-    L4(IngestPipeline<VectorSpace<L4>>),
-    Angular(IngestPipeline<VectorSpace<Angular>>),
-}
-
-/// The running ingest session: one [`IngestPipeline`] plus the wire-side
-/// dimension check. All methods take `&self` — the pipeline is channel
-///-fed, so concurrent route handlers need no lock.
-pub(crate) struct AnyPipeline {
-    dim: usize,
-    inner: InnerPipeline,
-}
-
-impl AnyPipeline {
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
+/// A running session, as route handlers and `/metrics` scrapers call it.
+/// Every call takes `&self`: the pipeline is channel-fed, so concurrent
+/// handlers need no lock.
+pub(crate) trait SessionPipeline: Send + Sync {
     /// Enqueues a run of points (dimension already validated by the
     /// route) at consecutive ticks.
-    pub fn insert_many(&self, points: Vec<Vec<f32>>) -> Result<(), DodError> {
-        match &self.inner {
-            InnerPipeline::L1(p) => p.insert_many(points),
-            InnerPipeline::L2(p) => p.insert_many(points),
-            InnerPipeline::L4(p) => p.insert_many(points),
-            InnerPipeline::Angular(p) => p.insert_many(points),
-        }
-    }
+    fn insert_many(&self, points: Vec<Vec<f32>>) -> Result<(), DodError>;
 
     /// Commit barrier: blocks until every op enqueued before the call is
     /// WAL-committed (see [`IngestPipeline::commit`]). The durable ingest
     /// route answers 200 only after this returns — the ack *is* the
     /// durability promise.
-    pub fn commit(&self) -> Result<CommitAck, DodError> {
-        match &self.inner {
-            InnerPipeline::L1(p) => p.commit(),
-            InnerPipeline::L2(p) => p.commit(),
-            InnerPipeline::L4(p) => p.commit(),
-            InnerPipeline::Angular(p) => p.commit(),
-        }
-    }
+    fn commit(&self) -> Result<CommitAck, DodError>;
 
     /// Snapshot-consistent outliers as global stream seqs, ascending.
-    pub fn outliers(&self) -> Result<Vec<u64>, DodError> {
-        match &self.inner {
-            InnerPipeline::L1(p) => p.outliers(),
-            InnerPipeline::L2(p) => p.outliers(),
-            InnerPipeline::L4(p) => p.outliers(),
-            InnerPipeline::Angular(p) => p.outliers(),
-        }
-    }
+    fn outliers(&self) -> Result<Vec<u64>, DodError>;
 
     /// Summed per-shard lifetime counters.
-    pub fn stats(&self) -> Result<StreamStats, DodError> {
-        match &self.inner {
-            InnerPipeline::L1(p) => p.stats(),
-            InnerPipeline::L2(p) => p.stats(),
-            InnerPipeline::L4(p) => p.stats(),
-            InnerPipeline::Angular(p) => p.stats(),
-        }
-    }
+    fn stats(&self) -> Result<StreamStats, DodError>;
 
     /// The topology's health document — per-shard occupancy, counters
     /// and index structure plus ghost routing — collected at a read-only
     /// barrier (never advances shard clocks; see
     /// [`IngestPipeline::health`]).
-    pub fn health(&self) -> Result<HealthReport, DodError> {
-        match &self.inner {
-            InnerPipeline::L1(p) => p.health(),
-            InnerPipeline::L2(p) => p.health(),
-            InnerPipeline::L4(p) => p.health(),
-            InnerPipeline::Angular(p) => p.health(),
-        }
-    }
+    fn health(&self) -> Result<HealthReport, DodError>;
 
     /// Ghost replicas per `(owner, target)` shard pair plus per-shard
     /// owned-point counts, one self-consistent snapshot.
-    pub fn ghost_route_stats(&self) -> Result<GhostRouteStats, DodError> {
-        match &self.inner {
-            InnerPipeline::L1(p) => p.ghost_route_stats(),
-            InnerPipeline::L2(p) => p.ghost_route_stats(),
-            InnerPipeline::L4(p) => p.ghost_route_stats(),
-            InnerPipeline::Angular(p) => p.ghost_route_stats(),
-        }
-    }
+    fn ghost_route_stats(&self) -> Result<GhostRouteStats, DodError>;
 
     /// The pipeline's live queue/routing gauges (lock-free reads, never
     /// block on the pipeline threads).
-    fn gauges(&self) -> std::sync::Arc<dod_shard::PipelineGauges> {
-        match &self.inner {
-            InnerPipeline::L1(p) => p.gauges(),
-            InnerPipeline::L2(p) => p.gauges(),
-            InnerPipeline::L4(p) => p.gauges(),
-            InnerPipeline::Angular(p) => p.gauges(),
+    fn gauges(&self) -> Arc<PipelineGauges>;
+}
+
+impl<M: VectorMetric + Clone + 'static> SessionPipeline for IngestPipeline<VectorSpace<M>> {
+    fn insert_many(&self, points: Vec<Vec<f32>>) -> Result<(), DodError> {
+        IngestPipeline::insert_many(self, points)
+    }
+
+    fn commit(&self) -> Result<CommitAck, DodError> {
+        IngestPipeline::commit(self)
+    }
+
+    fn outliers(&self) -> Result<Vec<u64>, DodError> {
+        IngestPipeline::outliers(self)
+    }
+
+    fn stats(&self) -> Result<StreamStats, DodError> {
+        IngestPipeline::stats(self)
+    }
+
+    fn health(&self) -> Result<HealthReport, DodError> {
+        IngestPipeline::health(self)
+    }
+
+    fn ghost_route_stats(&self) -> Result<GhostRouteStats, DodError> {
+        IngestPipeline::ghost_route_stats(self)
+    }
+
+    fn gauges(&self) -> Arc<PipelineGauges> {
+        IngestPipeline::gauges(self)
+    }
+}
+
+/// Moves an opened session onto its pipeline threads, given the bounded
+/// queue length.
+type Spawn = Box<dyn FnOnce(usize) -> Box<dyn SessionPipeline>>;
+
+/// A session opened from its creation body whose pipeline threads have
+/// not started yet, so a volatile create can reserve its id between
+/// validation and spawn.
+pub(crate) struct OpenSession {
+    metric: &'static str,
+    dim: usize,
+    shards: usize,
+    durable: Option<DurableInfo>,
+    spawn: Spawn,
+}
+
+impl OpenSession {
+    /// Starts the pipeline threads (`queue` pending commands) and wraps
+    /// the session as a registry entry. `ingested` starts at zero on
+    /// every open: it counts points accepted over HTTP *by this process*
+    /// — the window itself is what recovery restores.
+    pub(crate) fn start(self, queue: usize) -> SessionEntry {
+        SessionEntry {
+            pipeline: (self.spawn)(queue),
+            dim: self.dim,
+            metric: self.metric,
+            shards: self.shards,
+            ingested: Counter::new(),
+            durable: self.durable,
         }
     }
+}
 
-    /// Commands enqueued but not yet routed — the per-session queue
-    /// depth gauge.
-    pub fn queue_depth(&self) -> u64 {
-        self.gauges().queue_depth()
-    }
+/// The error message for a metric name no space answers to.
+pub(crate) fn unknown_metric(name: &str) -> String {
+    format!("unknown metric {name:?}; one of: l1, l2, l4, angular")
+}
 
-    /// Cumulative router-thread routing time, in nanoseconds.
-    pub fn route_nanos(&self) -> u64 {
-        self.gauges().route_nanos()
+/// Opens the session a creation body describes: volatile when `dir` is
+/// `None`, otherwise durable in `dir` (created fresh, or recovered from
+/// the WAL and snapshot it holds). The body's wire limits are the
+/// caller's; the checks here run in the order `POST /v1/sessions` has
+/// always made them.
+///
+/// Only the vector metrics are servable ([`MetricKind::Edit`] has no
+/// JSON point shape, and no served space uses
+/// [`MetricKind::Chebyshev`]); others answer [`DodError::InvalidSpec`].
+pub(crate) fn open(
+    create: &SessionCreateRequest,
+    dir: Option<&Path>,
+) -> Result<OpenSession, DodError> {
+    let Some(kind) = MetricKind::parse_wire(&create.metric) else {
+        return Err(DodError::InvalidSpec {
+            reason: unknown_metric(&create.metric),
+        });
+    };
+    let query = Query::new(create.r, create.k as usize)?;
+    if create.dim == 0 {
+        return Err(DodError::InvalidSpec {
+            reason: "a session's vector dimension must be at least 1".to_string(),
+        });
     }
+    match kind {
+        MetricKind::L1 => open_with(L1, kind, query, create, dir),
+        MetricKind::L2 => open_with(L2, kind, query, create, dir),
+        MetricKind::L4 => open_with(L4, kind, query, create, dir),
+        MetricKind::Angular => open_with(Angular, kind, query, create, dir),
+        other => Err(DodError::InvalidSpec {
+            reason: format!(
+                "metric {:?} is not servable over HTTP; use one of l1, l2, l4, angular",
+                other.wire_name()
+            ),
+        }),
+    }
+}
+
+/// [`open`] once the metric is a type: derives the window, shard spec
+/// and audit cadence, and opens the detector (or the durable session
+/// around it) over `VectorSpace<M>`.
+fn open_with<M: VectorMetric + Clone + 'static>(
+    metric: M,
+    kind: MetricKind,
+    query: Query,
+    create: &SessionCreateRequest,
+    dir: Option<&Path>,
+) -> Result<OpenSession, DodError> {
+    let space = VectorSpace::new(metric, create.dim as usize);
+    let window = match create.window {
+        WindowShape::Count(w) => WindowSpec::Count(w as usize),
+        WindowShape::Time(horizon) => WindowSpec::Time(horizon),
+    };
+    let mut spec = ShardSpec::new(create.shards as usize);
+    if let Some(warmup) = create.warmup {
+        spec = spec.with_warmup(warmup as usize);
+    }
+    if let Some(pivots) = create.pivots_per_shard {
+        spec = spec.with_pivots_per_shard(pivots as usize);
+    }
+    // Audit cadence is observability configuration, not logged window
+    // state: it applies on every open, create and recovery alike, before
+    // any new point arrives. A zero sample_rate is a typed 400, never a
+    // silent clamp.
+    let audit = (create.sample_rate.is_some() || create.audit_sample.is_some()).then(|| {
+        let defaults = GraphParams::default();
+        (
+            create.sample_rate.unwrap_or(defaults.sample_rate),
+            create
+                .audit_sample
+                .map_or(defaults.audit_sample, |n| n as usize),
+        )
+    });
+    // Exhaustive per-shard backend: wire sessions promise exact answers.
+    let backend = Backend::Exhaustive;
+    let (spawn, durable) = match dir {
+        None => {
+            let mut det = ShardedStreamDetector::open(space, query, window, backend, spec)?;
+            if let Some((sample_rate, audit_sample)) = audit {
+                det.set_audit_params(sample_rate, audit_sample)?;
+            }
+            let spawn: Spawn = Box::new(move |queue| Box::new(det.into_pipeline(queue)));
+            (spawn, None)
+        }
+        Some(dir) => {
+            let policy = crate::durable::policy_from(create);
+            let (mut session, _recovery) =
+                DurableSession::open(space, query, window, backend, spec, dir, policy)?;
+            if let Some((sample_rate, audit_sample)) = audit {
+                session.set_audit_params(sample_rate, audit_sample)?;
+            }
+            let durable = DurableInfo {
+                telemetry: session.telemetry(),
+                dir: dir.to_path_buf(),
+            };
+            let spawn: Spawn = Box::new(move |queue| Box::new(session.into_pipeline(queue)));
+            (spawn, Some(durable))
+        }
+    };
+    Ok(OpenSession {
+        metric: kind.wire_name(),
+        dim: create.dim as usize,
+        shards: spec.shards,
+        durable,
+        spawn,
+    })
 }

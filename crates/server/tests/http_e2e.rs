@@ -4,7 +4,7 @@
 
 use dod_core::{IndexSpec, Query};
 use dod_datasets::{EngineSpec, Family};
-use dod_metrics::L2;
+use dod_metrics::{Angular, VectorMetric, L1, L2, L4};
 use dod_server::{encode, DodServer, ServerHandle};
 use dod_shard::{ShardSpec, ShardedStreamDetector};
 use dod_stream::{Backend, VectorSpace, WindowSpec};
@@ -141,6 +141,27 @@ fn stream_points() -> Vec<Vec<f32>> {
     }
     pts.push(vec![-500.0]); // isolated: a certain outlier
     pts
+}
+
+/// The outliers of the in-process twin of the parity proptest's wire
+/// session: a sharded detector over `metric` after ingesting `points`.
+fn twin_outliers<M: VectorMetric + Clone + 'static>(
+    metric: M,
+    shards: usize,
+    points: &[Vec<f32>],
+) -> Vec<u64> {
+    let mut twin = ShardedStreamDetector::open(
+        VectorSpace::new(metric, 2),
+        Query::new(0.8, 2).expect("query"),
+        WindowSpec::Count(32),
+        Backend::Exhaustive,
+        ShardSpec::new(shards).with_warmup(8),
+    )
+    .expect("detector");
+    for p in points {
+        twin.insert(p.clone());
+    }
+    twin.outliers()
 }
 
 fn points_body(points: &[Vec<f32>]) -> String {
@@ -759,24 +780,17 @@ proptest! {
         handle.shutdown();
     }
 
-    /// For arbitrary streams and shard counts, ingest→report over HTTP
-    /// matches the in-process sharded detector, byte for byte.
+    /// For arbitrary streams, shard counts and served metrics,
+    /// ingest→report over HTTP matches the in-process sharded detector,
+    /// byte for byte.
     #[test]
     fn http_stream_parity_for_arbitrary_streams(
         shards in 1usize..4,
         n in 20usize..80,
         seed in 0u64..100,
+        metric in 0usize..4,
     ) {
-        let open = || {
-            ShardedStreamDetector::open(
-                VectorSpace::new(L2, 2),
-                Query::new(0.8, 2).expect("query"),
-                WindowSpec::Count(32),
-                Backend::Exhaustive,
-                ShardSpec::new(shards).with_warmup(8),
-            )
-            .expect("detector")
-        };
+        let metric = ["l1", "l2", "l4", "angular"][metric];
         let points = dod_datasets::StreamScenario {
             clusters: 2,
             outlier_rate: 0.1,
@@ -791,13 +805,15 @@ proptest! {
         open_session(
             handle.addr(),
             &format!(
-                r#"{{"metric":"l2","dim":2,"r":0.8,"k":2,"window":{{"count":32}},"shards":{shards},"warmup":8}}"#
+                r#"{{"metric":"{metric}","dim":2,"r":0.8,"k":2,"window":{{"count":32}},"shards":{shards},"warmup":8}}"#
             ),
         );
-        let mut twin = open();
-        for p in &points {
-            twin.insert(p.clone());
-        }
+        let twin = match metric {
+            "l1" => twin_outliers(L1, shards, &points),
+            "l2" => twin_outliers(L2, shards, &points),
+            "l4" => twin_outliers(L4, shards, &points),
+            _ => twin_outliers(Angular, shards, &points),
+        };
         let (status, body) = post(
             handle.addr(),
             "/v1/sessions/s1/ingest",
@@ -806,7 +822,7 @@ proptest! {
         prop_assert_eq!(status, 200, "{}", body);
         let (status, http_report) = get(handle.addr(), "/v1/sessions/s1/report");
         prop_assert_eq!(status, 200);
-        prop_assert_eq!(http_report, encode::stream_report_response(&twin.outliers()));
+        prop_assert_eq!(http_report, encode::stream_report_response(&twin));
         handle.shutdown();
     }
 }

@@ -11,6 +11,14 @@ use dod_datasets::farthest_first;
 use dod_stream::{Space, StreamParams, WindowSpec};
 use std::collections::VecDeque;
 
+/// Relative slack on the ghost bound `d(p, c) <= d(p, nearest) + 2r`.
+/// The bound is the triangle inequality, and rounded distances break it
+/// by an ulp on collinear points (in `f64`, `√32 − √2 > √18`), so with no
+/// slack a ghost that a neighbour count needs can be dropped. A spare
+/// ghost is harmless: it adds to a count only after an exact `d <= r`
+/// check.
+const GHOST_BOUND_SLACK: f64 = 1e-9;
+
 /// One unit of per-shard work. Points are pre-prepared
 /// ([`Space::prepare`]) by the router, which is why `prepare` must be
 /// idempotent.
@@ -533,7 +541,7 @@ impl<S: Space> Router<S> {
             .expect("at least one pivot")
             .0;
         let owner = self.pivot_shard[nearest];
-        let bound = dists[nearest] + 2.0 * self.params.r;
+        let bound = (dists[nearest] + 2.0 * self.params.r) * (1.0 + GHOST_BOUND_SLACK);
         let mut ghosts = 0;
         hit[owner] = true;
         for (c, &d) in dists.iter().enumerate() {

@@ -10,7 +10,7 @@
 
 use dod_core::{nested_loop, DodError, DodParams, Query};
 use dod_datasets::StreamScenario;
-use dod_metrics::L2;
+use dod_metrics::{VectorMetric, L2};
 use dod_shard::{ShardSpec, ShardedStreamDetector};
 use dod_stream::{Backend, GraphParams, StreamDetector, VectorSpace, WindowSpec};
 use proptest::prelude::*;
@@ -142,6 +142,81 @@ proptest! {
             prop_assert_eq!(seq_det.outliers(), par_det.outliers());
         }
     }
+}
+
+/// SplitMix64: a seeded stream for the probe below, so every run
+/// replays the same shuffles and windows.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn collinear_integer_streams_stay_exact_under_rounding() {
+    // Points t·(a, b) on a line: every distance is |t − u|·|(a, b)| up to
+    // rounding, and r = |m·(a, b)| is one of them, so the stream is full
+    // of d == r ties. Rounded distances break the triangle inequality by
+    // an ulp here (√32 − √2 > √18 in f64), which is exactly the slack a
+    // ghost bound needs to keep every ghost a neighbour count depends on.
+    let mut rng = 0x5EED_u64;
+    let mut streams = 0;
+    let mut wrong = Vec::new();
+    for a in 1u32..=3 {
+        for b in 1u32..=4 {
+            for m in 1u32..=6 {
+                let r = L2.dist(&[0.0, 0.0], &[(m * a) as f32, (m * b) as f32]);
+                for shards in 2usize..=4 {
+                    for k in 1usize..=4 {
+                        let w = 20 + (splitmix(&mut rng) % 30) as usize;
+                        let mut ts: Vec<u32> = (0..60).collect();
+                        for i in (1..ts.len()).rev() {
+                            ts.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+                        }
+                        let query = Query::new(r, k).expect("valid query");
+                        let mut single = StreamDetector::open(
+                            VectorSpace::new(L2, 2),
+                            query,
+                            WindowSpec::Count(w),
+                            Backend::Exhaustive,
+                        )
+                        .expect("single detector");
+                        let mut sharded = ShardedStreamDetector::open(
+                            VectorSpace::new(L2, 2),
+                            query,
+                            WindowSpec::Count(w),
+                            Backend::Exhaustive,
+                            ShardSpec::new(shards).with_warmup(8),
+                        )
+                        .expect("sharded detector");
+                        streams += 1;
+                        for (i, &t) in ts.iter().enumerate() {
+                            let p = vec![(t * a) as f32, (t * b) as f32];
+                            single.insert(p.clone());
+                            sharded.insert(p);
+                            let (want, got) = (single.outliers(), sharded.outliers());
+                            if want != got {
+                                wrong.push(format!(
+                                    "a={a} b={b} m={m} S={shards} k={k} W={w} slide={i}: \
+                                     single {want:?}, sharded {got:?}"
+                                ));
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(streams, 864);
+    assert!(
+        wrong.is_empty(),
+        "{} of {streams} streams disagree; first: {}",
+        wrong.len(),
+        wrong[0]
+    );
 }
 
 #[test]
