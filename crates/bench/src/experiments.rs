@@ -1425,7 +1425,7 @@ fn shard_grid(
                 // The report is the drain barrier: it reflects every insert.
                 let got = pipeline.outliers().expect("report");
                 let total = t0.elapsed().as_secs_f64();
-                let stats = pipeline.stats().expect("stats");
+                let stats = pipeline.health().expect("health").stats();
                 drop(pipeline.finish().expect("finish"));
                 (total, got, stats)
             };

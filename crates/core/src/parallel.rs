@@ -44,13 +44,6 @@ where
     out
 }
 
-/// Runs `f(i, &mut items[i])` for every item over contiguous chunks —
-/// the in-place companion of [`par_map_strided`] for state that cannot
-/// be rebuilt from a return value. The sharded streaming engine fans
-/// per-shard slide work (insert/expire/repair) over its shard array with
-/// it.
-pub use dod_graph::parallel::par_for_each_mut;
-
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Live saturation gauges of a [`WorkerPool`], shared with scrapers via
@@ -94,12 +87,12 @@ impl PoolStats {
 
 /// A fixed pool of worker threads consuming jobs from one bounded queue.
 ///
-/// [`par_map_strided`] and [`par_for_each_mut`] fan a *known* workload
-/// over scoped threads and join; a serving loop has the opposite shape —
-/// an unbounded stream of independent jobs (connections) arriving one at
-/// a time. The pool keeps `threads` long-lived workers behind a bounded
-/// `sync_channel`, so a burst beyond `queue` pending jobs backpressures
-/// the submitter (the accept loop) instead of buffering without limit.
+/// [`par_map_strided`] fans a *known* workload over scoped threads and
+/// joins; a serving loop has the opposite shape — an unbounded stream of
+/// independent jobs (connections) arriving one at a time. The pool keeps
+/// `threads` long-lived workers behind a bounded `sync_channel`, so a
+/// burst beyond `queue` pending jobs backpressures the submitter (the
+/// accept loop) instead of buffering without limit.
 ///
 /// A panicking job is caught and discarded: one poisoned request must not
 /// take a worker (and eventually the whole pool) down with it.
@@ -214,27 +207,6 @@ mod tests {
     fn preserves_index_order() {
         let out = par_map_strided(37, 5, |i| i as u64);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64));
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        for threads in [1, 3, 8, 64] {
-            let mut items: Vec<usize> = (0..23).collect();
-            par_for_each_mut(&mut items, threads, |i, v| {
-                assert_eq!(i, *v, "index passed to f matches the slot");
-                *v += 100;
-            });
-            assert!(items.iter().enumerate().all(|(i, &v)| v == i + 100));
-        }
-    }
-
-    #[test]
-    fn for_each_mut_empty_and_single() {
-        let mut empty: Vec<u8> = Vec::new();
-        par_for_each_mut(&mut empty, 4, |_, _| unreachable!());
-        let mut one = vec![7u8];
-        par_for_each_mut(&mut one, 4, |_, v| *v = 9);
-        assert_eq!(one, vec![9]);
     }
 
     #[test]

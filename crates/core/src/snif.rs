@@ -11,6 +11,10 @@
 //! 3. a whole cluster is beyond `r` when `dist(p, center) - r/2 > r` —
 //!    skip it wholesale.
 //!
+//! Prunes 2 and 3 compare sums of rounded distances, so both are widened
+//! by [`TRIANGLE_SLACK`]: a cluster is counted or skipped wholesale only
+//! when rounding cannot change the verdict.
+//!
 //! Remaining objects get exact counts with early termination, so the
 //! result is exact. The cluster structure loses its bite in high
 //! dimensions (everything is "far"), which is exactly the weakness the
@@ -18,7 +22,7 @@
 
 use crate::parallel::par_map_strided;
 use crate::params::{assert_valid, DodParams, OutlierReport};
-use dod_metrics::Dataset;
+use dod_metrics::{Dataset, TRIANGLE_SLACK};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -89,10 +93,11 @@ pub fn detect_with_stats<D: Dataset + ?Sized>(
                 continue;
             }
             let dc = data.dist(p, c as usize);
-            if dc - half > r {
+            let slack = TRIANGLE_SLACK * (dc + half + r);
+            if dc - half > r + slack {
                 continue; // prune 3: entire cluster out of range
             }
-            if dc + half <= r {
+            if dc + half <= r - slack {
                 count += members[ci].len(); // prune 2: entire cluster in range
             } else {
                 for &q in &members[ci] {

@@ -170,12 +170,14 @@ pub(crate) const TRACKED_STATUSES: [u16; 13] = [
 
 /// HTTP-layer telemetry: connections, requests by route × status, and
 /// request latency by route — plus the worker-pool queue wait, which
-/// has no route (it is paid before the request is even read).
+/// has no route (it is paid before the request is even read), and the
+/// response-write time, which falls after the request's trace closes.
 pub(crate) struct HttpMetrics {
     pub(crate) connections: Counter,
     requests: Vec<[Counter; TRACKED_STATUSES.len() + 1]>, // indexed by Route as usize
     latency: Vec<Histogram>,                              // indexed by Route as usize
     pub(crate) queue_wait: Histogram,
+    pub(crate) response_write_nanos: Counter,
 }
 
 impl HttpMetrics {
@@ -188,6 +190,7 @@ impl HttpMetrics {
                 .collect(),
             latency: Route::ALL.iter().map(|_| Histogram::new()).collect(),
             queue_wait: Histogram::new(),
+            response_write_nanos: Counter::new(),
         }
     }
 
@@ -201,6 +204,12 @@ impl HttpMetrics {
     fn record(&self, route: Route, status: u16, duration_secs: f64) {
         self.requests[route as usize][Self::status_slot(status)].inc();
         self.latency[route as usize].observe_secs(duration_secs);
+    }
+
+    /// Books the time since `start` as response-write time.
+    fn record_write(&self, start: Instant) {
+        self.response_write_nanos
+            .add(start.elapsed().as_nanos() as u64);
     }
 
     /// `(status label, count)` per tracked status of the route; the
@@ -761,8 +770,8 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                 // Account and publish the trace *before* the response
                 // goes out: once the client has its answer, a scrape of
                 // /metrics or /v1/debug/traces must already see this
-                // request. (The traced duration therefore excludes the
-                // response write.)
+                // request. The traced duration therefore excludes the
+                // response write, which is booked on its own below.
                 let trace = Arc::new(ctx.finish(route.pattern(), resp.status));
                 state
                     .http
@@ -771,6 +780,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                     sink.record(Arc::clone(&trace));
                 }
                 writer.deadline.arm(cfg.request_timeout);
+                let write_start = Instant::now();
                 let wrote = http::write_response(
                     &mut writer,
                     resp.status,
@@ -779,6 +789,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                     keep_alive,
                     Some(&trace.request_id),
                 );
+                state.http.record_write(write_start);
                 if wrote.is_err() || !keep_alive {
                     break;
                 }
@@ -803,6 +814,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                 }
                 let body = error_body(http_error_kind(e.status), &e.message);
                 writer.deadline.arm(cfg.request_timeout);
+                let write_start = Instant::now();
                 let _ = http::write_response(
                     &mut writer,
                     e.status,
@@ -811,6 +823,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                     false,
                     Some(&trace.request_id),
                 );
+                state.http.record_write(write_start);
                 break;
             }
         }

@@ -118,6 +118,17 @@ pub(crate) fn render(state: &State) -> String {
     );
     header(
         &mut out,
+        "dod_http_response_write_seconds_total",
+        "Wall time HTTP workers spent writing responses, after each request's trace closed.",
+        "counter",
+    );
+    let _ = writeln!(
+        out,
+        "dod_http_response_write_seconds_total {}",
+        dod_wire::render_number(state.http.response_write_nanos.get() as f64 / 1e9)
+    );
+    header(
+        &mut out,
         "dod_pool_queue_depth",
         "Connections accepted but not yet picked up by a worker.",
         "gauge",
@@ -353,13 +364,16 @@ pub(crate) fn render(state: &State) -> String {
                 entry.ingested.get()
             );
         }
-        // Pipeline scrapes are snapshot-consistent barriers; a dead
-        // pipeline (worker panic) must degrade its session's series, not
-        // kill the scrape.
-        let stats: Vec<_> = sessions
+        // One health barrier per session, so every stream, cost, shard
+        // and graph series below describes the same slide boundary. A
+        // dead pipeline (worker panic) must degrade its session's series,
+        // not kill the scrape.
+        let healths: Vec<_> = sessions
             .iter()
-            .filter_map(|(id, entry)| entry.pipeline.stats().ok().map(|s| (id.clone(), s)))
+            .filter_map(|(id, entry)| entry.pipeline.health().ok().map(|h| (id.clone(), h)))
             .collect();
+        let stats: Vec<_> = healths.iter().map(|(id, h)| (id, h.stats())).collect();
+        let ghosts: Vec<_> = healths.iter().map(|(id, h)| (id, &h.routes)).collect();
         for (metric, help, value) in [
             (
                 "dod_stream_inserts_total",
@@ -503,16 +517,6 @@ pub(crate) fn render(state: &State) -> String {
                 dod_wire::render_number(entry.pipeline.gauges().route_nanos() as f64 / 1e9)
             );
         }
-        let ghosts: Vec<_> = sessions
-            .iter()
-            .filter_map(|(id, entry)| {
-                entry
-                    .pipeline
-                    .ghost_route_stats()
-                    .ok()
-                    .map(|g| (id.clone(), g))
-            })
-            .collect();
         header(
             &mut out,
             "dod_shard_ghost_routes_total",
@@ -565,24 +569,19 @@ pub(crate) fn render(state: &State) -> String {
                 }
             }
         }
-        // Index-health barriers: a consistent per-shard cut of the recall
-        // auditor's tallies, the discovery index's structure document,
-        // and the balance picture. Same degradation policy as stats().
-        let healths: Vec<_> = sessions
-            .iter()
-            .filter_map(|(id, entry)| entry.pipeline.health().ok().map(|h| (id.clone(), h)))
-            .collect();
+        // The recall auditor's tallies, the discovery index's structure
+        // document and the balance picture, from the same barrier.
         header(
             &mut out,
             "dod_graph_recall_estimate",
             "Sampled discovery recall (audited hits / brute-force expected); 1 until the first audit.",
             "gauge",
         );
-        for (id, h) in &healths {
+        for (id, s) in &stats {
             let _ = writeln!(
                 out,
                 "dod_graph_recall_estimate{{session=\"{id}\"}} {}",
-                dod_wire::render_number(h.stats().recall_estimate())
+                dod_wire::render_number(s.recall_estimate())
             );
         }
         header(
@@ -591,11 +590,11 @@ pub(crate) fn render(state: &State) -> String {
             "Sampled discovery-recall audits performed.",
             "counter",
         );
-        for (id, h) in &healths {
+        for (id, s) in &stats {
             let _ = writeln!(
                 out,
                 "dod_graph_recall_audits_total{{session=\"{id}\"}} {}",
-                h.stats().recall_audits
+                s.recall_audits
             );
         }
         header(

@@ -19,17 +19,18 @@ use dod_core::telemetry::Counter;
 use dod_core::{DodError, Query};
 use dod_metrics::{Angular, MetricKind, VectorMetric, L1, L2, L4};
 use dod_shard::{
-    CommitAck, DurableSession, GhostRouteStats, HealthReport, IngestPipeline, PipelineGauges,
-    ShardSpec, ShardedStreamDetector,
+    CommitAck, DurableSession, HealthReport, IngestPipeline, PipelineGauges, ShardSpec,
+    ShardedStreamDetector,
 };
-use dod_stream::{Backend, GraphParams, StreamStats, VectorSpace, WindowSpec};
+use dod_stream::{Backend, GraphParams, VectorSpace, WindowSpec};
 use dod_wire::shapes::{SessionCreateRequest, WindowShape};
 use std::path::Path;
 use std::sync::Arc;
 
 /// A running session, as route handlers and `/metrics` scrapers call it.
 /// Every call takes `&self`: the pipeline is channel-fed, so concurrent
-/// handlers need no lock.
+/// handlers need no lock. Two calls are read barriers: `outliers` for the
+/// answer and `health` for every counter; `gauges` reads without one.
 pub(crate) trait SessionPipeline: Send + Sync {
     /// Enqueues a run of points (dimension already validated by the
     /// route) at consecutive ticks.
@@ -44,18 +45,13 @@ pub(crate) trait SessionPipeline: Send + Sync {
     /// Snapshot-consistent outliers as global stream seqs, ascending.
     fn outliers(&self) -> Result<Vec<u64>, DodError>;
 
-    /// Summed per-shard lifetime counters.
-    fn stats(&self) -> Result<StreamStats, DodError>;
-
     /// The topology's health document — per-shard occupancy, counters
     /// and index structure plus ghost routing — collected at a read-only
     /// barrier (never advances shard clocks; see
-    /// [`IngestPipeline::health`]).
+    /// [`IngestPipeline::health`]). One call is one consistent cut:
+    /// summed counters ([`HealthReport::stats`]) and ghost accounting
+    /// ([`HealthReport::routes`]) describe the same slide boundary.
     fn health(&self) -> Result<HealthReport, DodError>;
-
-    /// Ghost replicas per `(owner, target)` shard pair plus per-shard
-    /// owned-point counts, one self-consistent snapshot.
-    fn ghost_route_stats(&self) -> Result<GhostRouteStats, DodError>;
 
     /// The pipeline's live queue/routing gauges (lock-free reads, never
     /// block on the pipeline threads).
@@ -75,16 +71,8 @@ impl<M: VectorMetric + Clone + 'static> SessionPipeline for IngestPipeline<Vecto
         IngestPipeline::outliers(self)
     }
 
-    fn stats(&self) -> Result<StreamStats, DodError> {
-        IngestPipeline::stats(self)
-    }
-
     fn health(&self) -> Result<HealthReport, DodError> {
         IngestPipeline::health(self)
-    }
-
-    fn ghost_route_stats(&self) -> Result<GhostRouteStats, DodError> {
-        IngestPipeline::ghost_route_stats(self)
     }
 
     fn gauges(&self) -> Arc<PipelineGauges> {

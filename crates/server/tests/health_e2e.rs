@@ -2,14 +2,17 @@
 //! `GET /v1/debug/health` document (recall audits, index structure,
 //! shard balance), its strict query validation, its byte-stability
 //! across idle scrapes, the `dod_graph_*` / `dod_shard_balance_*`
-//! metric families next to the exact phase-time counters, and the audit
-//! knobs' journey through session creation and recovery.
+//! metric families next to the exact phase-time counters, one consistent
+//! cut per scrape under live ingest, and the audit knobs' journey
+//! through session creation and recovery.
 
 use dod_server::DodServer;
 use dod_wire::JsonValue;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -321,7 +324,7 @@ fn metrics_carry_graph_balance_and_profile_series() {
     }
     // The exact counters that carry each pipeline phase's wall time:
     // routing on the router thread, inserts on the shard pumps. The
-    // scrape's stats barrier runs behind the ingest, so both have moved.
+    // scrape's health barrier runs behind the ingest, so both have moved.
     for phase in [
         "dod_shard_route_seconds_total{session=\"s1\"} ",
         "dod_stream_insert_seconds_total{session=\"s1\"} ",
@@ -329,4 +332,85 @@ fn metrics_carry_graph_balance_and_profile_series() {
         assert!(metric_value(&metrics, phase) > 0.0, "{phase}not timed");
     }
     handle.shutdown();
+}
+
+/// The sum of every metric line starting with `line_start` (one family's
+/// labeled series for one session).
+fn metric_sum(text: &str, line_start: &str) -> f64 {
+    text.lines()
+        .filter(|l| l.starts_with(line_start))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum()
+}
+
+/// One scrape, one cut: a session's stream counters and the router's
+/// ghost and owned accounting come from the same barrier, so they agree
+/// in every scrape, however fast a producer ingests around it.
+#[test]
+fn every_scrape_reads_one_cut_of_a_session() {
+    const SCRAPES: usize = 300;
+    // A short pipeline queue keeps the producer's backlog small, so each
+    // scrape waits behind a few batches, not thousands.
+    let handle = DodServer::builder()
+        .workers(2)
+        .queue(4)
+        .bind("127.0.0.1:0")
+        .expect("bind")
+        .start();
+    let addr = handle.addr();
+    let create =
+        r#"{"metric":"l2","dim":2,"r":1,"k":2,"window":{"count":256},"shards":2,"warmup":16}"#;
+    let (status, body) = post(addr, "/v1/sessions", create);
+    assert_eq!(status, 201, "{body}");
+    let stop = Arc::new(AtomicBool::new(false));
+    let producer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut batches = 0u64;
+            while !stop.load(Ordering::SeqCst) {
+                let rows: Vec<String> = (0..32u64)
+                    .map(|i| {
+                        let t = batches * 32 + i;
+                        format!(
+                            "[{},{}]",
+                            (t * 37 % 97) as f64 * 0.4,
+                            (t * 11 % 5) as f64 * 0.3
+                        )
+                    })
+                    .collect();
+                let body = format!("{{\"points\":[{}]}}", rows.join(","));
+                let (status, reply) = post(addr, "/v1/sessions/s1/ingest", &body);
+                assert_eq!(status, 200, "{reply}");
+                batches += 1;
+            }
+            batches
+        })
+    };
+    let mut broken = Vec::new();
+    let mut ghosted = false;
+    for scrape in 0..SCRAPES {
+        let (status, metrics) = get(addr, "/metrics");
+        assert_eq!(status, 200, "{metrics}");
+        let inserts = metric_value(&metrics, "dod_stream_inserts_total{session=\"s1\"} ");
+        let ghosts = metric_value(&metrics, "dod_stream_ghost_inserts_total{session=\"s1\"} ");
+        let routed = metric_sum(&metrics, "dod_shard_ghost_routes_total{session=\"s1\",");
+        let owned = metric_sum(&metrics, "dod_shard_owned_points_total{session=\"s1\",");
+        ghosted |= ghosts > 0.0;
+        if ghosts != routed || inserts - ghosts != owned {
+            broken.push(format!(
+                "scrape {scrape}: inserts {inserts}, ghost inserts {ghosts}, \
+                 ghost routes {routed}, owned points {owned}"
+            ));
+        }
+    }
+    stop.store(true, Ordering::SeqCst);
+    let batches = producer.join().expect("producer");
+    handle.shutdown();
+    assert!(batches > 0 && ghosted, "the stream must route ghosts");
+    assert!(
+        broken.is_empty(),
+        "{} of {SCRAPES} scrapes mixed slide boundaries; first: {}",
+        broken.len(),
+        broken[0]
+    );
 }

@@ -201,7 +201,8 @@ fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
 
 /// A request's clock starts at its first byte: a keep-alive client's
 /// think time before its second request is connection idle time, so it
-/// must not land in that request's trace.
+/// must not land in that request's trace. The response write, after the
+/// trace closes, is booked on its own counter.
 #[test]
 fn keep_alive_think_time_is_not_request_time() {
     let handle = serve(builder());
@@ -219,6 +220,17 @@ fn keep_alive_think_time_is_not_request_time() {
         let (status, _, _) = read_response(&mut reader);
         assert_eq!(status, 200);
     }
+    // The connection's worker wrote the responses above before it read
+    // this scrape, so the scrape already counts their write time.
+    write!(conn, "GET /metrics HTTP/1.1\r\n\r\n").expect("send");
+    let (status, _, metrics) = read_response(&mut reader);
+    assert_eq!(status, 200);
+    let written: f64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("dod_http_response_write_seconds_total "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no response-write counter: {metrics}"));
+    assert!(written > 0.0, "response writes went untimed: {metrics}");
     // The connection stays open: its idle worker notices the shutdown
     // below within one idle poll.
 

@@ -1,10 +1,9 @@
 //! [`ShardedStreamDetector`] — the synchronous sharded front door.
 
 use crate::health::HealthReport;
-use crate::router::{Ingestion, Router, ShardOp};
+use crate::router::{Ingestion, Router};
 use crate::shard::{Shard, ShardAnswer};
 use crate::spec::ShardSpec;
-use dod_core::parallel::par_for_each_mut;
 use dod_core::{DodError, OutlierReport, Query};
 use dod_stream::{Backend, Space, StreamParams, StreamStats, WindowSpec};
 
@@ -36,9 +35,6 @@ pub struct ShardedStreamDetector<S: Space + Clone> {
     router: Router<S>,
     shards: Vec<Shard<S>>,
     backend: Backend,
-    /// Per-shard op buckets, reused across slides so the hot path
-    /// allocates nothing.
-    buckets: Vec<Vec<ShardOp<S::Point>>>,
 }
 
 impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
@@ -64,12 +60,10 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         let shards = (0..spec.shards)
             .map(|_| Shard::new(space.clone(), shard_params, backend.clone()))
             .collect();
-        let buckets = (0..spec.shards).map(|_| Vec::new()).collect();
         Ok(ShardedStreamDetector {
             router,
             shards,
             backend,
-            buckets,
         })
     }
 
@@ -113,7 +107,9 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
             ops,
             routed,
         } = self.router.ingest(point, time);
-        self.apply_ops(ops);
+        for (s, op) in ops {
+            self.shards[s].apply(op);
+        }
         ShardSlideReport {
             seq,
             expired,
@@ -134,40 +130,6 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         self.router.advance(time)
     }
 
-    /// Applies routed ops, fanning out over scoped threads when the spec
-    /// asks for it and more than one shard has work this slide.
-    fn apply_ops(&mut self, ops: Vec<(usize, ShardOp<S::Point>)>) {
-        if ops.is_empty() {
-            return;
-        }
-        let threads = self.router.spec().slide_threads.max(1);
-        let mut per_shard = std::mem::take(&mut self.buckets);
-        let mut busy = 0;
-        for (s, op) in ops {
-            if per_shard[s].is_empty() {
-                busy += 1;
-            }
-            per_shard[s].push(op);
-        }
-        if threads == 1 || busy <= 1 {
-            for (shard, bucket) in self.shards.iter_mut().zip(per_shard.iter_mut()) {
-                for op in bucket.drain(..) {
-                    shard.apply(op);
-                }
-            }
-        } else {
-            #[allow(clippy::type_complexity)]
-            let mut work: Vec<(&mut Shard<S>, &mut Vec<ShardOp<S::Point>>)> =
-                self.shards.iter_mut().zip(per_shard.iter_mut()).collect();
-            par_for_each_mut(&mut work, threads, |_, pair| {
-                for op in pair.1.drain(..) {
-                    pair.0.apply(op);
-                }
-            });
-        }
-        self.buckets = per_shard;
-    }
-
     /// Brings every shard to the current slide boundary and collects the
     /// per-shard answers. Callers check the warm-up path first — before
     /// the partition exists, the shards are empty.
@@ -175,23 +137,13 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         let Some(now) = self.router.shard_now() else {
             return Vec::new();
         };
-        let threads = self.router.spec().slide_threads.max(1);
-        let mut answers: Vec<Option<ShardAnswer>> = Vec::new();
-        if threads == 1 {
-            for shard in &mut self.shards {
+        self.shards
+            .iter_mut()
+            .map(|shard| {
                 shard.advance(now);
-                answers.push(Some(shard.collect()));
-            }
-        } else {
-            let mut work: Vec<(&mut Shard<S>, Option<ShardAnswer>)> =
-                self.shards.iter_mut().map(|s| (s, None)).collect();
-            par_for_each_mut(&mut work, threads, |_, pair| {
-                pair.0.advance(now);
-                pair.1 = Some(pair.0.collect());
-            });
-            answers = work.into_iter().map(|(_, a)| a).collect();
-        }
-        answers.into_iter().map(|a| a.expect("collected")).collect()
+                shard.collect()
+            })
+            .collect()
     }
 
     /// Global seqs of the current window's outliers, ascending — exactly
@@ -292,38 +244,11 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         self.router.is_partitioned()
     }
 
-    /// Per-shard `(owned, ghost)` resident counts — the load-balance
-    /// picture. All zeros while the warm-up prefix is buffering.
-    pub fn occupancy(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|s| s.occupancy()).collect()
-    }
-
-    /// Total ghost replicas routed so far (the replication overhead that
-    /// buys exactness).
-    pub fn ghost_routes(&self) -> u64 {
-        self.router.ghost_routes()
-    }
-
-    /// Ghost replicas routed per `(owner, target)` shard pair
-    /// (`matrix[o][t]`; the diagonal is always zero). A persistently hot
-    /// pair is the signal that the partition split a neighborhood — the
-    /// input a future re-pivoting policy (and the `/metrics` endpoint of
-    /// `dod_server`) watches.
-    pub fn ghost_pair_counts(&self) -> Vec<Vec<u64>> {
-        self.router.ghost_pair_counts()
-    }
-
-    /// The ghost matrix together with each shard's lifetime owned-point
-    /// count, one self-consistent snapshot — `pairs[o][t] / owned[o]` is
-    /// the fraction of shard `o`'s points that replicated into `t` (the
-    /// per-owner rate `dod_server` exports as `dod_shard_ghost_rate`).
-    pub fn ghost_route_stats(&self) -> crate::GhostRouteStats {
-        self.router.ghost_route_stats()
-    }
-
-    /// The topology's health document: every shard's occupancy, lifetime
-    /// counters, and index-structure snapshot, plus the router's ghost
-    /// accounting — the input to the balance gauges
+    /// The topology's health document: every shard's `(owned, ghost)`
+    /// occupancy, lifetime counters, and index-structure snapshot, plus
+    /// the router's ghost accounting ([`HealthReport::routes`]: the
+    /// `(owner, target)` ghost matrix and each shard's lifetime owned
+    /// count) — the input to the balance gauges
     /// ([`HealthReport::owned_skew`] etc.) that `dod_server` exports.
     pub fn health(&self) -> HealthReport {
         HealthReport {
@@ -365,12 +290,10 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
     }
 
     pub(crate) fn from_parts(router: Router<S>, shards: Vec<Shard<S>>, backend: Backend) -> Self {
-        let buckets = (0..shards.len()).map(|_| Vec::new()).collect();
         ShardedStreamDetector {
             router,
             shards,
             backend,
-            buckets,
         }
     }
 }

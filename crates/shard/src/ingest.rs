@@ -15,19 +15,21 @@
 //! The router thread owns the routing core (pivot selection, warm-up
 //! replay, the global occupancy record); each pump thread owns one shard
 //! and is its only writer. Commands are processed strictly in arrival
-//! order on every channel, which is what makes
-//! [`IngestPipeline::report`] **snapshot-consistent**: the report command
-//! reaches each pump *after* every insert enqueued before it, so the
-//! merged answer describes exactly the slide boundary at which the
-//! report was requested.
+//! order on every channel, which is what makes the two read barriers
+//! **snapshot-consistent**: a [`report`](IngestPipeline::report) or
+//! [`health`](IngestPipeline::health) command reaches each pump *after*
+//! every insert enqueued before it, so the answer describes exactly the
+//! slide boundary at which it was requested. `health` is the one way to
+//! read a running pipeline's counters and routing accounting; every
+//! number in its [`HealthReport`] comes from the same cut.
 
 use crate::detector::{merge_answers, ShardedStreamDetector};
 use crate::durable::{CommitAck, DurabilityHook};
 use crate::health::{HealthReport, ShardHealth};
-use crate::router::{GhostRouteStats, Router, ShardOp};
+use crate::router::{Router, ShardOp};
 use crate::shard::{Shard, ShardAnswer};
 use dod_core::{DodError, OutlierReport};
-use dod_stream::{Backend, Space, StreamStats};
+use dod_stream::{Backend, Space};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
@@ -48,11 +50,6 @@ enum RouterCmd<P> {
     /// Collect a snapshot-consistent merged report; replies with the
     /// global window front and the merged report.
     Report(Sender<(u64, OutlierReport)>),
-    /// Collect summed per-shard lifetime counters.
-    Stats(Sender<StreamStats>),
-    /// Collect the router's routing telemetry (per-shard owned counts +
-    /// per-shard-pair ghost-replication counters).
-    GhostStats(Sender<GhostRouteStats>),
     /// Collect the full health document: per-shard occupancy, counters
     /// and index structure, plus the router's ghost accounting, all
     /// under one barrier.
@@ -75,7 +72,8 @@ enum PumpCmd<P> {
     /// Advance to the slide boundary and report; replies with the shard
     /// index and its answer.
     Collect(Option<f64>, Sender<(usize, ShardAnswer)>),
-    Stats(Sender<StreamStats>),
+    /// Snapshot the shard's health; replies with the shard index and its
+    /// document.
     Health(Sender<(usize, ShardHealth)>),
 }
 
@@ -311,35 +309,14 @@ impl<S: Space + Clone + 'static> IngestPipeline<S> {
         reply_rx.recv().map_err(|_| closed())
     }
 
-    /// Summed lifetime counters across shards, snapshot-consistent.
-    pub fn stats(&self) -> Result<StreamStats, DodError> {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        send_counted(&self.tx, &self.gauges, RouterCmd::Stats(reply_tx))?;
-        reply_rx.recv().map_err(|_| closed())
-    }
-
-    /// Ghost replicas routed per `(owner, target)` shard pair
-    /// (`matrix[o][t]`), snapshot-consistent with every insert enqueued
-    /// before the call — the same accounting as
-    /// [`ShardedStreamDetector::ghost_pair_counts`].
-    pub fn ghost_pair_counts(&self) -> Result<Vec<Vec<u64>>, DodError> {
-        Ok(self.ghost_route_stats()?.pairs)
-    }
-
-    /// The ghost matrix plus each shard's lifetime owned-point count in
-    /// one snapshot-consistent reply — the same accounting as
-    /// [`ShardedStreamDetector::ghost_route_stats`].
-    pub fn ghost_route_stats(&self) -> Result<GhostRouteStats, DodError> {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        send_counted(&self.tx, &self.gauges, RouterCmd::GhostStats(reply_tx))?;
-        reply_rx.recv().map_err(|_| closed())
-    }
-
     /// The full health document — per-shard occupancy, lifetime
     /// counters and index structure, plus the router's ghost accounting
     /// — collected under one barrier, so every number describes the
     /// same slide boundary (snapshot-consistent with every insert
-    /// enqueued before the call). The same shape as
+    /// enqueued before the call). This is the one read barrier for a
+    /// running pipeline's accounting: [`HealthReport::stats`] sums the
+    /// shards' lifetime counters and [`HealthReport::routes`] carries
+    /// the ghost matrix and owned counts. The same shape as
     /// [`ShardedStreamDetector::health`].
     pub fn health(&self) -> Result<HealthReport, DodError> {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
@@ -407,13 +384,35 @@ impl<S: Space + Clone + 'static> Drop for IngestPipeline<S> {
 /// router's memory and the latency before pumps see work.
 const MAX_BATCH_OPS: usize = 4096;
 
+/// Sends one barrier command to every pump and gathers the replies in
+/// shard order. `None` when a pump is dead (it panicked): its shard's
+/// state is gone, so any merged answer would be silently partial, and
+/// the caller drops its reply unanswered to surface a pipeline error.
+fn fan_out<P, T>(
+    pump_txs: &[SyncSender<PumpCmd<P>>],
+    cmd: impl Fn(Sender<(usize, T)>) -> PumpCmd<P>,
+) -> Option<Vec<T>> {
+    let (ans_tx, ans_rx) = std::sync::mpsc::channel();
+    for ptx in pump_txs {
+        ptx.send(cmd(ans_tx.clone())).ok()?;
+    }
+    drop(ans_tx);
+    let mut answers: Vec<(usize, T)> = ans_rx.iter().collect();
+    if answers.len() < pump_txs.len() {
+        return None;
+    }
+    answers.sort_by_key(|&(idx, _)| idx);
+    Some(answers.into_iter().map(|(_, a)| a).collect())
+}
+
 /// The router thread: applies commands in arrival order, forwarding
 /// per-shard work to the pumps. Data commands are drained greedily and
 /// forwarded as one batch per shard per round, so queue synchronization
-/// amortizes when producers run hot; control commands (report, stats,
-/// stop) act as barriers — the batch in flight is flushed first, which
-/// preserves snapshot consistency. Ends on `Stop` or when every sender
-/// is gone; dropping the pump senders ends the pumps in turn.
+/// amortizes when producers run hot; control commands (report, health,
+/// commit, stop) act as barriers — the batch in flight is flushed
+/// first, which preserves snapshot consistency. Ends on `Stop` or when
+/// every sender is gone; dropping the pump senders ends the pumps in
+/// turn.
 fn router_loop<S: Space>(
     router: &mut Router<S>,
     rx: Receiver<RouterCmd<S::Point>>,
@@ -488,7 +487,7 @@ fn router_loop<S: Space>(
                  durable: &mut Hook<S::Point>| {
         // Append-before-ack: the WAL commit lands before any pump can
         // make this batch's effects observable. Control barriers (report,
-        // stats) flush first, so everything they describe is durable.
+        // health) flush first, so everything they describe is durable.
         if let Some(d) = durable.as_mut() {
             d.commit(router.now(), router.front_seq());
         }
@@ -529,73 +528,19 @@ fn router_loop<S: Space>(
                     let _ = reply.send((front, merged));
                     continue;
                 }
-                let (ans_tx, ans_rx) = std::sync::mpsc::channel();
                 let now = router.shard_now();
-                let mut sent = 0;
-                for ptx in &pump_txs {
-                    if ptx.send(PumpCmd::Collect(now, ans_tx.clone())).is_ok() {
-                        sent += 1;
-                    }
-                }
-                drop(ans_tx);
-                let mut answers: Vec<(usize, ShardAnswer)> = ans_rx.iter().collect();
-                // A missing answer means a pump died (panicked): its
-                // shard's outliers are gone, so a merged report would be
-                // silently wrong. Dropping `reply` unanswered surfaces
-                // the failure to the caller as a pipeline error instead.
-                if sent < pump_txs.len() || answers.len() < sent {
+                let Some(answers) = fan_out(&pump_txs, |tx| PumpCmd::Collect(now, tx)) else {
                     continue;
-                }
-                answers.sort_by_key(|&(idx, _)| idx);
+                };
                 let front = router.front_seq();
-                let merged = merge_answers(answers.into_iter().map(|(_, a)| a).collect(), front);
-                let _ = reply.send((front, merged));
-            }
-            Some(RouterCmd::Stats(reply)) => {
-                let (ans_tx, ans_rx) = std::sync::mpsc::channel();
-                let mut sent = 0;
-                for ptx in &pump_txs {
-                    if ptx.send(PumpCmd::Stats(ans_tx.clone())).is_ok() {
-                        sent += 1;
-                    }
-                }
-                drop(ans_tx);
-                let mut total = StreamStats::default();
-                let mut got = 0;
-                for st in ans_rx.iter() {
-                    total.absorb(&st);
-                    got += 1;
-                }
-                // As for reports: partial stats from dead pumps are not
-                // answered, they error out at the caller.
-                if sent < pump_txs.len() || got < sent {
-                    continue;
-                }
-                let _ = reply.send(total);
-            }
-            Some(RouterCmd::GhostStats(reply)) => {
-                // Router-local state: no pump involvement, but the flush
-                // above keeps it consistent with every preceding insert.
-                let _ = reply.send(router.ghost_route_stats());
+                let _ = reply.send((front, merge_answers(answers, front)));
             }
             Some(RouterCmd::Health(reply)) => {
-                let (ans_tx, ans_rx) = std::sync::mpsc::channel();
-                let mut sent = 0;
-                for ptx in &pump_txs {
-                    if ptx.send(PumpCmd::Health(ans_tx.clone())).is_ok() {
-                        sent += 1;
-                    }
-                }
-                drop(ans_tx);
-                let mut shards: Vec<(usize, ShardHealth)> = ans_rx.iter().collect();
-                // Like reports and stats: a dead pump would make the
-                // document silently partial, so the caller errors instead.
-                if sent < pump_txs.len() || shards.len() < sent {
+                let Some(shards) = fan_out(&pump_txs, PumpCmd::Health) else {
                     continue;
-                }
-                shards.sort_by_key(|&(idx, _)| idx);
+                };
                 let _ = reply.send(HealthReport {
-                    shards: shards.into_iter().map(|(_, h)| h).collect(),
+                    shards,
                     routes: router.ghost_route_stats(),
                 });
             }
@@ -641,9 +586,6 @@ fn pump_loop<S: Space + 'static>(
                     shard.advance(now);
                 }
                 let _ = reply.send((idx, shard.collect()));
-            }
-            PumpCmd::Stats(reply) => {
-                let _ = reply.send(shard.stats());
             }
             PumpCmd::Health(reply) => {
                 let _ = reply.send((idx, shard.health()));

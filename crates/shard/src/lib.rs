@@ -75,16 +75,18 @@
 //! # The two front doors
 //!
 //! * [`ShardedStreamDetector`] — the synchronous core: same call shapes as
-//!   `StreamDetector` (`insert`, `outliers`, `report`, `audit`), with
-//!   per-shard slide work optionally fanned out over scoped threads
-//!   ([`ShardSpec::slide_threads`]).
-//! * [`IngestPipeline`] / [`IngestHandle`] — the asynchronous path:
+//!   `StreamDetector` (`insert`, `outliers`, `report`, `audit`), applying
+//!   every slide's per-shard work inline on the caller's thread.
+//! * [`IngestPipeline`] / [`IngestHandle`] — the asynchronous path and
+//!   the only one that runs shards concurrently:
 //!   [`ShardedStreamDetector::into_pipeline`] moves each shard onto its
 //!   own single-writer pump thread behind a bounded queue; producers
 //!   `insert` through cloneable handles with backpressure, and
 //!   [`IngestPipeline::report`] returns a snapshot-consistent answer at
-//!   the current slide boundary. [`IngestPipeline::finish`] reassembles
-//!   the synchronous detector.
+//!   the current slide boundary. [`IngestPipeline::health`] is the one
+//!   read barrier for everything else — per-shard occupancy and
+//!   counters, index structure and ghost routing, all from one cut.
+//!   [`IngestPipeline::finish`] reassembles the synchronous detector.
 //!
 //! ```
 //! use dod_core::Query;

@@ -3,21 +3,14 @@
 //! and the global window occupancy record.
 //!
 //! The router never touches a shard — it only *decides*. Its output is a
-//! list of [`ShardOp`]s, applied by whoever owns the shards (inline, via
-//! scoped threads, or on per-shard pump threads).
+//! list of [`ShardOp`]s, applied by whoever owns the shards (inline in
+//! the synchronous detector, or on per-shard pump threads).
 
 use crate::spec::ShardSpec;
 use dod_datasets::farthest_first;
+use dod_metrics::TRIANGLE_SLACK;
 use dod_stream::{Space, StreamParams, WindowSpec};
 use std::collections::VecDeque;
-
-/// Relative slack on the ghost bound `d(p, c) <= d(p, nearest) + 2r`.
-/// The bound is the triangle inequality, and rounded distances break it
-/// by an ulp on collinear points (in `f64`, `√32 − √2 > √18`), so with no
-/// slack a ghost that a neighbour count needs can be dropped. A spare
-/// ghost is harmless: it adds to a count only after an exact `d <= r`
-/// check.
-const GHOST_BOUND_SLACK: f64 = 1e-9;
 
 /// One unit of per-shard work. Points are pre-prepared
 /// ([`Space::prepare`]) by the router, which is why `prepare` must be
@@ -87,7 +80,6 @@ pub(crate) struct Router<S: Space> {
     now: f64,
     /// Global window occupancy `(seq, time)`, oldest first.
     live: VecDeque<(u64, f64)>,
-    ghost_routes: u64,
     /// Ghost replicas per `(owner, target)` shard pair, flattened
     /// owner-major (`owner * shards + target`). The telemetry a future
     /// re-pivoting policy needs: a hot pair means the partition split a
@@ -114,7 +106,6 @@ impl<S: Space> Router<S> {
             next_seq: 0,
             now: f64::NEG_INFINITY,
             live: VecDeque::new(),
-            ghost_routes: 0,
             ghost_pairs: vec![0; spec.shards * spec.shards],
             owned_routes: vec![0; spec.shards],
             dist_scratch: Vec::new(),
@@ -184,30 +175,19 @@ impl<S: Space> Router<S> {
         self.next_seq = seq;
     }
 
-    /// Total ghost replicas routed so far.
-    pub fn ghost_routes(&self) -> u64 {
-        self.ghost_routes
-    }
-
-    /// Ghost replicas routed per `(owner, target)` shard pair:
-    /// `matrix[o][t]` counts points owned by shard `o` that were
-    /// replicated into shard `t` (the diagonal is always zero — a point
-    /// never ghosts into its own shard).
-    pub fn ghost_pair_counts(&self) -> Vec<Vec<u64>> {
-        self.ghost_pairs
-            .chunks(self.spec.shards.max(1))
-            .map(<[u64]>::to_vec)
-            .collect()
-    }
-
-    /// The full routing-telemetry snapshot: the ghost matrix of
-    /// [`ghost_pair_counts`](Self::ghost_pair_counts) plus each shard's
-    /// lifetime owned-point count, so `pairs[o][t] / owned[o]` is the
-    /// per-owner replication rate.
+    /// The routing-telemetry snapshot: ghost replicas per `(owner,
+    /// target)` shard pair (the diagonal is always zero — a point never
+    /// ghosts into its own shard) plus each shard's lifetime owned-point
+    /// count, so `pairs[o][t] / owned[o]` is the per-owner replication
+    /// rate.
     pub fn ghost_route_stats(&self) -> GhostRouteStats {
         GhostRouteStats {
             owned: self.owned_routes.clone(),
-            pairs: self.ghost_pair_counts(),
+            pairs: self
+                .ghost_pairs
+                .chunks(self.spec.shards.max(1))
+                .map(<[u64]>::to_vec)
+                .collect(),
         }
     }
 
@@ -541,7 +521,11 @@ impl<S: Space> Router<S> {
             .expect("at least one pivot")
             .0;
         let owner = self.pivot_shard[nearest];
-        let bound = (dists[nearest] + 2.0 * self.params.r) * (1.0 + GHOST_BOUND_SLACK);
+        // The ghost bound is the triangle inequality, which rounded
+        // distances break by an ulp, so it carries the shared slack. A
+        // spare ghost is harmless: it adds to a count only after an exact
+        // `d <= r` check.
+        let bound = (dists[nearest] + 2.0 * self.params.r) * (1.0 + TRIANGLE_SLACK);
         let mut ghosts = 0;
         hit[owner] = true;
         for (c, &d) in dists.iter().enumerate() {
@@ -565,7 +549,6 @@ impl<S: Space> Router<S> {
         }
         self.dist_scratch = dists;
         self.hit_scratch = hit;
-        self.ghost_routes += ghosts as u64;
         self.owned_routes[owner] += 1;
         ops.push((
             owner,
@@ -660,21 +643,19 @@ mod tests {
         r.ingest(vec![0.0], 0.0);
         r.ingest(vec![100.0], 1.0);
         assert!(r.is_partitioned());
-        let before: u64 = r.ghost_pair_counts().iter().flatten().sum();
+        let before: u64 = r.ghost_route_stats().pairs.iter().flatten().sum();
         let ing = r.ingest(vec![50.5], 2.0);
         let (owner, ghosts) = ing.routed.expect("partitioned");
         assert_eq!(ghosts, 1);
-        let pairs = r.ghost_pair_counts();
+        let stats = r.ghost_route_stats();
+        let pairs = &stats.pairs;
         assert_eq!(pairs.len(), 2);
         assert!(pairs.iter().enumerate().all(|(o, row)| row[o] == 0));
         let after: u64 = pairs.iter().flatten().sum();
         assert_eq!(after - before, 1);
         assert_eq!(pairs[owner][1 - owner], 1, "{pairs:?}");
-        assert_eq!(after, r.ghost_routes());
         // The snapshot pairs owned counts with the matrix: every routed
         // point is owned by exactly one shard, warm-up replay included.
-        let stats = r.ghost_route_stats();
-        assert_eq!(stats.pairs, pairs);
         assert_eq!(stats.owned.iter().sum::<u64>(), 3);
         assert_eq!(stats.owned[owner], 2, "{stats:?}");
     }

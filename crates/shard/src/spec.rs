@@ -1,4 +1,4 @@
-//! [`ShardSpec`] — how the window is split and how slides are driven.
+//! [`ShardSpec`] — how the window is split across shards.
 
 use dod_core::DodError;
 
@@ -14,11 +14,6 @@ pub struct ShardSpec {
     /// by brute force over the buffer. Exactness never depends on this —
     /// only load balance.
     pub warmup: usize,
-    /// Worker threads the *synchronous* detector fans per-shard slide
-    /// work out over (via `dod_core::parallel`). `1` applies shard ops
-    /// inline. The asynchronous [`IngestPipeline`](crate::IngestPipeline)
-    /// ignores this: there, each shard already owns a pump thread.
-    pub slide_threads: usize,
     /// Pivots sampled per shard (≥ 1). Routing is per *pivot cell*;
     /// several cells map onto each shard. More pivots than shards keeps
     /// the ghost band tight — a point's distance to its own pivot stays
@@ -30,13 +25,11 @@ pub struct ShardSpec {
 
 impl ShardSpec {
     /// A spec for `shards` shards: warm-up of `max(64, 16·shards)`
-    /// points, 8 pivots per shard, inline (single-threaded) synchronous
-    /// slides.
+    /// points and 8 pivots per shard.
     pub fn new(shards: usize) -> Self {
         ShardSpec {
             shards,
             warmup: (16 * shards).max(64),
-            slide_threads: 1,
             pivots_per_shard: 8,
         }
     }
@@ -44,12 +37,6 @@ impl ShardSpec {
     /// Overrides the warm-up prefix length (builder style).
     pub fn with_warmup(mut self, warmup: usize) -> Self {
         self.warmup = warmup;
-        self
-    }
-
-    /// Overrides the synchronous slide fan-out (builder style).
-    pub fn with_slide_threads(mut self, threads: usize) -> Self {
-        self.slide_threads = threads;
         self
     }
 
@@ -100,7 +87,6 @@ mod tests {
         let s = ShardSpec::new(8);
         assert_eq!(s.shards, 8);
         assert_eq!(s.warmup, 128);
-        assert_eq!(s.slide_threads, 1);
         assert_eq!(s.pivots_per_shard, 8);
         assert_eq!(s.pivot_count(), 64);
         assert!(s.validate().is_ok());
@@ -109,11 +95,8 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let s = ShardSpec::new(2)
-            .with_warmup(10)
-            .with_slide_threads(4)
-            .with_pivots_per_shard(2);
-        assert_eq!((s.warmup, s.slide_threads, s.pivot_count()), (10, 4, 4));
+        let s = ShardSpec::new(2).with_warmup(10).with_pivots_per_shard(2);
+        assert_eq!((s.warmup, s.pivot_count()), (10, 4));
         assert!(s.validate().is_ok());
     }
 

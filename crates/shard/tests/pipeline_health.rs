@@ -92,3 +92,48 @@ fn pipeline_health_matches_synchronous_and_covers_the_window() {
     );
     drop(pipeline);
 }
+
+/// A line whose distance panics between two poisoned points, so a test
+/// can kill exactly one shard's pump: the router only measures points
+/// against (healthy) pivots, while the owning shard measures a new point
+/// against its residents.
+#[derive(Clone)]
+struct Tripwire;
+
+impl dod_stream::Space for Tripwire {
+    type Point = (f64, bool);
+
+    fn dist(&self, a: &(f64, bool), b: &(f64, bool)) -> f64 {
+        assert!(!(a.1 && b.1), "tripwire: two poisoned points met");
+        (a.0 - b.0).abs()
+    }
+}
+
+/// A dead pump fails every read barrier as a whole: its shard's state is
+/// gone, so a report or health document from the surviving shards alone
+/// would be silently partial.
+#[test]
+fn a_dead_pump_fails_every_read_barrier() {
+    let det = ShardedStreamDetector::open(
+        Tripwire,
+        Query::new(1.0, 1).expect("valid query"),
+        WindowSpec::Count(16),
+        Backend::Exhaustive,
+        ShardSpec::new(2).with_warmup(2).with_pivots_per_shard(1),
+    )
+    .expect("valid spec");
+    let pipeline = det.into_pipeline(8);
+    // Pivots land on the two warm-up points, one shard each.
+    pipeline
+        .insert_many(vec![(0.0, false), (100.0, false)])
+        .expect("live");
+    assert_eq!(pipeline.health().expect("both pumps alive").shards.len(), 2);
+    // Both poisoned points belong to the shard around 0: its pump panics
+    // on the second insert, the shard around 100 lives on.
+    pipeline
+        .insert_many(vec![(1.0, true), (1.5, true)])
+        .expect("the router accepts the batch");
+    assert!(pipeline.health().is_err(), "partial health document");
+    assert!(pipeline.report().is_err(), "partial report");
+    assert!(pipeline.outliers().is_err(), "partial outliers");
+}

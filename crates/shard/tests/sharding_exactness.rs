@@ -115,33 +115,6 @@ proptest! {
             seed,
         );
     }
-
-    #[test]
-    fn parallel_slides_change_nothing(
-        r in 0.5f64..3.0,
-        k in 1usize..4,
-        seed in 0u64..10_000,
-    ) {
-        // Same stream through slide_threads = 1 and 4: identical output
-        // (par_for_each_mut is deterministic, shard work is independent).
-        let query = Query::new(r, k).expect("valid");
-        let mk = |threads: usize| {
-            ShardedStreamDetector::open(
-                VectorSpace::new(L2, DIM),
-                query,
-                WindowSpec::Count(24),
-                Backend::Exhaustive,
-                ShardSpec::new(4).with_warmup(8).with_slide_threads(threads),
-            )
-            .expect("open")
-        };
-        let (mut seq_det, mut par_det) = (mk(1), mk(4));
-        for p in scenario_points(60, seed) {
-            seq_det.insert(p.clone());
-            par_det.insert(p);
-            prop_assert_eq!(seq_det.outliers(), par_det.outliers());
-        }
-    }
 }
 
 /// SplitMix64: a seeded stream for the probe below, so every run
@@ -251,13 +224,13 @@ fn ghost_expiry_keeps_boundary_counts_exact() {
         assert_eq!(sharded.outliers(), single.outliers(), "slide {i}");
         assert_eq!(sharded.audit(), single.outliers(), "audit at slide {i}");
     }
+    let health = sharded.health();
+    let ghost_routes: u64 = health.routes.pairs.iter().flatten().sum();
     assert!(
-        sharded.ghost_routes() > 0,
+        ghost_routes > 0,
         "the scenario must actually exercise ghosts"
     );
-    let stats = sharded.stats();
-    assert!(stats.ghost_inserts > 0);
-    assert_eq!(stats.ghost_inserts, sharded.ghost_routes());
+    assert_eq!(health.stats().ghost_inserts, ghost_routes);
 }
 
 #[test]
@@ -410,7 +383,7 @@ fn pipeline_reports_are_snapshot_consistent_and_finish_reassembles() {
         }
         let report = pipeline.report().expect("final report");
         assert_eq!(report.outliers, twin.report().outliers);
-        let stats = pipeline.stats().expect("stats");
+        let stats = pipeline.health().expect("health").stats();
         assert!(stats.inserts >= points.len() as u64);
 
         // finish() hands back the synchronous detector with all state.

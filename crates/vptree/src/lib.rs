@@ -21,12 +21,20 @@
 //! and results, matching Definition 1 (a neighbor of `p` is drawn from
 //! `P \ {p}`).
 
-use dod_metrics::{Dataset, OrdF64};
+use dod_metrics::{Dataset, OrdF64, TRIANGLE_SLACK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
 
 const NONE: u32 = u32::MAX;
+
+/// The ring `[d - r, d + r]` of distances to a vantage point at which
+/// objects within `r` of a query at distance `d` can lie, widened by
+/// [`TRIANGLE_SLACK`] so rounding never prunes a child that holds one.
+fn search_ring(d: f64, r: f64) -> (f64, f64) {
+    let slack = TRIANGLE_SLACK * (d + r);
+    (d - r - slack, d + r + slack)
+}
 
 /// Number of objects at which recursion stops and a leaf is emitted.
 /// Scanning a few objects linearly beats further indirection (perf-book:
@@ -220,11 +228,12 @@ impl VpTree {
             }
             // A child can contain a neighbor only if its distance interval
             // to the vantage point intersects [d - r, d + r] (triangle
-            // inequality both ways).
-            if node.left != NONE && d - r <= node.left_hi && d + r >= node.left_lo {
+            // inequality both ways, widened for rounding).
+            let (lo, hi) = search_ring(d, r);
+            if node.left != NONE && lo <= node.left_hi && hi >= node.left_lo {
                 stack.push(node.left);
             }
-            if node.right != NONE && d - r <= node.right_hi && d + r >= node.right_lo {
+            if node.right != NONE && lo <= node.right_hi && hi >= node.right_lo {
                 stack.push(node.right);
             }
         }
@@ -255,10 +264,11 @@ impl VpTree {
             if d <= r && node.vp as usize != query {
                 out.push(node.vp);
             }
-            if node.left != NONE && d - r <= node.left_hi && d + r >= node.left_lo {
+            let (lo, hi) = search_ring(d, r);
+            if node.left != NONE && lo <= node.left_hi && hi >= node.left_lo {
                 stack.push(node.left);
             }
-            if node.right != NONE && d - r <= node.right_hi && d + r >= node.right_lo {
+            if node.right != NONE && lo <= node.right_hi && hi >= node.right_lo {
                 stack.push(node.right);
             }
         }

@@ -60,7 +60,7 @@ fn main() -> Result<(), DodError> {
                 "t={:>4}  outliers={:>2}  ghosts so far={:>3}{}",
                 i + 1,
                 outliers.len(),
-                pipeline.stats()?.ghost_inserts,
+                pipeline.health()?.stats().ghost_inserts,
                 if event.in_burst { "  [burst]" } else { "" },
             );
         }
@@ -74,7 +74,13 @@ fn main() -> Result<(), DodError> {
         events.len(),
         stats.ghost_inserts
     );
-    println!("shard occupancy (owned, ghosts): {:?}", monitor.occupancy());
+    let occupancy: Vec<(usize, usize)> = monitor
+        .health()
+        .shards
+        .iter()
+        .map(|s| (s.owned, s.ghosts))
+        .collect();
+    println!("shard occupancy (owned, ghosts): {occupancy:?}");
     assert_eq!(monitor.outliers(), twin.outliers());
     assert_eq!(monitor.audit(), twin.outliers());
     println!("verified: merged sharded answer = single-window answer = recount");

@@ -137,3 +137,68 @@ proptest! {
         prop_assert_eq!(&engine.query(Query::new(r, k).expect("valid")).expect("query").outliers, &truth);
     }
 }
+
+/// SplitMix64: a seeded stream, so the probe below replays exactly.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn collinear_integer_points_stay_exact_under_rounding() {
+    // Points t·(a, b) on a line: every distance is |t − u|·|(a, b)| up to
+    // rounding, and r is one of them, so the datasets are full of d == r
+    // ties. Rounded distances break the triangle inequality by an ulp here
+    // (√32 − √2 > √18 in f64); a pruning rule that trusts it bare drops a
+    // neighbour at exactly r and reports an inlier as an outlier.
+    let mut rng = 0x5EED_u64;
+    let mut datasets = 0;
+    let mut wrong = Vec::new();
+    for a in 1u32..=3 {
+        for b in 0u32..=3 {
+            for _ in 0..60 {
+                let n = 6 + (splitmix(&mut rng) % 30) as usize;
+                let rows: Vec<Vec<f32>> = (0..n)
+                    .map(|_| {
+                        let t = (splitmix(&mut rng) % 40) as u32;
+                        vec![(t * a) as f32, (t * b) as f32]
+                    })
+                    .collect();
+                let data = VectorSet::from_rows(&rows, L2);
+                let p = (splitmix(&mut rng) % n as u64) as usize;
+                let q = (splitmix(&mut rng) % n as u64) as usize;
+                let r = data.dist(p, q);
+                let k = 1 + (splitmix(&mut rng) % 4) as usize;
+                datasets += 1;
+                let params = DodParams::new(r, k);
+                let truth = nested_loop::detect(&data, &params, 0).outliers;
+                let mut answers = vec![("snif", snif::detect(&data, &params, 0).outliers)];
+                for (name, spec) in [
+                    ("vptree", IndexSpec::VpTree),
+                    ("mrpg", IndexSpec::Mrpg(MrpgParams::new(4))),
+                ] {
+                    let engine = Engine::builder(&data).index(spec).build().expect("engine");
+                    let query = Query::new(r, k).expect("valid query");
+                    answers.push((name, engine.query(query).expect("query").outliers));
+                }
+                for (name, got) in answers {
+                    if got != truth {
+                        wrong.push(format!(
+                            "{name}: a={a} b={b} n={n} r={r} k={k}: want {truth:?}, got {got:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(datasets, 720);
+    assert!(
+        wrong.is_empty(),
+        "{} wrong answers over {datasets} datasets; first: {}",
+        wrong.len(),
+        wrong[0]
+    );
+}
