@@ -1180,8 +1180,8 @@ fn health_grid(
     writeln!(
         out,
         "(identical stream, graph backend; audit-on samples {} residents \
-         every {} slides — the default cadence `/v1/debug/health` reports \
-         against)\n",
+         every {} slides — the default `GraphParams` cadence; exhaustive \
+         backends, wire sessions included, are never audited)\n",
         defaults.audit_sample, defaults.sample_rate
     )?;
 

@@ -10,8 +10,10 @@
 //! creation body, verbatim, in the [`SessionCreateRequest`] wire shape.
 //! Storing the request rather than some parallel schema means the
 //! manifest can never drift from what `POST /v1/sessions` accepts:
-//! recovery reads the body back through the same parser and opens the
-//! session through the same [`crate::streams::open`] as the handler.
+//! recovery reads the body back through the same parser (minus its
+//! unknown-key check, so a manifest from an earlier version still loads)
+//! and opens the session through the same [`crate::streams::open`] as
+//! the handler.
 
 use crate::registry::SessionRegistry;
 use dod_core::telemetry::Counter;
@@ -61,14 +63,17 @@ pub(crate) fn write_manifest(dir: &Path, create: &SessionCreateRequest) -> Resul
     Ok(())
 }
 
-/// Reads a session's manifest back into its creation body.
+/// Reads a session's manifest back into its creation body. The parse is
+/// lenient where `POST /v1/sessions` is strict: a key an earlier version
+/// wrote and this one retired (such as the old `sample_rate` and
+/// `audit_sample` audit knobs) is ignored, so its sessions still recover.
 pub(crate) fn read_manifest(dir: &Path) -> Result<SessionCreateRequest, DodError> {
     let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
     let doc = dod_wire::parse_json(&text).map_err(|_| DodError::Corrupt {
         offset: 0,
         reason: "session manifest is not valid JSON",
     })?;
-    SessionCreateRequest::from_json(&doc).map_err(|_| DodError::Corrupt {
+    SessionCreateRequest::from_json_lenient(&doc).map_err(|_| DodError::Corrupt {
         offset: 0,
         reason: "session manifest is missing or mistypes a required field",
     })

@@ -1,6 +1,12 @@
-//! `GET /v1/debug/health`: the index-health document — discovery-recall
-//! estimates, tombstone ratios and degree distributions from the recall
-//! auditor, and shard-balance skews from the pipeline's health barrier.
+//! `GET /v1/debug/health`: the health document — each engine's index
+//! footprint, and each session's shard balance (occupancy, ghost rates
+//! and skews) from the pipeline's health barrier.
+//!
+//! Sessions carry no discovery-recall or index-structure section: every
+//! wire session runs the exhaustive backend, whose discovery is the full
+//! scan an audit would compare against. Recall audits and graph health
+//! are a library feature of `dod_stream`'s graph backend
+//! (`StreamDetector::index_health`, `experiments stream --health`).
 //!
 //! The document is deliberately *byte-stable*: two scrapes with no
 //! intervening ingest answer identical bytes. Everything rendered here
@@ -32,38 +38,6 @@ fn engine_health(name: &str, entry: &crate::registry::EngineEntry) -> JsonValue 
         (
             "index_bytes",
             JsonValue::from(entry.engine.index_bytes() as u64),
-        ),
-    ])
-}
-
-/// The recall-auditor section: the sampled discovery-recall estimate
-/// and the raw audit tallies behind it.
-fn recall_json(report: &HealthReport) -> JsonValue {
-    let stats = report.stats();
-    JsonValue::obj([
-        ("estimate", JsonValue::from(stats.recall_estimate())),
-        ("audits", JsonValue::from(stats.recall_audits)),
-        ("hits", JsonValue::from(stats.recall_hits)),
-        ("expected", JsonValue::from(stats.recall_expected)),
-    ])
-}
-
-/// The index-structure section: the absorbed [`IndexHealth`] document
-/// across shards (degree histogram bucket bounds are in
-/// `dod_stream::DEGREE_BUCKET_BOUNDS`, last slot = overflow).
-fn index_json(report: &HealthReport) -> JsonValue {
-    let idx = report.index();
-    JsonValue::obj([
-        ("exact", JsonValue::Bool(idx.exact)),
-        ("live", JsonValue::from(idx.live)),
-        ("tombstones", JsonValue::from(idx.tombstones)),
-        ("tombstone_ratio", JsonValue::from(idx.tombstone_ratio())),
-        ("compactions", JsonValue::from(idx.compactions)),
-        ("bridge_edges", JsonValue::from(idx.bridge_edges)),
-        ("prunes", JsonValue::from(idx.prunes)),
-        (
-            "degree_hist",
-            JsonValue::arr(idx.degree_hist.iter().copied()),
         ),
     ])
 }
@@ -110,8 +84,6 @@ fn session_health(id: &str, entry: &SessionEntry) -> JsonValue {
     match entry.pipeline.health() {
         Ok(report) => {
             fields.push(("alive".into(), JsonValue::Bool(true)));
-            fields.push(("recall".into(), recall_json(&report)));
-            fields.push(("index".into(), index_json(&report)));
             fields.push(("balance".into(), balance_json(&report)));
         }
         Err(_) => fields.push(("alive".into(), JsonValue::Bool(false))),
@@ -126,9 +98,9 @@ pub(crate) fn handle_debug_health(state: &State, req: &Request) -> Response {
         Err(msg) => return bad_request(&msg),
     };
     // Snapshot both registries (peek semantics: a health scrape must not
-    // keep a cold engine warm), then render with no lock held — recall
-    // aggregation and the per-session health barrier are pipeline
-    // round-trips that must not block creates and deletes.
+    // keep a cold engine warm), then render with no lock held — the
+    // per-session health barrier is a pipeline round-trip that must not
+    // block creates and deletes.
     let mut engines = {
         let reg = state.engines.read().expect("engine registry lock");
         reg.sorted()

@@ -22,12 +22,12 @@
 //!
 //! | Route | Body | Answer |
 //! |---|---|---|
-//! | `PUT /v1/engines/{name}` | `{"family", "n", "seed"?, "index"?, "load"?}` | `201`/`200` with the engine summary (+ LRU `"evicted"` names) |
+//! | `PUT /v1/engines/{name}` | `{"family", "n", "seed"?, "index"?, "load"?}` | `201`/`200` with the engine summary (+ LRU `"evicted"` names); an unknown key is a `400` naming it |
 //! | `GET /v1/engines` | — | `{"engines": [{name, index, points, index_bytes}, …], "capacity"}` |
 //! | `GET /v1/engines/{name}` | — | one engine summary |
 //! | `DELETE /v1/engines/{name}` | — | `{"deleted": name}` |
 //! | `POST /v1/engines/{name}/query` | `{"queries": [{"r": 2.0, "k": 5}, …]}` | `{"results": [{"outliers": […], …}, …]}` via [`Engine::query_many`](dod_core::Engine::query_many) |
-//! | `POST /v1/sessions` | `{"metric", "dim", "r", "k", "window", "shards"?, …}` | `201` with the session summary (server-assigned id) |
+//! | `POST /v1/sessions` | `{"metric", "dim", "r", "k", "window", "shards"?, …}` | `201` with the session summary (server-assigned id); an unknown key is a `400` naming it |
 //! | `GET /v1/sessions` | — | `{"sessions": [{id, metric, dim, shards, ingested, durable, durability?}, …], "capacity"}` |
 //! | `GET /v1/sessions/{id}` | — | one session summary |
 //! | `DELETE /v1/sessions/{id}` | — | `{"deleted": id}` — joins the session's pipeline |
@@ -36,7 +36,7 @@
 //! | `GET /healthz` | — | `{"status": "ok", "engines": n, "sessions": n}` |
 //! | `GET /metrics` | — | Prometheus text: per-route×status HTTP counters + latency histograms, worker-pool and pipeline gauges, per-engine query telemetry, per-session stream counters, ghost rates and WAL counters |
 //! | `GET /v1/debug/traces` | — | the most recent request traces (`?min_ms=`, `?route=` filters) from an in-memory ring |
-//! | `GET /v1/debug/health` | — | the index-health document: per-session discovery-recall estimates, tombstone ratios, and shard-balance skews (`?engine=`, `?session=` filters) |
+//! | `GET /v1/debug/health` | — | the health document: engine footprints and each session's shard balance — owned and ghost counts, skews (`?engine=`, `?session=` filters) |
 //! | `GET /v1/debug/slow` | — | the N slowest query requests since startup with their cost plans (`?min_ms=`, `?engine=` filters); join on `request_id` against `/v1/debug/traces` |
 //!
 //! # Observability

@@ -6,6 +6,10 @@
 //! including per-shard-pair ghost replication — labeled
 //! `{session="id"}`.
 //!
+//! Sessions export no graph-structure or recall-audit series: every wire
+//! session runs the exhaustive backend, which keeps no graph and is
+//! never audited, so such series could only ever read zero.
+//!
 //! Label cardinality stays bounded by construction: `route` is a
 //! fieldless enum, `status` is drawn from the fixed
 //! `TRACKED_STATUSES` set (everything else
@@ -364,8 +368,8 @@ pub(crate) fn render(state: &State) -> String {
                 entry.ingested.get()
             );
         }
-        // One health barrier per session, so every stream, cost, shard
-        // and graph series below describes the same slide boundary. A
+        // One health barrier per session, so every stream, cost and shard
+        // series below describes the same slide boundary. A
         // dead pipeline (worker panic) must degrade its session's series,
         // not kill the scrape.
         let healths: Vec<_> = sessions
@@ -404,8 +408,8 @@ pub(crate) fn render(state: &State) -> String {
             }
         }
         // Stream-side cost accounting: backend work split by phase
-        // (insert discovery, expiry sweeps, recall audits, query-time
-        // lazy repair) plus the per-report filter effectiveness.
+        // (insert discovery, expiry sweeps, query-time lazy repair) plus
+        // the per-report filter effectiveness.
         for (metric, help, value) in [
             (
                 "dod_cost_insert_dist_evals_total",
@@ -428,16 +432,6 @@ pub(crate) fn render(state: &State) -> String {
                 &|s: &dod_stream::StreamStats| s.expiry_hops,
             ),
             (
-                "dod_cost_audit_dist_evals_total",
-                "Distance evaluations spent by the sampled recall auditor.",
-                &|s: &dod_stream::StreamStats| s.audit_dist_evals,
-            ),
-            (
-                "dod_cost_audit_hops_total",
-                "Graph vertices expanded by the sampled recall auditor.",
-                &|s: &dod_stream::StreamStats| s.audit_hops,
-            ),
-            (
                 "dod_cost_query_dist_evals_total",
                 "Distance evaluations spent lazily repairing neighbor counts at report time.",
                 &|s: &dod_stream::StreamStats| s.query_dist_evals,
@@ -458,7 +452,7 @@ pub(crate) fn render(state: &State) -> String {
                 &|s: &dod_stream::StreamStats| s.query_false_positives,
             ),
         ]
-            as [(&str, &str, &dyn Fn(&dod_stream::StreamStats) -> u64); 10]
+            as [(&str, &str, &dyn Fn(&dod_stream::StreamStats) -> u64); 8]
         {
             header(&mut out, metric, help, "counter");
             for (id, s) in &stats {
@@ -567,107 +561,6 @@ pub(crate) fn render(state: &State) -> String {
                         );
                     }
                 }
-            }
-        }
-        // The recall auditor's tallies, the discovery index's structure
-        // document and the balance picture, from the same barrier.
-        header(
-            &mut out,
-            "dod_graph_recall_estimate",
-            "Sampled discovery recall (audited hits / brute-force expected); 1 until the first audit.",
-            "gauge",
-        );
-        for (id, s) in &stats {
-            let _ = writeln!(
-                out,
-                "dod_graph_recall_estimate{{session=\"{id}\"}} {}",
-                dod_wire::render_number(s.recall_estimate())
-            );
-        }
-        header(
-            &mut out,
-            "dod_graph_recall_audits_total",
-            "Sampled discovery-recall audits performed.",
-            "counter",
-        );
-        for (id, s) in &stats {
-            let _ = writeln!(
-                out,
-                "dod_graph_recall_audits_total{{session=\"{id}\"}} {}",
-                s.recall_audits
-            );
-        }
-        header(
-            &mut out,
-            "dod_graph_tombstone_ratio",
-            "Tombstoned fraction of indexed vertices (dead weight awaiting compaction).",
-            "gauge",
-        );
-        for (id, h) in &healths {
-            let _ = writeln!(
-                out,
-                "dod_graph_tombstone_ratio{{session=\"{id}\"}} {}",
-                dod_wire::render_number(h.index().tombstone_ratio())
-            );
-        }
-        for (metric, help, kind, value) in [
-            (
-                "dod_graph_live_nodes",
-                "Live (reportable) vertices in the discovery index.",
-                "gauge",
-                &|h: &dod_stream::IndexHealth| h.live,
-            ),
-            (
-                "dod_graph_tombstones",
-                "Tombstoned vertices awaiting compaction.",
-                "gauge",
-                &|h: &dod_stream::IndexHealth| h.tombstones,
-            ),
-            (
-                "dod_graph_compactions_total",
-                "Compaction passes over the discovery index.",
-                "counter",
-                &|h: &dod_stream::IndexHealth| h.compactions,
-            ),
-            (
-                "dod_graph_bridge_edges_total",
-                "Bridge edges added while compacting tombstones out.",
-                "counter",
-                &|h: &dod_stream::IndexHealth| h.bridge_edges,
-            ),
-            (
-                "dod_graph_prunes_total",
-                "Adjacency prunes (over-full vertices trimmed back).",
-                "counter",
-                &|h: &dod_stream::IndexHealth| h.prunes,
-            ),
-        ]
-            as [(&str, &str, &str, &dyn Fn(&dod_stream::IndexHealth) -> u64); 5]
-        {
-            header(&mut out, metric, help, kind);
-            for (id, h) in &healths {
-                let _ = writeln!(out, "{metric}{{session=\"{id}\"}} {}", value(&h.index()));
-            }
-        }
-        header(
-            &mut out,
-            "dod_graph_degree_nodes",
-            "Indexed vertices with degree <= le (cumulative; bucket bounds fixed at compile time).",
-            "gauge",
-        );
-        for (id, h) in &healths {
-            let hist = h.index().degree_hist;
-            let mut cumulative = 0u64;
-            for (i, count) in hist.iter().enumerate() {
-                cumulative += count;
-                let le = match dod_stream::DEGREE_BUCKET_BOUNDS.get(i) {
-                    Some(bound) => bound.to_string(),
-                    None => "+Inf".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "dod_graph_degree_nodes{{session=\"{id}\",le=\"{le}\"}} {cumulative}"
-                );
             }
         }
         header(

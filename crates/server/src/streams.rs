@@ -10,6 +10,12 @@
 //! request pays one virtual call, while every distance evaluation stays
 //! compiled for its metric.
 //!
+//! Every session runs the exhaustive per-shard backend, so its answers
+//! are exact without repair. That backend's discovery is the full window
+//! scan, which leaves nothing to recall-audit: the auditor and the graph
+//! health it measures belong to `dod_stream`'s graph backend, which no
+//! wire session runs.
+//!
 //! Only vector spaces are served — points travel as JSON number arrays;
 //! a string-space session has no natural wire shape here and stays an
 //! in-process API.
@@ -22,7 +28,7 @@ use dod_shard::{
     CommitAck, DurableSession, HealthReport, IngestPipeline, PipelineGauges, ShardSpec,
     ShardedStreamDetector,
 };
-use dod_stream::{Backend, GraphParams, VectorSpace, WindowSpec};
+use dod_stream::{Backend, VectorSpace, WindowSpec};
 use dod_wire::shapes::{SessionCreateRequest, WindowShape};
 use std::path::Path;
 use std::sync::Arc;
@@ -155,9 +161,9 @@ pub(crate) fn open(
     }
 }
 
-/// [`open`] once the metric is a type: derives the window, shard spec
-/// and audit cadence, and opens the detector (or the durable session
-/// around it) over `VectorSpace<M>`.
+/// [`open`] once the metric is a type: derives the window and shard
+/// spec, and opens the detector (or the durable session around it) over
+/// `VectorSpace<M>`.
 fn open_with<M: VectorMetric + Clone + 'static>(
     metric: M,
     kind: MetricKind,
@@ -177,37 +183,18 @@ fn open_with<M: VectorMetric + Clone + 'static>(
     if let Some(pivots) = create.pivots_per_shard {
         spec = spec.with_pivots_per_shard(pivots as usize);
     }
-    // Audit cadence is observability configuration, not logged window
-    // state: it applies on every open, create and recovery alike, before
-    // any new point arrives. A zero sample_rate is a typed 400, never a
-    // silent clamp.
-    let audit = (create.sample_rate.is_some() || create.audit_sample.is_some()).then(|| {
-        let defaults = GraphParams::default();
-        (
-            create.sample_rate.unwrap_or(defaults.sample_rate),
-            create
-                .audit_sample
-                .map_or(defaults.audit_sample, |n| n as usize),
-        )
-    });
     // Exhaustive per-shard backend: wire sessions promise exact answers.
     let backend = Backend::Exhaustive;
     let (spawn, durable) = match dir {
         None => {
-            let mut det = ShardedStreamDetector::open(space, query, window, backend, spec)?;
-            if let Some((sample_rate, audit_sample)) = audit {
-                det.set_audit_params(sample_rate, audit_sample)?;
-            }
+            let det = ShardedStreamDetector::open(space, query, window, backend, spec)?;
             let spawn: Spawn = Box::new(move |queue| Box::new(det.into_pipeline(queue)));
             (spawn, None)
         }
         Some(dir) => {
             let policy = crate::durable::policy_from(create);
-            let (mut session, _recovery) =
+            let (session, _recovery) =
                 DurableSession::open(space, query, window, backend, spec, dir, policy)?;
-            if let Some((sample_rate, audit_sample)) = audit {
-                session.set_audit_params(sample_rate, audit_sample)?;
-            }
             let durable = DurableInfo {
                 telemetry: session.telemetry(),
                 dir: dir.to_path_buf(),

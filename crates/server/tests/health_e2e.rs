@@ -1,10 +1,12 @@
-//! End-to-end tests for the index-health surface: the
-//! `GET /v1/debug/health` document (recall audits, index structure,
-//! shard balance), its strict query validation, its byte-stability
-//! across idle scrapes, the `dod_graph_*` / `dod_shard_balance_*`
-//! metric families next to the exact phase-time counters, one consistent
-//! cut per scrape under live ingest, and the audit knobs' journey
-//! through session creation and recovery.
+//! End-to-end tests for the health surface: the `GET /v1/debug/health`
+//! document (engine footprints, per-session shard balance), its strict
+//! query validation, its byte-stability across idle scrapes, the
+//! `dod_shard_balance_*` metric families next to the exact phase-time
+//! counters, one consistent cut per scrape under live ingest, and the
+//! absence of graph and recall-audit output for wire sessions, which
+//! all run the exhaustive backend — in a scrape, in the health document,
+//! and in a durable manifest written when sessions still took audit
+//! knobs.
 
 use dod_server::DodServer;
 use dod_wire::JsonValue;
@@ -79,9 +81,9 @@ fn assert_envelope(body: &str, kind: &str) {
     assert_eq!(envelope.kind, kind, "{body}");
 }
 
-/// A session spec that audits every insert against brute force, so a
-/// short stream still accumulates a meaningful audit count.
-const AUDITED: &str = r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":32},"shards":2,"warmup":4,"sample_rate":1,"audit_sample":4}"#;
+/// A 2-shard session whose short warm-up partitions a short stream.
+const SHARDED: &str =
+    r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":32},"shards":2,"warmup":4}"#;
 
 fn ingest_grid(addr: SocketAddr, path: &str, n: usize) {
     let rows: Vec<String> = (0..n)
@@ -92,14 +94,14 @@ fn ingest_grid(addr: SocketAddr, path: &str, n: usize) {
 }
 
 #[test]
-fn health_reports_recall_audits_index_structure_and_balance() {
+fn health_reports_shard_balance_per_session() {
     let handle = DodServer::builder()
         .workers(2)
         .bind("127.0.0.1:0")
         .expect("bind")
         .start();
     let addr = handle.addr();
-    let (status, body) = post(addr, "/v1/sessions", AUDITED);
+    let (status, body) = post(addr, "/v1/sessions", SHARDED);
     assert_eq!(status, 201, "{body}");
     ingest_grid(addr, "/v1/sessions/s1/ingest", 24);
     let (status, body) = get(addr, "/v1/debug/health");
@@ -113,27 +115,17 @@ fn health_reports_recall_audits_index_structure_and_balance() {
     let s = &sessions[0];
     assert_eq!(s.get("id").and_then(JsonValue::as_str), Some("s1"));
     assert_eq!(s.get("alive").and_then(JsonValue::as_bool), Some(true));
-    let recall = s.get("recall").expect("recall section");
-    let audits = recall.get("audits").and_then(JsonValue::as_usize).unwrap();
-    assert!(audits > 0, "sample_rate=1 must audit: {body}");
-    // Wire sessions run the exhaustive backend: discovery *is* the
-    // brute-force scan, so the audited recall is exactly 1.
+    // Wire sessions run the exhaustive backend: no graph to describe and
+    // no recall audit, so the row carries no section about either.
+    let JsonValue::Obj(fields) = s else {
+        panic!("session row is not an object: {body}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(
-        recall.get("estimate").and_then(JsonValue::as_f64),
-        Some(1.0)
+        keys,
+        ["id", "metric", "shards", "durable", "alive", "balance"],
+        "{body}"
     );
-    let index = s.get("index").expect("index section");
-    assert_eq!(index.get("exact").and_then(JsonValue::as_bool), Some(true));
-    assert_eq!(
-        index.get("tombstone_ratio").and_then(JsonValue::as_f64),
-        Some(0.0),
-        "exhaustive backends carry no tombstones"
-    );
-    let hist = index
-        .get("degree_hist")
-        .and_then(JsonValue::as_arr)
-        .unwrap();
-    assert_eq!(hist.len(), 9, "bucket count is pinned");
     let balance = s.get("balance").expect("balance section");
     assert_eq!(
         balance
@@ -163,7 +155,7 @@ fn health_filters_are_strict_and_name_their_mistakes() {
         .expect("bind")
         .start();
     let addr = handle.addr();
-    let (status, body) = post(addr, "/v1/sessions", AUDITED);
+    let (status, body) = post(addr, "/v1/sessions", SHARDED);
     assert_eq!(status, 201, "{body}");
     // A matching filter narrows the document to that resource.
     let (status, body) = get(addr, "/v1/debug/health?session=s1");
@@ -210,7 +202,7 @@ fn health_is_byte_stable_across_idle_scrapes() {
         .expect("bind")
         .start();
     let addr = handle.addr();
-    let create = r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":32},"shards":2,"warmup":4,"durable":true,"sample_rate":1,"audit_sample":4}"#;
+    let create = r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":32},"shards":2,"warmup":4,"durable":true}"#;
     let (status, body) = post(addr, "/v1/sessions", create);
     assert_eq!(status, 201, "{body}");
     ingest_grid(addr, "/v1/sessions/s1/ingest", 24);
@@ -230,58 +222,67 @@ fn health_is_byte_stable_across_idle_scrapes() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+/// Sessions no longer take audit knobs, but a durable session created
+/// when they did has them in its manifest (written by the request's
+/// `to_json`, after every other field). Recovery must still bring it
+/// back, while a new creation body naming either knob is refused.
 #[test]
 fn audit_knobs_are_validated_and_survive_recovery() {
     let data_dir = scratch("knobs");
-    let handle = DodServer::builder()
-        .workers(2)
-        .data_dir(&data_dir)
-        .bind("127.0.0.1:0")
-        .expect("bind")
-        .start();
+    let serve = || {
+        DodServer::builder()
+            .workers(2)
+            .data_dir(&data_dir)
+            .bind("127.0.0.1:0")
+            .expect("bind")
+            .start()
+    };
+    let handle = serve();
     let addr = handle.addr();
-    // sample_rate=0 is a typed 400 at creation, not a silent clamp —
-    // and no session slot is consumed by the refusal.
-    let zero =
-        r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":32},"shards":1,"sample_rate":0}"#;
-    let (status, body) = post(addr, "/v1/sessions", zero);
-    assert_eq!(status, 400, "{body}");
-    assert_envelope(&body, "invalid_spec");
-    assert!(
-        body.contains("audit_sample"),
-        "hints the off switch: {body}"
-    );
-    // A durable session's audit cadence lives in its manifest…
-    let create = r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":32},"shards":2,"warmup":4,"durable":true,"sample_rate":1,"audit_sample":4}"#;
+    let create = r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":32},"shards":2,"warmup":4,"durable":true}"#;
     let (status, body) = post(addr, "/v1/sessions", create);
     assert_eq!(status, 201, "{body}");
-    ingest_grid(addr, "/v1/sessions/s1/ingest", 16);
-    let audits_of = |body: &str| {
-        parse(body)
-            .get("sessions")
-            .and_then(JsonValue::as_arr)
-            .and_then(|s| s.first()?.get("recall")?.get("audits")?.as_usize())
-            .unwrap_or_else(|| panic!("no audit count in {body}"))
-    };
-    let (_, body) = get(addr, "/v1/debug/health?session=s1");
-    assert!(audits_of(&body) > 0, "{body}");
+    ingest_grid(addr, "/v1/sessions/s1/ingest", 40);
+    let (status, report) = get(addr, "/v1/sessions/s1/report");
+    assert_eq!(status, 200, "{report}");
     handle.shutdown();
-    // …so recovery re-applies it: the replayed window plus fresh ingest
-    // keep auditing without the client re-sending the knobs.
-    let handle = DodServer::builder()
-        .workers(2)
-        .data_dir(&data_dir)
-        .bind("127.0.0.1:0")
-        .expect("rebind")
-        .start();
+
+    // Rewrite the manifest the way an older server wrote it.
+    let manifest = data_dir.join("sessions").join("s1").join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let old = text
+        .strip_suffix('}')
+        .map(|head| format!("{head},\"sample_rate\":1,\"audit_sample\":4}}"))
+        .unwrap_or_else(|| panic!("manifest is not an object: {text}"));
+    std::fs::write(&manifest, &old).expect("rewrite manifest");
+
+    let handle = serve();
     let addr = handle.addr();
-    let (_, before) = get(addr, "/v1/debug/health?session=s1");
-    ingest_grid(addr, "/v1/sessions/s1/ingest", 8);
-    let (_, after) = get(addr, "/v1/debug/health?session=s1");
-    assert!(
-        audits_of(&after) > audits_of(&before),
-        "recovered session keeps auditing: {before} -> {after}"
-    );
+    let (status, listing) = get(addr, "/v1/sessions");
+    assert_eq!(status, 200, "{listing}");
+    assert!(listing.contains("\"id\":\"s1\""), "{listing}");
+    let (status, recovered) = get(addr, "/v1/sessions/s1/report");
+    assert_eq!(status, 200, "{recovered}");
+    assert_eq!(recovered, report, "recovery changed the answer");
+
+    // A creation body carrying either knob is a 400 that names it, and
+    // consumes no session slot.
+    for knob in ["sample_rate", "audit_sample"] {
+        let body = create.replace(r#""durable":true"#, &format!(r#""{knob}":4"#));
+        let (status, reply) = post(addr, "/v1/sessions", &body);
+        assert_eq!(status, 400, "{reply}");
+        let envelope = dod_wire::shapes::ErrorEnvelope::from_json(&parse(&reply))
+            .unwrap_or_else(|| panic!("{reply}"));
+        assert_eq!(envelope.kind, "bad_request", "{reply}");
+        assert!(
+            envelope
+                .message
+                .starts_with(&format!("unknown key {knob:?}")),
+            "{reply}"
+        );
+    }
+    let (_, after) = get(addr, "/v1/sessions");
+    assert_eq!(after, listing, "a refused body created a session");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }
@@ -296,24 +297,19 @@ fn metric_value(text: &str, line_start: &str) -> f64 {
 }
 
 #[test]
-fn metrics_carry_graph_balance_and_profile_series() {
+fn metrics_carry_balance_and_profile_series() {
     let handle = DodServer::builder()
         .workers(2)
         .bind("127.0.0.1:0")
         .expect("bind")
         .start();
     let addr = handle.addr();
-    let (status, body) = post(addr, "/v1/sessions", AUDITED);
+    let (status, body) = post(addr, "/v1/sessions", SHARDED);
     assert_eq!(status, 201, "{body}");
     ingest_grid(addr, "/v1/sessions/s1/ingest", 24);
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
     for series in [
-        "dod_graph_recall_estimate{session=\"s1\"} 1",
-        "dod_graph_recall_audits_total{session=\"s1\"}",
-        "dod_graph_tombstone_ratio{session=\"s1\"} 0",
-        "dod_graph_live_nodes{session=\"s1\"}",
-        "dod_graph_degree_nodes{session=\"s1\",le=\"+Inf\"}",
         "dod_shard_balance_owned_skew{session=\"s1\"}",
         "dod_shard_balance_slide_skew{session=\"s1\"}",
         "dod_shard_balance_ghost_rate{session=\"s1\",shard=\"0\"}",
@@ -331,6 +327,38 @@ fn metrics_carry_graph_balance_and_profile_series() {
     ] {
         assert!(metric_value(&metrics, phase) > 0.0, "{phase}not timed");
     }
+    handle.shutdown();
+}
+
+/// A session holding 1,024 residents after 2,048 points has slid past
+/// the graph backend's default audit cadence twice, yet it runs the
+/// exhaustive backend: its scrape must carry no graph-structure or
+/// recall-audit series at all, rather than series that can only read 0.
+#[test]
+fn exact_sessions_export_no_graph_or_audit_series() {
+    let handle = DodServer::builder()
+        .workers(2)
+        .bind("127.0.0.1:0")
+        .expect("bind")
+        .start();
+    let addr = handle.addr();
+    let create = r#"{"metric":"l2","dim":2,"r":0.5,"k":2,"window":{"count":1024},"shards":1}"#;
+    let (status, body) = post(addr, "/v1/sessions", create);
+    assert_eq!(status, 201, "{body}");
+    for _ in 0..4 {
+        ingest_grid(addr, "/v1/sessions/s1/ingest", 512);
+    }
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    assert_eq!(
+        metric_value(&metrics, "dod_stream_inserts_total{session=\"s1\"} "),
+        2048.0
+    );
+    let stray: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.contains("dod_graph_") || l.contains("dod_cost_audit_"))
+        .collect();
+    assert!(stray.is_empty(), "graph or audit series: {stray:?}");
     handle.shutdown();
 }
 

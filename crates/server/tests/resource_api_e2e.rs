@@ -68,12 +68,14 @@ fn delete(addr: SocketAddr, path: &str) -> (u16, String) {
     exchange(addr, "DELETE", path, None)
 }
 
-fn assert_envelope(body: &str, kind: &str) {
+/// Asserts the error envelope's kind and returns its message.
+fn assert_envelope(body: &str, kind: &str) -> String {
     let doc = dod_wire::parse_json(body).unwrap_or_else(|e| panic!("not JSON ({e}): {body}"));
     let envelope =
         dod_wire::shapes::ErrorEnvelope::from_json(&doc).unwrap_or_else(|| panic!("{body}"));
     assert_eq!(envelope.kind, kind, "{body}");
     assert!(!envelope.message.is_empty(), "{body}");
+    envelope.message
 }
 
 fn bare_server() -> ServerHandle {
@@ -252,6 +254,18 @@ fn engine_creation_is_validated_and_save_load_round_trips() {
     let (status, body) = put(addr, "/v1/engines/e", r#"{"n":10}"#);
     assert_eq!(status, 400);
     assert_envelope(&body, "bad_request");
+    // An unknown key is named, never dropped: "indx" must not build the
+    // default index.
+    let (status, body) = put(
+        addr,
+        "/v1/engines/e",
+        r#"{"family":"sift","n":10,"indx":"mrpg:8"}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(
+        assert_envelope(&body, "bad_request"),
+        "unknown key \"indx\" in engine body; supported: family, n, seed, index, load"
+    );
     // None of that created anything.
     let (_, body) = get(addr, "/v1/engines");
     assert_eq!(body, r#"{"engines":[],"capacity":8}"#);
@@ -299,6 +313,38 @@ fn engine_creation_is_validated_and_save_load_round_trips() {
     assert_eq!(status, 503, "{body}");
     assert_envelope(&body, "io");
     std::fs::remove_dir_all(&dir).ok();
+    handle.shutdown();
+}
+
+/// A mistyped key in a session body, top-level or inside `"window"`, is a
+/// 400 naming it: `"shard"` must not open one shard, `"durabel"` must
+/// not open a volatile session.
+#[test]
+fn session_bodies_reject_unknown_keys() {
+    let handle = bare_server();
+    let addr = handle.addr();
+    let top = "supported: metric, dim, r, k, window, shards, warmup, pivots_per_shard, \
+               durable, sync, snapshot_ops";
+    for (req, want) in [
+        (
+            r#"{"metric":"l2","dim":2,"r":1,"k":2,"window":{"count":16},"shard":4}"#,
+            format!("unknown key \"shard\" in session body; {top}"),
+        ),
+        (
+            r#"{"metric":"l2","dim":2,"r":1,"k":2,"window":{"count":16},"durabel":true}"#,
+            format!("unknown key \"durabel\" in session body; {top}"),
+        ),
+        (
+            r#"{"metric":"l2","dim":2,"r":1,"k":2,"window":{"count":16,"tme":5}}"#,
+            "unknown key \"tme\" in \"window\"; supported: count, time".to_string(),
+        ),
+    ] {
+        let (status, body) = post(addr, "/v1/sessions", req);
+        assert_eq!(status, 400, "{req} -> {body}");
+        assert_eq!(assert_envelope(&body, "bad_request"), want, "{req}");
+    }
+    let (_, body) = get(addr, "/v1/sessions");
+    assert!(body.starts_with(r#"{"sessions":[]"#), "{body}");
     handle.shutdown();
 }
 

@@ -59,27 +59,12 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         };
         let shards = (0..spec.shards)
             .map(|_| Shard::new(space.clone(), shard_params, backend.clone()))
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(ShardedStreamDetector {
             router,
             shards,
             backend,
         })
-    }
-
-    /// Reconfigures every shard's sampled recall auditor: audit
-    /// `audit_sample` residents every `sample_rate` local slides. A zero
-    /// `sample_rate` is a typed [`DodError::InvalidSpec`] (disable with
-    /// `audit_sample = 0` instead); no knob is silently clamped.
-    pub fn set_audit_params(
-        &mut self,
-        sample_rate: u64,
-        audit_sample: usize,
-    ) -> Result<(), DodError> {
-        for shard in &mut self.shards {
-            shard.set_audit_params(sample_rate, audit_sample)?;
-        }
-        Ok(())
     }
 
     /// Ingests a point at the next unit-spaced tick (`0, 1, 2, …`).

@@ -251,11 +251,12 @@ where
         dir: &Path,
         policy: DurabilityPolicy,
     ) -> Result<(Self, RecoveryStats), DodError> {
+        // The detector first: a spec it refuses never touches the disk.
+        let mut det = ShardedStreamDetector::open(space, query, window, backend, spec)?;
         let (wal, recovered): (SessionWal<S::Point>, Recovered<S::Point>) =
             SessionWal::open(dir, policy.sync)?;
         let telemetry = wal.telemetry();
         let t0 = std::time::Instant::now();
-        let mut det = ShardedStreamDetector::open(space, query, window, backend, spec)?;
         let mut shadow: VecDeque<(f64, S::Point)> = VecDeque::new();
         let Recovered {
             snapshot,
@@ -329,18 +330,6 @@ where
     /// would diverge from the state it claims to reproduce.
     pub fn detector(&self) -> &ShardedStreamDetector<S> {
         &self.det
-    }
-
-    /// Reconfigures the sampled recall auditor on every shard (see
-    /// [`ShardedStreamDetector::set_audit_params`]). Audit cadence is
-    /// *not* logged: it shapes observability, not window state, so a
-    /// recovered session re-applies it from its manifest, not the WAL.
-    pub fn set_audit_params(
-        &mut self,
-        sample_rate: u64,
-        audit_sample: usize,
-    ) -> Result<(), dod_core::DodError> {
-        self.det.set_audit_params(sample_rate, audit_sample)
     }
 
     /// Ingests at the next unit-spaced tick, logged and committed.

@@ -1,6 +1,8 @@
 //! Shard-balance health: the per-shard occupancy, timing, and index
-//! structure document behind `GET /v1/debug/health` and the
-//! `dod_shard_balance_*` metric family.
+//! structure document. Its balance gauges are what `GET /v1/debug/health`
+//! and the `dod_shard_balance_*` metric family report; the index
+//! structure only describes something on the graph backend, which wire
+//! sessions do not run.
 //!
 //! The derived gauges are the early-warning signals a future
 //! re-pivoting policy would act on: a drifting stream concentrates mass
@@ -24,8 +26,9 @@ pub struct ShardHealth {
     pub ghosts: usize,
     /// The shard detector's lifetime counters.
     pub stats: StreamStats,
-    /// The shard's index-structure document (recall audits, tombstones,
-    /// degree histogram, maintenance counters).
+    /// The shard's index-structure document (tombstones, degree
+    /// histogram, maintenance counters; all zero on the exhaustive
+    /// backend).
     pub index: IndexHealth,
 }
 

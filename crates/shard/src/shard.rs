@@ -26,23 +26,14 @@ pub(crate) struct Shard<S: Space> {
 }
 
 impl<S: Space + 'static> Shard<S> {
-    pub fn new(space: S, params: StreamParams, backend: Backend) -> Self {
-        Shard {
-            det: StreamDetector::try_with_backend(space, params, backend)
-                .expect("sharded params were validated at open"),
+    /// A shard over a fresh window, or the backend's [`DodError`] (a bad
+    /// [`GraphParams`](dod_stream::GraphParams) is only caught here).
+    pub fn new(space: S, params: StreamParams, backend: Backend) -> Result<Self, DodError> {
+        Ok(Shard {
+            det: StreamDetector::try_with_backend(space, params, backend)?,
             meta: VecDeque::new(),
             meta_front: 0,
-        }
-    }
-
-    /// Reconfigures this shard's sampled recall auditor (see
-    /// [`StreamDetector::set_audit_params`]).
-    pub fn set_audit_params(
-        &mut self,
-        sample_rate: u64,
-        audit_sample: usize,
-    ) -> Result<(), DodError> {
-        self.det.set_audit_params(sample_rate, audit_sample)
+        })
     }
 
     /// Applies one routed op.

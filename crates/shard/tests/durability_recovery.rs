@@ -16,13 +16,13 @@
 //! argument is partition-independent, which is what lets recovery skip
 //! persisting routing state.
 
-use dod_core::Query;
+use dod_core::{DodError, Query};
 use dod_datasets::StreamScenario;
 use dod_metrics::L2;
 use dod_shard::{
     CommitAck, DurabilityPolicy, DurableSession, ShardSpec, ShardedStreamDetector, SyncPolicy,
 };
-use dod_stream::{Backend, VectorSpace, WindowSpec};
+use dod_stream::{Backend, GraphParams, VectorSpace, WindowSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -464,4 +464,29 @@ fn commit_barrier_reports_degraded_after_wal_failure() {
     assert!(telemetry.io_errors.get() > 0, "failure was counted");
     drop(pipeline);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A backend the detector refuses is a typed error from the durable
+/// open as well, raised before the session's directory is created.
+#[test]
+fn bad_graph_params_refuse_before_touching_the_disk() {
+    let dir = scratch();
+    let backend = Backend::Graph(GraphParams {
+        sample_rate: 0,
+        ..GraphParams::default()
+    });
+    let opened = DurableSession::open(
+        VectorSpace::new(L2, DIM),
+        Query::new(R, K).expect("valid query"),
+        WindowSpec::Count(24),
+        backend,
+        ShardSpec::new(2).with_warmup(4),
+        &dir,
+        DurabilityPolicy::with_sync(SyncPolicy::Always),
+    );
+    match opened {
+        Err(err) => assert!(matches!(err, DodError::InvalidSpec { .. }), "{err}"),
+        Ok(_) => panic!("zero sample_rate must not construct"),
+    }
+    assert!(!dir.exists(), "a refused spec created {}", dir.display());
 }

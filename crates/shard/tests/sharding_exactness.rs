@@ -342,6 +342,19 @@ fn invalid_specs_surface_as_typed_errors() {
         ShardSpec::new(2),
     );
     assert!(matches!(bad_window, Err(DodError::InvalidWindow { .. })));
+    // A backend the single detector refuses is the same typed error here,
+    // not a panic in a shard's constructor.
+    let bad_backend = ShardedStreamDetector::open(
+        VectorSpace::new(L2, 1),
+        query,
+        WindowSpec::Count(8),
+        Backend::Graph(GraphParams {
+            sample_rate: 0,
+            ..GraphParams::default()
+        }),
+        ShardSpec::new(2),
+    );
+    assert!(matches!(bad_backend, Err(DodError::InvalidSpec { .. })));
 }
 
 #[test]

@@ -163,7 +163,8 @@ pub struct StreamStats {
     pub insert_nanos: u64,
     /// Wall time spent expiring due residents, in nanoseconds.
     pub expiry_nanos: u64,
-    /// Sampled discovery-recall audits performed.
+    /// Sampled discovery-recall audits performed (graph backend only: an
+    /// exact backend never audits).
     pub recall_audits: u64,
     /// Across all audited residents: in-range neighbors the backend's
     /// discovery actually found, each resident capped at `k` (finding
@@ -294,10 +295,11 @@ pub struct StreamDetector<S: Space> {
     states: SeqMap<NeighborState>,
     index: Box<dyn StreamIndex<S> + Send>,
     stats: StreamStats,
-    /// Slides between sampled recall audits (≥ 1; see
-    /// [`set_audit_params`](Self::set_audit_params)).
+    /// Slides between sampled recall audits ([`GraphParams::sample_rate`];
+    /// read only while `audit_sample > 0`).
     audit_every: u64,
-    /// Residents re-discovered per audit (`0` = auditing disabled).
+    /// Residents re-discovered per audit ([`GraphParams::audit_sample`];
+    /// `0` = never audit, always so on the exhaustive backend).
     audit_sample: usize,
     /// Slides since the last audit.
     since_audit: u64,
@@ -345,7 +347,10 @@ impl<S: Space> StreamDetector<S> {
     }
 
     /// A detector on the chosen backend, or a [`DodError`] for invalid
-    /// parameters.
+    /// parameters. Only [`Backend::Graph`] is recall-audited, at the
+    /// cadence its [`GraphParams`] set: exhaustive discovery *is* the
+    /// brute-force scan an audit compares against, so an exact backend
+    /// never audits.
     pub fn try_with_backend(
         space: S,
         params: StreamParams,
@@ -354,30 +359,16 @@ impl<S: Space> StreamDetector<S> {
     where
         S: 'static,
     {
-        let (index, audit): (Box<dyn StreamIndex<S> + Send>, _) = match backend {
-            Backend::Exhaustive => (Box::new(ExhaustiveIndex::default()), None),
-            Backend::Graph(gp) => {
-                gp.validate()?;
-                let audit = (gp.sample_rate, gp.audit_sample);
-                (Box::new(GraphIndex::new(gp, params.k)), Some(audit))
-            }
-        };
-        let mut det = Self::try_with_index(space, params, index)?;
-        if let Some((sample_rate, audit_sample)) = audit {
-            det.set_audit_params(sample_rate, audit_sample)?;
-        }
-        Ok(det)
-    }
-
-    /// A detector on a custom [`StreamIndex`] implementation, or a
-    /// [`DodError`] for invalid parameters.
-    pub fn try_with_index(
-        space: S,
-        params: StreamParams,
-        index: Box<dyn StreamIndex<S> + Send>,
-    ) -> Result<Self, DodError> {
+        let (index, audit_every, audit_sample): (Box<dyn StreamIndex<S> + Send>, _, _) =
+            match backend {
+                Backend::Exhaustive => (Box::new(ExhaustiveIndex::default()), 0, 0),
+                Backend::Graph(gp) => {
+                    gp.validate()?;
+                    let (every, sample) = (gp.sample_rate, gp.audit_sample);
+                    (Box::new(GraphIndex::new(gp, params.k)), every, sample)
+                }
+            };
         params.validate()?;
-        let defaults = GraphParams::default();
         Ok(StreamDetector {
             space,
             params,
@@ -385,30 +376,10 @@ impl<S: Space> StreamDetector<S> {
             states: SeqMap::default(),
             index,
             stats: StreamStats::default(),
-            audit_every: defaults.sample_rate,
-            audit_sample: defaults.audit_sample,
+            audit_every,
+            audit_sample,
             since_audit: 0,
         })
-    }
-
-    /// Reconfigures the sampled recall auditor: audit `audit_sample`
-    /// residents every `sample_rate` slides. A zero `sample_rate` is a
-    /// typed [`DodError::InvalidSpec`] (disable with `audit_sample = 0`
-    /// instead); no knob is ever silently clamped.
-    pub fn set_audit_params(
-        &mut self,
-        sample_rate: u64,
-        audit_sample: usize,
-    ) -> Result<(), DodError> {
-        if sample_rate == 0 {
-            return Err(DodError::InvalidSpec {
-                reason: "sample_rate must be >= 1 (set audit_sample = 0 to disable audits)"
-                    .to_string(),
-            });
-        }
-        self.audit_every = sample_rate;
-        self.audit_sample = audit_sample;
-        Ok(())
     }
 
     /// Ingests a point at the next unit-spaced tick (`0, 1, 2, …`).

@@ -43,7 +43,9 @@ pub struct GraphParams {
     /// Slides between sampled discovery-recall audits (must be ≥ 1; see
     /// [`GraphParams::validate`]). Each audit re-discovers a few window
     /// residents read-only and compares against a brute-force count, so
-    /// the exported recall estimate tracks graph degradation live.
+    /// [`StreamStats::recall_estimate`](crate::StreamStats::recall_estimate)
+    /// tracks graph degradation live. The only place the audit cadence
+    /// is set: the exhaustive backend is never audited.
     pub sample_rate: u64,
     /// Residents re-checked per audit (`0` disables auditing entirely).
     pub audit_sample: usize,

@@ -130,25 +130,11 @@ pub trait StreamIndex<S: Space> {
     /// Re-runs neighbor discovery for an *existing* resident, read-only
     /// (no linking, no structural change): what would this backend find
     /// for `seq` right now? The recall auditor compares the result
-    /// against a brute-force count. The default is the brute-force scan
-    /// itself, so exact backends audit at recall 1.0 by construction.
-    fn audit_discover(&mut self, view: &WindowView<'_, S>, seq: u64, r: f64) -> Vec<u64> {
-        let mut found = Vec::new();
-        if view.len() == 0 {
-            return found;
-        }
-        let Some(own) = seq.checked_sub(view.seq_at(0)).map(|o| o as usize) else {
-            return found;
-        };
-        if own >= view.len() {
-            return found;
-        }
-        for pos in 0..view.len() {
-            if pos != own && view.dist(own, pos) <= r {
-                found.push(view.seq_at(pos));
-            }
-        }
-        found
+    /// against a brute-force count. Only the graph backend is audited —
+    /// an exact backend's discovery *is* that brute-force count — so the
+    /// default, which finds nothing, never runs.
+    fn audit_discover(&mut self, _view: &WindowView<'_, S>, _seq: u64, _r: f64) -> Vec<u64> {
+        Vec::new()
     }
 
     /// Fault injection for degradation tests: throw away all but the

@@ -16,13 +16,15 @@
 //!   succeeding neighbors is a **safe inlier** (DOLPHIN's observation,
 //!   carried over from `dod_core::dolphin`): it can never become an outlier,
 //!   so all tracking stops.
-//! * **Discovery is pluggable** ([`StreamIndex`]): the
-//!   [`ExhaustiveIndex`] backend scans the window once per insertion and
-//!   keeps every count exact; the [`GraphIndex`] backend wires new points
-//!   into a lazily-repaired proximity graph (tombstoned expiries, periodic
-//!   compaction) and discovers neighbors with the paper's greedy ball walk
+//! * **Two discovery backends** ([`Backend`]): the [`ExhaustiveIndex`]
+//!   scans the window once per insertion and keeps every count exact;
+//!   the [`GraphIndex`] wires new points into a lazily-repaired proximity
+//!   graph (tombstoned expiries, periodic compaction) and discovers
+//!   neighbors with the paper's greedy ball walk
 //!   ([`dod_core::greedy_collect`]) — a certified subset, so counts are
-//!   lower bounds.
+//!   lower bounds. Only the graph backend can miss a neighbor, so only
+//!   it runs the sampled recall auditor, at the cadence its
+//!   [`GraphParams`] set.
 //! * **Verdicts are verified** the way the paper's Algorithm 1 verifies
 //!   filter survivors: a candidate whose maintained count is below `k` and
 //!   not known-exact gets a lazy exact repair against the window before it

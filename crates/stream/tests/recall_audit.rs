@@ -1,7 +1,9 @@
-//! The sampled discovery-recall auditor: exact backends audit at recall
-//! 1.0 by construction, a healthy graph stays near 1.0, a deliberately
-//! degraded graph falls measurably — and exactness holds throughout,
-//! because verdicts are repaired against the window, never the graph.
+//! The sampled discovery-recall auditor belongs to the graph backend:
+//! exact backends are never audited (their discovery is the brute-force
+//! scan an audit compares against), a healthy graph stays near 1.0, a
+//! deliberately degraded graph falls measurably — and exactness holds
+//! throughout, because verdicts are repaired against the window, never
+//! the graph.
 
 use dod_core::DodError;
 use dod_metrics::L2;
@@ -24,38 +26,49 @@ fn clustered_stream(n: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn audited_detector(backend: Backend, w: usize) -> StreamDetector<VectorSpace<L2>> {
-    let mut det = StreamDetector::try_with_backend(
+fn detector(backend: Backend, w: usize) -> StreamDetector<VectorSpace<L2>> {
+    StreamDetector::try_with_backend(
         VectorSpace::new(L2, 2),
         StreamParams::count(1.0, 3, w),
         backend,
     )
-    .expect("valid params");
-    // Audit every slide so short test streams accumulate real samples.
-    det.set_audit_params(1, 8).expect("valid audit knobs");
-    det
+    .expect("valid params")
+}
+
+/// A graph detector that audits every slide, so short test streams
+/// accumulate real samples.
+fn audited_graph(w: usize) -> StreamDetector<VectorSpace<L2>> {
+    detector(
+        Backend::Graph(GraphParams {
+            sample_rate: 1,
+            audit_sample: 8,
+            ..GraphParams::default()
+        }),
+        w,
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// When discovery is complete, the full `audit()` agrees with
-    /// `outliers()` after every slide AND the sampled recall estimate is
-    /// pinned to exactly 1.0 — not approximately: hits equals expected
-    /// resident by resident.
+    /// `outliers()` after every slide, and the recall estimate is exactly
+    /// 1.0 because nothing was sampled: an exact backend never audits,
+    /// so it spends no distance evaluation on it either.
     #[test]
     fn exact_discovery_pins_the_estimate_to_one(
         seed in 0u64..10_000,
         w in 4usize..48,
     ) {
-        let mut det = audited_detector(Backend::Exhaustive, w);
+        let mut det = detector(Backend::Exhaustive, w);
         for p in clustered_stream(80, seed) {
             det.insert(p);
             prop_assert_eq!(det.outliers(), det.audit());
         }
         let stats = det.stats();
-        prop_assert!(stats.recall_audits > 0, "auditor never ran");
-        prop_assert_eq!(stats.recall_hits, stats.recall_expected);
+        prop_assert_eq!(stats.recall_audits, 0, "exact backend audited");
+        prop_assert_eq!((stats.recall_hits, stats.recall_expected), (0, 0));
+        prop_assert_eq!((stats.audit_dist_evals, stats.audit_hops), (0, 0));
         prop_assert_eq!(stats.recall_estimate(), 1.0);
     }
 
@@ -65,7 +78,7 @@ proptest! {
     fn graph_estimate_is_a_recall_and_exactness_holds(
         seed in 0u64..10_000,
     ) {
-        let mut det = audited_detector(Backend::Graph(GraphParams::default()), 32);
+        let mut det = audited_graph(32);
         for p in clustered_stream(80, seed) {
             det.insert(p);
             prop_assert_eq!(det.outliers(), det.audit());
@@ -82,7 +95,7 @@ proptest! {
 /// and must NOT show up in the answers.
 #[test]
 fn injected_edge_loss_degrades_the_estimate_but_not_the_answers() {
-    let mut det = audited_detector(Backend::Graph(GraphParams::default()), 64);
+    let mut det = audited_graph(64);
     let points = clustered_stream(400, 7);
     let (warm, rest) = points.split_at(200);
     for p in warm {
@@ -128,7 +141,7 @@ fn injected_edge_loss_degrades_the_estimate_but_not_the_answers() {
 /// maintenance history.
 #[test]
 fn graph_health_document_tracks_structure() {
-    let mut det = audited_detector(Backend::Graph(GraphParams::default()), 48);
+    let mut det = audited_graph(48);
     for p in clustered_stream(300, 11) {
         det.insert(p);
     }
@@ -143,14 +156,36 @@ fn graph_health_document_tracks_structure() {
     assert_eq!(hist_total, h.live + h.tombstones, "histogram covers arena");
 
     // The exhaustive backend has no structure to degrade.
-    let det = audited_detector(Backend::Exhaustive, 48);
+    let det = detector(Backend::Exhaustive, 48);
     let h = det.index_health();
     assert!(h.exact);
     assert_eq!((h.live, h.tombstones), (0, 0));
     assert_eq!(h.tombstone_ratio(), 0.0);
 }
 
-/// Audit knobs reject nonsense with typed errors instead of clamping.
+/// An exhaustive detector runs the full scan per slide and never an
+/// audit, at any stream length: 2,048 points through a 256-point window
+/// cross the graph backend's default cadence (1,024 slides) twice.
+#[test]
+fn exact_backends_never_audit() {
+    let mut det = StreamDetector::try_with_backend(
+        VectorSpace::new(L2, 2),
+        StreamParams::count(1.0, 2, 256),
+        Backend::Exhaustive,
+    )
+    .expect("valid params");
+    for p in clustered_stream(2048, 5) {
+        det.insert(p);
+    }
+    let stats = det.stats();
+    assert_eq!(stats.inserts, 2048);
+    assert_eq!(stats.recall_audits, 0, "exact backend audited");
+    assert_eq!(stats.audit_dist_evals, 0, "audit work on an exact backend");
+    assert_eq!(det.outliers(), det.audit());
+}
+
+/// Audit knobs reject nonsense with typed errors instead of clamping,
+/// and `GraphParams` is the only place to set them.
 #[test]
 fn audit_knobs_are_validated_not_clamped() {
     let gp = GraphParams {
@@ -166,13 +201,15 @@ fn audit_knobs_are_validated_not_clamped() {
         Ok(_) => panic!("zero sample_rate must not construct"),
     }
 
-    let mut det = audited_detector(Backend::Exhaustive, 16);
-    let err = det
-        .set_audit_params(0, 4)
-        .expect_err("zero sample_rate must not reconfigure");
-    assert!(matches!(err, DodError::InvalidSpec { .. }), "{err}");
     // audit_sample = 0 is the documented off switch, not an error.
-    det.set_audit_params(1, 0).expect("disabling is valid");
+    let mut det = detector(
+        Backend::Graph(GraphParams {
+            sample_rate: 1,
+            audit_sample: 0,
+            ..GraphParams::default()
+        }),
+        16,
+    );
     for p in clustered_stream(40, 3) {
         det.insert(p);
     }

@@ -223,9 +223,13 @@ pub struct EngineCreateRequest {
 }
 
 impl EngineCreateRequest {
-    /// Parses the request body, reporting the first missing or mistyped
-    /// field in words.
+    /// Every key the body may carry.
+    const KEYS: [&'static str; 5] = ["family", "n", "seed", "index", "load"];
+
+    /// Parses the request body, reporting an unknown key or the first
+    /// missing or mistyped field in words.
     pub fn from_json(v: &JsonValue) -> Result<Self, String> {
+        reject_unknown_keys(v, &Self::KEYS, "engine body")?;
         let family = v
             .get("family")
             .and_then(JsonValue::as_str)
@@ -356,19 +360,42 @@ pub struct SessionCreateRequest {
     /// Snapshot (and log-truncate) after this many logged operations;
     /// `None` keeps the server default.
     pub snapshot_ops: Option<u64>,
-    /// Recall-audit cadence: audit every `sample_rate` per-shard slides.
-    /// `None` keeps the engine default; zero is rejected server-side
-    /// with a typed error, never clamped.
-    pub sample_rate: Option<u64>,
-    /// Residents re-checked per audit; `0` disables auditing. `None`
-    /// keeps the engine default.
-    pub audit_sample: Option<u64>,
 }
 
 impl SessionCreateRequest {
-    /// Parses the request body, reporting the first missing or mistyped
-    /// field in words.
+    /// Every top-level key the body may carry.
+    const KEYS: [&'static str; 11] = [
+        "metric",
+        "dim",
+        "r",
+        "k",
+        "window",
+        "shards",
+        "warmup",
+        "pivots_per_shard",
+        "durable",
+        "sync",
+        "snapshot_ops",
+    ];
+
+    /// Every key the `"window"` object may carry (exactly one of them).
+    const WINDOW_KEYS: [&'static str; 2] = ["count", "time"];
+
+    /// Parses the request body, reporting an unknown key (top-level or
+    /// in `"window"`) or the first missing or mistyped field in words.
     pub fn from_json(v: &JsonValue) -> Result<Self, String> {
+        reject_unknown_keys(v, &Self::KEYS, "session body")?;
+        if let Some(window) = v.get("window") {
+            reject_unknown_keys(window, &Self::WINDOW_KEYS, "\"window\"")?;
+        }
+        Self::from_json_lenient(v)
+    }
+
+    /// [`from_json`](Self::from_json) without the unknown-key check, for
+    /// bodies stored by an earlier version (a durable session's
+    /// manifest): a key that version wrote and this one no longer
+    /// defines is ignored.
+    pub fn from_json_lenient(v: &JsonValue) -> Result<Self, String> {
         let metric = v
             .get("metric")
             .and_then(JsonValue::as_str)
@@ -425,8 +452,6 @@ impl SessionCreateRequest {
             durable,
             sync,
             snapshot_ops: field_u64("snapshot_ops")?,
-            sample_rate: field_u64("sample_rate")?,
-            audit_sample: field_u64("audit_sample")?,
         })
     }
 
@@ -459,13 +484,27 @@ impl SessionCreateRequest {
         if let Some(n) = self.snapshot_ops {
             fields.push(("snapshot_ops".to_string(), JsonValue::from(n)));
         }
-        if let Some(n) = self.sample_rate {
-            fields.push(("sample_rate".to_string(), JsonValue::from(n)));
-        }
-        if let Some(n) = self.audit_sample {
-            fields.push(("audit_sample".to_string(), JsonValue::from(n)));
-        }
         JsonValue::Obj(fields)
+    }
+}
+
+/// Refuses a key of the object `v` outside `supported`, naming the first
+/// offender and the supported keys; `what` names the object. A typo must
+/// answer an error, not a default. A non-object passes: its shape error
+/// belongs to the parser.
+fn reject_unknown_keys(v: &JsonValue, supported: &[&str], what: &str) -> Result<(), String> {
+    let JsonValue::Obj(fields) = v else {
+        return Ok(());
+    };
+    match fields
+        .iter()
+        .find(|(key, _)| !supported.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(format!(
+            "unknown key {key:?} in {what}; supported: {}",
+            supported.join(", ")
+        )),
+        None => Ok(()),
     }
 }
 
@@ -583,30 +622,32 @@ mod tests {
     }
 
     #[test]
-    fn session_create_parses_audit_knobs() {
-        let v = parse_json(
-            r#"{"metric":"l2","dim":2,"r":1,"k":2,"window":{"count":32},"sample_rate":64,"audit_sample":4}"#,
-        )
-        .unwrap();
-        let req = SessionCreateRequest::from_json(&v).unwrap();
-        assert_eq!(req.sample_rate, Some(64));
-        assert_eq!(req.audit_sample, Some(4));
-        assert_eq!(SessionCreateRequest::from_json(&req.to_json()), Ok(req));
-        // Absent knobs stay absent (the engine default applies).
-        let v = parse_json(r#"{"metric":"l2","dim":1,"r":1,"k":1,"window":{"count":8}}"#).unwrap();
-        let req = SessionCreateRequest::from_json(&v).unwrap();
-        assert_eq!((req.sample_rate, req.audit_sample), (None, None));
-        assert!(!req.to_json().render().contains("sample_rate"));
-        // Mistyped knobs are named; zero parses (the engine rejects it
-        // with a typed error — the wire shape carries it verbatim).
-        let err = SessionCreateRequest::from_json(
-            &parse_json(
-                r#"{"metric":"l2","dim":1,"r":1,"k":1,"window":{"count":8},"sample_rate":-2}"#,
-            )
-            .unwrap(),
+    fn creation_bodies_reject_unknown_keys() {
+        let err = EngineCreateRequest::from_json(
+            &parse_json(r#"{"family":"sift","n":10,"indx":"mrpg:8"}"#).unwrap(),
         )
         .unwrap_err();
-        assert!(err.contains("sample_rate"), "{err}");
+        assert_eq!(
+            err,
+            "unknown key \"indx\" in engine body; supported: family, n, seed, index, load"
+        );
+        let body = r#"{"metric":"l2","dim":1,"r":1,"k":1,"window":{"count":8},"sample_rate":4}"#;
+        let v = parse_json(body).unwrap();
+        let err = SessionCreateRequest::from_json(&v).unwrap_err();
+        assert!(
+            err.starts_with("unknown key \"sample_rate\" in session body; supported: metric, dim,"),
+            "{err}"
+        );
+        // The lenient parse (stored manifests) ignores the retired key.
+        let req = SessionCreateRequest::from_json_lenient(&v).unwrap();
+        assert_eq!(req.window, WindowShape::Count(8));
+        assert!(!req.to_json().render().contains("sample_rate"));
+        let v = parse_json(r#"{"metric":"l2","dim":1,"r":1,"k":1,"window":{"count":8,"tme":2}}"#)
+            .unwrap();
+        assert_eq!(
+            SessionCreateRequest::from_json(&v).unwrap_err(),
+            "unknown key \"tme\" in \"window\"; supported: count, time"
+        );
     }
 
     #[test]
