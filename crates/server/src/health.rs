@@ -101,14 +101,8 @@ pub(crate) fn handle_debug_health(state: &State, req: &Request) -> Response {
     // keep a cold engine warm), then render with no lock held — the
     // per-session health barrier is a pipeline round-trip that must not
     // block creates and deletes.
-    let mut engines = {
-        let reg = state.engines.read().expect("engine registry lock");
-        reg.sorted()
-    };
-    let mut sessions = {
-        let reg = state.sessions.read().expect("session registry lock");
-        reg.sorted()
-    };
+    let mut engines = state.engines().sorted();
+    let mut sessions = state.sessions().sorted();
     if let Some(want) = &filter.engine {
         engines.retain(|(name, _)| name == want);
         if engines.is_empty() {

@@ -246,7 +246,7 @@ pub fn status_text(status: u16) -> &'static str {
 /// Writes one response with explicit content-length framing. A
 /// `request_id` (sanitized or server-generated — never raw client input)
 /// is echoed as `x-request-id` so clients can correlate answers with
-/// traces and access-log lines.
+/// traces and access-log lines; `allow` is a `405`'s method list.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
@@ -254,6 +254,7 @@ pub fn write_response<W: Write>(
     body: &[u8],
     keep_alive: bool,
     request_id: Option<&str>,
+    allow: Option<&str>,
 ) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
@@ -261,10 +262,13 @@ pub fn write_response<W: Write>(
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    if let Some(id) = request_id {
-        head.push_str("x-request-id: ");
-        head.push_str(id);
-        head.push_str("\r\n");
+    for (name, value) in [("x-request-id", request_id), ("allow", allow)] {
+        if let Some(value) = value {
+            head.push_str(name);
+            head.push_str(": ");
+            head.push_str(value);
+            head.push_str("\r\n");
+        }
     }
     head.push_str("\r\n");
     w.write_all(head.as_bytes())?;
@@ -397,7 +401,7 @@ mod tests {
     #[test]
     fn responses_are_framed_with_content_length() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "application/json", b"{}", true, None).expect("write");
+        write_response(&mut out, 200, "application/json", b"{}", true, None, None).expect("write");
         let s = String::from_utf8(out).expect("utf8");
         assert!(s.starts_with("HTTP/1.1 200 OK\r\n"), "{s}");
         assert!(s.contains("content-length: 2\r\n"), "{s}");
@@ -409,10 +413,19 @@ mod tests {
     #[test]
     fn responses_echo_the_request_id() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "application/json", b"{}", false, Some("r-9"))
-            .expect("write");
+        write_response(
+            &mut out,
+            200,
+            "application/json",
+            b"{}",
+            false,
+            Some("r-9"),
+            Some("POST, GET"),
+        )
+        .expect("write");
         let s = String::from_utf8(out).expect("utf8");
         assert!(s.contains("x-request-id: r-9\r\n"), "{s}");
+        assert!(s.contains("allow: POST, GET\r\n"), "{s}");
         assert!(s.ends_with("\r\n\r\n{}"), "{s}");
     }
 }

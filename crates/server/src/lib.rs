@@ -39,6 +39,12 @@
 //! | `GET /v1/debug/health` | — | the health document: engine footprints and each session's shard balance — owned and ghost counts, skews (`?engine=`, `?session=` filters) |
 //! | `GET /v1/debug/slow` | — | the N slowest query requests since startup with their cost plans (`?min_ms=`, `?engine=` filters); join on `request_id` against `/v1/debug/traces` |
 //!
+//! [`routes::API_ROUTES`] lists these routes, and dispatch serves exactly
+//! them. Another method on a listed path answers `405`, naming the
+//! path's methods in table order in its message (`use PUT, GET or
+//! DELETE`) and in an `Allow` header; a path matching no pattern answers
+//! `404`.
+//!
 //! # Observability
 //!
 //! Every request is traced end to end with
@@ -123,19 +129,20 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Everything the route handlers see: the resource registries plus the
 /// serving counters. Shared across workers; the registries are the only
 /// mutable parts, each behind its own `RwLock` so the hot serving paths
 /// (query, ingest, report) take a read lock just long enough to clone an
-/// `Arc`.
+/// `Arc`. The locks are taken only through [`State::engines`],
+/// [`State::engines_mut`], [`State::sessions`] and
+/// [`State::sessions_mut`].
 pub(crate) struct State {
-    pub(crate) engines: RwLock<EngineRegistry>,
-    pub(crate) sessions: RwLock<SessionRegistry>,
+    engines: RwLock<EngineRegistry>,
+    sessions: RwLock<SessionRegistry>,
     pub(crate) http: HttpMetrics,
-    pub(crate) ingested_points: Counter,
     pub(crate) max_query_threads: usize,
     /// Queue depth new wire-opened sessions inherit for their pipelines.
     pub(crate) pipeline_queue: usize,
@@ -158,6 +165,29 @@ pub(crate) struct State {
     /// state the operator believes deleted may still exist.
     pub(crate) cleanup_errors: Counter,
     shutting_down: AtomicBool,
+}
+
+// A panic under a registry lock poisons it, but every registry update
+// keeps the map valid at each step, so the accessors take a poisoned
+// guard over instead of failing every later request on that registry.
+impl State {
+    pub(crate) fn engines(&self) -> RwLockReadGuard<'_, EngineRegistry> {
+        self.engines.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn engines_mut(&self) -> RwLockWriteGuard<'_, EngineRegistry> {
+        self.engines.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn sessions(&self) -> RwLockReadGuard<'_, SessionRegistry> {
+        self.sessions.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn sessions_mut(&self) -> RwLockWriteGuard<'_, SessionRegistry> {
+        self.sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The exact response statuses this server emits, each its own
@@ -432,7 +462,6 @@ impl ServerBuilder {
             engines: RwLock::new(EngineRegistry::new(self.max_engines)),
             sessions: RwLock::new(sessions),
             http: HttpMetrics::new(),
-            ingested_points: Counter::new(),
             max_query_threads: self.max_query_threads,
             pipeline_queue: self.queue,
             data_dir: self.data_dir,
@@ -788,6 +817,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                     &resp.body,
                     keep_alive,
                     Some(&trace.request_id),
+                    resp.allow.as_deref(),
                 );
                 state.http.record_write(write_start);
                 if wrote.is_err() || !keep_alive {
@@ -822,9 +852,60 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                     body.as_bytes(),
                     false,
                     Some(&trace.request_id),
+                    None,
                 );
                 state.http.record_write(write_start);
                 break;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic while a registry's write lock is held poisons the lock.
+    /// The registry itself is still valid, so every later request that
+    /// takes either lock is answered as before, not failed.
+    #[test]
+    fn a_panic_under_a_registry_lock_fails_no_later_request() {
+        let server = DodServer::builder().workers(1).bind("127.0.0.1:0");
+        let state = Arc::clone(&server.expect("bind").state);
+        let poisoner = Arc::clone(&state);
+        let panicked = std::thread::spawn(move || {
+            let _engines = poisoner.engines.write();
+            let _sessions = poisoner.sessions.write();
+            panic!("a handler panics under both registry locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(state.engines.is_poisoned() && state.sessions.is_poisoned());
+        let session = r#"{"metric":"l2","dim":1,"r":1,"k":2,"window":{"count":16}}"#;
+        for (method, path, body) in [
+            (
+                "PUT",
+                "/v1/engines/e",
+                r#"{"family":"sift","n":100,"seed":1}"#,
+            ),
+            ("POST", "/v1/sessions", session),
+            ("GET", "/v1/engines", ""),
+            ("GET", "/metrics", ""),
+            ("GET", "/v1/debug/health", ""),
+        ] {
+            let req = http::Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: String::new(),
+                http10: false,
+                headers: Vec::new(),
+                body: body.as_bytes().to_vec(),
+            };
+            let (_, resp) = routes::dispatch(&state, &req, &mut TraceContext::new("poisoned"));
+            let text = String::from_utf8_lossy(&resp.body);
+            assert!(resp.status < 300, "{method} {path}: {} {text}", resp.status);
+            if path == "/v1/engines" {
+                assert!(text.contains(r#""name":"e""#), "{text}");
             }
         }
     }

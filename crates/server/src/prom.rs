@@ -164,22 +164,10 @@ pub(crate) fn render(state: &State) -> String {
     // Snapshot both registries up front (name-sorted, so scrapes are
     // deterministic) and render with no lock held: a slow scrape client
     // must not block engine creation.
-    let engines = state.engines.read().expect("engine registry lock").sorted();
-    let engine_capacity = state
-        .engines
-        .read()
-        .expect("engine registry lock")
-        .capacity();
-    let sessions = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .sorted();
-    let session_capacity = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .capacity();
+    let engines = state.engines().sorted();
+    let engine_capacity = state.engines().capacity();
+    let sessions = state.sessions().sorted();
+    let session_capacity = state.sessions().capacity();
 
     header(
         &mut out,

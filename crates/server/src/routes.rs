@@ -1,12 +1,14 @@
-//! Route dispatch and the JSON protocol: resource-path parsing, request
+//! Route dispatch and the JSON protocol: request routing, request
 //! decoding, response encoding, and the uniform
 //! `{"error": {"kind", "message"}}` bodies.
 //!
-//! The path grammar is resource-oriented: collection routes
-//! (`/v1/engines`, `/v1/sessions`) plus item routes carrying one path
-//! parameter (`/v1/engines/{name}`, `/v1/sessions/{id}/ingest`, …),
-//! parsed by `Resource::parse` into a borrowed enum — no regex, no
-//! allocation.
+//! [`API_ROUTES`] is the one description of what the server mounts. A
+//! request path resolves against its patterns segment by segment (no
+//! regex, no allocation): collection routes (`/v1/engines`,
+//! `/v1/sessions`) carry no path parameter, item routes carry one
+//! (`/v1/engines/{name}`, `/v1/sessions/{id}/ingest`, …). A method the
+//! table does not list for a mounted path answers `405`, naming the
+//! listed methods in its message and its `Allow` header.
 
 use crate::http::Request;
 use crate::registry::SessionEntry;
@@ -19,40 +21,30 @@ use dod_metrics::MetricKind;
 use dod_wire::shapes::{EngineCreateRequest, EngineSummary, SessionCreateRequest, SessionSummary};
 use dod_wire::{parse_json, JsonValue};
 
-/// The served route *shapes*, used as the metrics label: one variant per
-/// path pattern, path parameters not included, so the label cardinality
-/// is bounded by construction (unknown paths all land in `Other`).
+/// A served route *shape*: one variant per mounted path pattern plus two
+/// synthetic labels. It indexes the HTTP metrics and labels traces and
+/// access-log lines, so it carries no path parameter and the label
+/// cardinality is bounded by construction. The methods each route serves
+/// are listed in [`API_ROUTES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Route {
-    /// `GET /v1/engines`
     Engines,
-    /// `PUT`/`GET`/`DELETE /v1/engines/{name}`
     Engine,
-    /// `POST /v1/engines/{name}/query`
     EngineQuery,
-    /// `POST`/`GET /v1/sessions`
     Sessions,
-    /// `GET`/`DELETE /v1/sessions/{id}`
     Session,
-    /// `POST /v1/sessions/{id}/ingest`
     SessionIngest,
-    /// `GET /v1/sessions/{id}/report`
     SessionReport,
-    /// `GET /healthz`
     Healthz,
-    /// `GET /metrics`
     Metrics,
-    /// `GET /v1/debug/traces`
     DebugTraces,
-    /// `GET /v1/debug/health`
     DebugHealth,
-    /// `GET /v1/debug/slow`
     DebugSlow,
     /// Requests rejected before routing (framing failures, timeouts,
     /// oversized bodies) — a synthetic label so `/metrics` error rates
     /// include requests that never reached a handler.
     Parse,
-    /// Everything else.
+    /// Every path that matches no mounted pattern.
     Other,
 }
 
@@ -96,11 +88,38 @@ impl Route {
             Route::Other => "<other>",
         }
     }
+
+    /// Resolves a request path to the mounted route whose pattern it
+    /// matches segment by segment, with the path parameter borrowed from
+    /// the path (`""` for a pattern without one). A `{name}` or `{id}`
+    /// segment must be a [`valid_name`]; a path matching no pattern is
+    /// [`Route::Other`].
+    pub(crate) fn resolve(path: &str) -> (Route, &str) {
+        Route::ALL
+            .into_iter()
+            // The synthetic labels are not paths, so they mount nothing.
+            .filter(|route| route.pattern().starts_with('/'))
+            .find_map(|route| {
+                let mut segments = path.split('/');
+                let mut param = "";
+                for want in route.pattern().split('/') {
+                    let got = segments.next()?;
+                    match want.starts_with('{') {
+                        true if valid_name(got) => param = got,
+                        false if want == got => {}
+                        _ => return None,
+                    }
+                }
+                segments.next().is_none().then_some((route, param))
+            })
+            .unwrap_or((Route::Other, ""))
+    }
 }
 
-/// Every route the server mounts, as `(method, path pattern)` — the
-/// source of truth the README's API table is checked against by the
-/// root package's `readme_api_table` test.
+/// Every route the server mounts, as `(method, path pattern)`. Dispatch
+/// answers a mounted pattern's other methods with `405` and these
+/// methods in table order, and the README's API table is checked against
+/// this list by the root package's `readme_api_table` test.
 pub const API_ROUTES: &[(&str, &str)] = &[
     ("GET", "/v1/engines"),
     ("PUT", "/v1/engines/{name}"),
@@ -120,25 +139,6 @@ pub const API_ROUTES: &[(&str, &str)] = &[
     ("GET", "/v1/debug/slow"),
 ];
 
-/// A parsed request path: which resource, with path parameters borrowed
-/// from the request.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Resource<'a> {
-    Engines,
-    Engine(&'a str),
-    EngineQuery(&'a str),
-    Sessions,
-    Session(&'a str),
-    SessionIngest(&'a str),
-    SessionReport(&'a str),
-    Healthz,
-    Metrics,
-    DebugTraces,
-    DebugHealth,
-    DebugSlow,
-    Unknown,
-}
-
 /// Resource names are short identifiers — no separators, no escapes —
 /// so a name is also safe to echo into error messages and metric labels
 /// (and, for durable sessions, to use as a directory name).
@@ -148,62 +148,14 @@ pub(crate) fn valid_name(s: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-impl<'a> Resource<'a> {
-    pub(crate) fn parse(path: &'a str) -> Resource<'a> {
-        match path {
-            "/v1/engines" => return Resource::Engines,
-            "/v1/sessions" => return Resource::Sessions,
-            "/healthz" => return Resource::Healthz,
-            "/metrics" => return Resource::Metrics,
-            "/v1/debug/traces" => return Resource::DebugTraces,
-            "/v1/debug/health" => return Resource::DebugHealth,
-            "/v1/debug/slow" => return Resource::DebugSlow,
-            _ => {}
-        }
-        if let Some(rest) = path.strip_prefix("/v1/engines/") {
-            return match rest.split_once('/') {
-                None if valid_name(rest) => Resource::Engine(rest),
-                Some((name, "query")) if valid_name(name) => Resource::EngineQuery(name),
-                _ => Resource::Unknown,
-            };
-        }
-        if let Some(rest) = path.strip_prefix("/v1/sessions/") {
-            return match rest.split_once('/') {
-                None if valid_name(rest) => Resource::Session(rest),
-                Some((id, "ingest")) if valid_name(id) => Resource::SessionIngest(id),
-                Some((id, "report")) if valid_name(id) => Resource::SessionReport(id),
-                _ => Resource::Unknown,
-            };
-        }
-        Resource::Unknown
-    }
-
-    /// The bounded-cardinality metrics label for this resource.
-    pub(crate) fn route(&self) -> Route {
-        match self {
-            Resource::Engines => Route::Engines,
-            Resource::Engine(_) => Route::Engine,
-            Resource::EngineQuery(_) => Route::EngineQuery,
-            Resource::Sessions => Route::Sessions,
-            Resource::Session(_) => Route::Session,
-            Resource::SessionIngest(_) => Route::SessionIngest,
-            Resource::SessionReport(_) => Route::SessionReport,
-            Resource::Healthz => Route::Healthz,
-            Resource::Metrics => Route::Metrics,
-            Resource::DebugTraces => Route::DebugTraces,
-            Resource::DebugHealth => Route::DebugHealth,
-            Resource::DebugSlow => Route::DebugSlow,
-            Resource::Unknown => Route::Other,
-        }
-    }
-}
-
 /// A computed response, ready for the framing layer.
 #[derive(Debug)]
 pub(crate) struct Response {
     pub status: u16,
     pub content_type: &'static str,
     pub body: Vec<u8>,
+    /// The `Allow` header a `405` carries: the route's methods.
+    pub allow: Option<String>,
 }
 
 impl Response {
@@ -212,6 +164,7 @@ impl Response {
             status,
             content_type: "application/json",
             body: body.into_bytes(),
+            allow: None,
         }
     }
 
@@ -220,6 +173,7 @@ impl Response {
             status,
             content_type: "text/plain; version=0.0.4",
             body: body.into_bytes(),
+            allow: None,
         }
     }
 }
@@ -551,11 +505,26 @@ fn invalid_spec(message: &str) -> Response {
     Response::json(400, error_body("invalid_spec", message))
 }
 
-fn method_not_allowed(allowed: &str) -> Response {
-    Response::json(
-        405,
-        error_body("method_not_allowed", &format!("use {allowed}")),
-    )
+/// The `405` for a mounted route: the methods [`API_ROUTES`] lists for
+/// it, in table order, in the message and in the `Allow` header.
+fn method_not_allowed(route: Route) -> Response {
+    let methods: Vec<&str> = API_ROUTES
+        .iter()
+        .filter(|(_, pattern)| *pattern == route.pattern())
+        .map(|(method, _)| *method)
+        .collect();
+    let (last, rest) = methods
+        .split_last()
+        .expect("a mounted route serves some method");
+    let message = if rest.is_empty() {
+        format!("use {last}")
+    } else {
+        format!("use {} or {last}", rest.join(", "))
+    };
+    Response {
+        allow: Some(methods.join(", ")),
+        ..Response::json(405, error_body("method_not_allowed", &message))
+    }
 }
 
 fn unavailable(what: &str) -> Response {
@@ -578,63 +547,26 @@ fn not_found(message: &str) -> Response {
 /// malformed request can never take the worker (or the connection pool)
 /// down.
 pub(crate) fn dispatch(state: &State, req: &Request, ctx: &mut TraceContext) -> (Route, Response) {
-    let resource = Resource::parse(&req.path);
-    let route = resource.route();
-    let method = req.method.as_str();
-    let resp = match resource {
-        Resource::Engines => match method {
-            "GET" => handle_engine_list(state),
-            _ => method_not_allowed("GET"),
-        },
-        Resource::Engine(name) => match method {
-            "PUT" => handle_engine_put(state, name, req),
-            "GET" => handle_engine_get(state, name),
-            "DELETE" => handle_engine_delete(state, name),
-            _ => method_not_allowed("PUT, GET or DELETE"),
-        },
-        Resource::EngineQuery(name) => match method {
-            "POST" => handle_engine_query(state, name, req, ctx),
-            _ => method_not_allowed("POST"),
-        },
-        Resource::Sessions => match method {
-            "POST" => handle_session_create(state, req),
-            "GET" => handle_session_list(state),
-            _ => method_not_allowed("POST or GET"),
-        },
-        Resource::Session(id) => match method {
-            "GET" => handle_session_get(state, id),
-            "DELETE" => handle_session_delete(state, id),
-            _ => method_not_allowed("GET or DELETE"),
-        },
-        Resource::SessionIngest(id) => match method {
-            "POST" => handle_session_ingest(state, id, req, ctx),
-            _ => method_not_allowed("POST"),
-        },
-        Resource::SessionReport(id) => match method {
-            "GET" => handle_session_report(state, id),
-            _ => method_not_allowed("GET"),
-        },
-        Resource::Healthz => match method {
-            "GET" => handle_healthz(state),
-            _ => method_not_allowed("GET"),
-        },
-        Resource::Metrics => match method {
-            "GET" => Response::text(200, crate::prom::render(state)),
-            _ => method_not_allowed("GET"),
-        },
-        Resource::DebugTraces => match method {
-            "GET" => handle_debug_traces(state, req),
-            _ => method_not_allowed("GET"),
-        },
-        Resource::DebugHealth => match method {
-            "GET" => crate::health::handle_debug_health(state, req),
-            _ => method_not_allowed("GET"),
-        },
-        Resource::DebugSlow => match method {
-            "GET" => handle_debug_slow(state, req),
-            _ => method_not_allowed("GET"),
-        },
-        Resource::Unknown => not_found(&format!("no route {}", req.path)),
+    let (route, param) = Route::resolve(&req.path);
+    let resp = match (route, req.method.as_str()) {
+        (Route::Engines, "GET") => handle_engine_list(state),
+        (Route::Engine, "PUT") => handle_engine_put(state, param, req),
+        (Route::Engine, "GET") => handle_engine_get(state, param),
+        (Route::Engine, "DELETE") => handle_engine_delete(state, param),
+        (Route::EngineQuery, "POST") => handle_engine_query(state, param, req, ctx),
+        (Route::Sessions, "POST") => handle_session_create(state, req),
+        (Route::Sessions, "GET") => handle_session_list(state),
+        (Route::Session, "GET") => handle_session_get(state, param),
+        (Route::Session, "DELETE") => handle_session_delete(state, param),
+        (Route::SessionIngest, "POST") => handle_session_ingest(state, param, req, ctx),
+        (Route::SessionReport, "GET") => handle_session_report(state, param),
+        (Route::Healthz, "GET") => handle_healthz(state),
+        (Route::Metrics, "GET") => Response::text(200, crate::prom::render(state)),
+        (Route::DebugTraces, "GET") => handle_debug_traces(state, req),
+        (Route::DebugHealth, "GET") => crate::health::handle_debug_health(state, req),
+        (Route::DebugSlow, "GET") => handle_debug_slow(state, req),
+        (Route::Other | Route::Parse, _) => not_found(&format!("no route {}", req.path)),
+        _ => method_not_allowed(route),
     };
     (route, resp)
 }
@@ -648,8 +580,8 @@ pub(crate) fn no_session(id: &str) -> Response {
 }
 
 fn handle_healthz(state: &State) -> Response {
-    let engines = state.engines.read().expect("engine registry lock").len();
-    let sessions = state.sessions.read().expect("session registry lock").len();
+    let engines = state.engines().len();
+    let sessions = state.sessions().len();
     Response::json(
         200,
         JsonValue::obj([
@@ -674,7 +606,7 @@ fn engine_summary(name: &str, entry: &crate::registry::EngineEntry) -> JsonValue
 }
 
 fn handle_engine_list(state: &State) -> Response {
-    let reg = state.engines.read().expect("engine registry lock");
+    let reg = state.engines();
     let engines: Vec<JsonValue> = reg
         .sorted()
         .iter()
@@ -695,12 +627,7 @@ fn handle_engine_list(state: &State) -> Response {
 fn handle_engine_get(state: &State, name: &str) -> Response {
     // peek, not get: inspecting an engine is not using it, so a listing
     // crawler must not keep a cold engine warm.
-    let Some(entry) = state
-        .engines
-        .read()
-        .expect("engine registry lock")
-        .peek(name)
-    else {
+    let Some(entry) = state.engines().peek(name) else {
         return no_engine(name);
     };
     Response::json(200, engine_summary(name, &entry).render())
@@ -757,14 +684,9 @@ fn handle_engine_put(state: &State, name: &str, req: &Request) -> Response {
         Err(e) => return dod_error_response(&e),
     };
     let index_text = spec.index.to_string();
-    let (created, evicted) = {
-        let mut reg = state.engines.write().expect("engine registry lock");
-        reg.insert(name, std::sync::Arc::new(engine), index_text)
-    };
+    let (created, evicted) = state.engines_mut().insert(name, engine.into(), index_text);
     let entry = state
-        .engines
-        .read()
-        .expect("engine registry lock")
+        .engines()
         .peek(name)
         .expect("just inserted; capacity ≥ 1 keeps the newest entry");
     Response::json(
@@ -787,11 +709,7 @@ fn handle_engine_put(state: &State, name: &str, req: &Request) -> Response {
 }
 
 fn handle_engine_delete(state: &State, name: &str) -> Response {
-    let removed = state
-        .engines
-        .write()
-        .expect("engine registry lock")
-        .remove(name);
+    let removed = state.engines_mut().remove(name);
     match removed {
         // The entry drops here, outside the lock.
         Some(_) => Response::json(
@@ -810,12 +728,7 @@ fn handle_engine_query(
 ) -> Response {
     // get, not peek: answering queries is exactly what "recently used"
     // means for the LRU bound.
-    let Some(entry) = state
-        .engines
-        .read()
-        .expect("engine registry lock")
-        .get(name)
-    else {
+    let Some(entry) = state.engines().get(name) else {
         return no_engine(name);
     };
     let (queries, explain) = match parse_queries(&req.body, state.max_query_threads) {
@@ -832,10 +745,15 @@ fn handle_engine_query(
             // The engine's own phase split, surfaced as sibling spans: the
             // reports carry wall-clock filter/verify timings and counts, so
             // the trace shows the paper's cost split per request.
+            // `query_many` answers a repeated query once and clones the
+            // report into every copy, so only the first copy did the work.
             let (mut filter_secs, mut verify_secs) = (0.0f64, 0.0f64);
             let (mut candidates, mut decided, mut false_pos) = (0usize, 0usize, 0usize);
             let mut cost = dod_core::CostReport::default();
-            for rep in &reports {
+            for (i, rep) in reports.iter().enumerate() {
+                if queries[..i].contains(&queries[i]) {
+                    continue;
+                }
                 filter_secs += rep.filter_secs;
                 verify_secs += rep.verify_secs;
                 candidates += rep.candidates;
@@ -903,7 +821,7 @@ fn session_summary(id: &str, entry: &SessionEntry) -> JsonValue {
 }
 
 fn handle_session_list(state: &State) -> Response {
-    let reg = state.sessions.read().expect("session registry lock");
+    let reg = state.sessions();
     let sessions: Vec<JsonValue> = reg
         .sorted()
         .iter()
@@ -922,12 +840,7 @@ fn handle_session_list(state: &State) -> Response {
 }
 
 fn handle_session_get(state: &State, id: &str) -> Response {
-    let Some(entry) = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .get(id)
-    else {
+    let Some(entry) = state.sessions().get(id) else {
         return no_session(id);
     };
     Response::json(200, session_summary(id, &entry).render())
@@ -967,23 +880,14 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
     // Only a fully validated spec may consume a slot. The slot is
     // reserved *before* the pipeline spins up, so a create refused at
     // capacity never spawns threads.
-    let Some(id) = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .reserve()
-    else {
+    let Some(id) = state.sessions_mut().reserve() else {
         return session_capacity_response(state);
     };
     mount_session(state, &id, session)
 }
 
 fn session_capacity_response(state: &State) -> Response {
-    let capacity = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .capacity();
+    let capacity = state.sessions().capacity();
     Response::json(
         429,
         error_body(
@@ -1000,12 +904,7 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
     let Some(data_dir) = &state.data_dir else {
         return unavailable("a data directory (durable sessions)");
     };
-    let Some(id) = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .reserve()
-    else {
+    let Some(id) = state.sessions_mut().reserve() else {
         return session_capacity_response(state);
     };
     let dir = data_dir.join("sessions").join(&id);
@@ -1027,11 +926,7 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
 /// id.
 fn mount_session(state: &State, id: &str, session: OpenSession) -> Response {
     let entry = session.start(state.pipeline_queue);
-    let mounted = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .mount(id, entry);
+    let mounted = state.sessions_mut().mount(id, entry);
     match mounted {
         Ok(entry) => Response::json(201, session_summary(id, &entry).render()),
         Err(refused) => {
@@ -1050,11 +945,7 @@ fn mount_session(state: &State, id: &str, session: OpenSession) -> Response {
 }
 
 fn handle_session_delete(state: &State, id: &str) -> Response {
-    let removed = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .remove(id);
+    let removed = state.sessions_mut().remove(id);
     match removed {
         Some(entry) => {
             let resp = Response::json(
@@ -1088,12 +979,7 @@ fn handle_session_ingest(
     req: &Request,
     ctx: &mut TraceContext,
 ) -> Response {
-    let Some(entry) = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .get(id)
-    else {
+    let Some(entry) = state.sessions().get(id) else {
         return no_session(id);
     };
     let points = match parse_points(&req.body, entry.dim) {
@@ -1122,7 +1008,6 @@ fn handle_session_ingest(
             // Counted only once the pipeline has the points: a dead
             // pipeline answering 5xx must not inflate the accept counter.
             entry.ingested.add(accepted as u64);
-            state.ingested_points.add(accepted as u64);
             let body = match ack {
                 None => encode::ingest_response(accepted),
                 Some(a) => {
@@ -1298,12 +1183,7 @@ fn handle_debug_slow(state: &State, req: &Request) -> Response {
 }
 
 fn handle_session_report(state: &State, id: &str) -> Response {
-    let Some(entry) = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .get(id)
-    else {
+    let Some(entry) = state.sessions().get(id) else {
         return no_session(id);
     };
     match entry.pipeline.outliers() {
@@ -1413,54 +1293,66 @@ mod tests {
 
     #[test]
     fn resource_paths_parse() {
-        use Resource::*;
-        let cases: Vec<(&str, Resource)> = vec![
-            ("/v1/engines", Engines),
-            ("/v1/engines/prod", Engine("prod")),
-            ("/v1/engines/prod/query", EngineQuery("prod")),
-            ("/v1/engines/a-b_3", Engine("a-b_3")),
-            ("/v1/sessions", Sessions),
-            ("/v1/sessions/s1", Session("s1")),
-            ("/v1/sessions/s1/ingest", SessionIngest("s1")),
-            ("/v1/sessions/s1/report", SessionReport("s1")),
-            ("/healthz", Healthz),
-            ("/metrics", Metrics),
-            ("/v1/debug/traces", DebugTraces),
-            ("/v1/debug/health", DebugHealth),
-            ("/v1/debug/slow", DebugSlow),
-            // Malformed or hostile paths all fall to Unknown (→ 404).
-            ("/", Unknown),
-            ("/v1/engines/", Unknown),
-            ("/v1/engines/a/b", Unknown),
-            ("/v1/engines/prod/query/extra", Unknown),
-            ("/v1/engines/bad name", Unknown),
-            ("/v1/engines/../etc", Unknown),
-            ("/v1/sessions/s1/flush", Unknown),
-            ("/v2/engines", Unknown),
+        use Route::*;
+        let cases: Vec<(&str, Route, &str)> = vec![
+            ("/v1/engines", Engines, ""),
+            ("/v1/engines/prod", Engine, "prod"),
+            ("/v1/engines/prod/query", EngineQuery, "prod"),
+            ("/v1/engines/a-b_3", Engine, "a-b_3"),
+            ("/v1/sessions", Sessions, ""),
+            ("/v1/sessions/s1", Session, "s1"),
+            ("/v1/sessions/s1/ingest", SessionIngest, "s1"),
+            ("/v1/sessions/s1/report", SessionReport, "s1"),
+            ("/healthz", Healthz, ""),
+            ("/metrics", Metrics, ""),
+            ("/v1/debug/traces", DebugTraces, ""),
+            ("/v1/debug/health", DebugHealth, ""),
+            ("/v1/debug/slow", DebugSlow, ""),
+            // Malformed or hostile paths all fall to Other (→ 404).
+            ("/", Other, ""),
+            ("/v1/engines/", Other, ""),
+            ("/v1/engines/a/b", Other, ""),
+            ("/v1/engines/prod/query/extra", Other, ""),
+            ("/v1/engines/bad name", Other, ""),
+            ("/v1/engines/../etc", Other, ""),
+            ("/v1/engines/{name}", Other, ""),
+            ("/v1/sessions/s1/flush", Other, ""),
+            ("/v2/engines", Other, ""),
+            // The synthetic labels are not mounted paths.
+            ("<parse>", Other, ""),
+            ("<other>", Other, ""),
             // The retired singleton routes are unknown paths like any other.
-            ("/v1/query", Unknown),
-            ("/v1/ingest", Unknown),
-            ("/v1/report", Unknown),
+            ("/v1/query", Other, ""),
+            ("/v1/ingest", Other, ""),
+            ("/v1/report", Other, ""),
         ];
-        for (path, want) in cases {
-            assert_eq!(Resource::parse(path), want, "{path}");
+        for (path, route, param) in cases {
+            assert_eq!(Route::resolve(path), (route, param), "{path}");
         }
         let long = format!("/v1/engines/{}", "a".repeat(65));
-        assert_eq!(Resource::parse(&long), Unknown, "names are length-capped");
+        assert_eq!(
+            Route::resolve(&long),
+            (Other, ""),
+            "names are length-capped"
+        );
     }
 
-    /// Each mounted route pattern maps onto the Route metrics label its
-    /// Resource parses to — the API table and the label set cannot drift
-    /// apart.
+    /// Each mounted pattern resolves to the Route labelled with it, and
+    /// each Route but the synthetic labels is mounted — the API table
+    /// and the label set cannot drift apart.
     #[test]
     fn api_routes_cover_the_resource_space() {
         for (method, pattern) in API_ROUTES {
             let concrete = pattern.replace("{name}", "x").replace("{id}", "s1");
-            let resource = Resource::parse(&concrete);
-            assert_ne!(
-                resource,
-                Resource::Unknown,
-                "{method} {pattern} does not parse"
+            let (route, _) = Route::resolve(&concrete);
+            assert_eq!(route.pattern(), *pattern, "{method} {pattern}");
+        }
+        for route in Route::ALL {
+            let mounted = API_ROUTES.iter().any(|(_, p)| *p == route.pattern());
+            assert_eq!(
+                mounted,
+                !matches!(route, Route::Parse | Route::Other),
+                "{route:?}"
             );
         }
     }

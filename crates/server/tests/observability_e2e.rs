@@ -427,6 +427,77 @@ fn debug_slow_serves_the_bounded_ring_with_request_id_linkage() {
     handle.shutdown();
 }
 
+/// `Engine::query_many` answers a repeated query once and clones the
+/// report into every copy, so a batch of four copies does one query's
+/// work: the slow log books exactly what `/metrics` booked, and the
+/// filter and verify spans fit inside the engine span that timed them.
+#[test]
+fn a_repeated_query_books_its_work_once() {
+    let handle = serve(builder());
+    let addr = handle.addr();
+    let engine_series = |metrics: &str, name: &str| -> u64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{name}{{engine=\"e\"}} ")))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("missing {name}: {metrics}"))
+    };
+    let (_, _, before) = get(addr, "/metrics");
+    let q = r#"{"r":100.0,"k":40}"#;
+    let (status, _, body) = post(
+        addr,
+        "/v1/engines/e/query",
+        &format!(r#"{{"queries":[{q},{q},{q},{q}],"explain":true}}"#),
+        "x-request-id: repeated\r\n",
+    );
+    assert_eq!(status, 200, "{body}");
+    let (_, _, after) = get(addr, "/metrics");
+
+    let (_, _, body) = get(addr, "/v1/debug/slow");
+    let doc = dod_wire::parse_json(&body).expect("slow json");
+    let entry = doc
+        .get("slow")
+        .and_then(JsonValue::as_arr)
+        .and_then(|s| {
+            s.iter()
+                .find(|e| e.get("request_id").and_then(JsonValue::as_str) == Some("repeated"))
+        })
+        .unwrap_or_else(|| panic!("the batch is not in the slow log: {body}"));
+    assert_eq!(entry.get("queries").and_then(JsonValue::as_usize), Some(4));
+    for (field, series) in [
+        ("filter_dist_evals", "dod_cost_filter_dist_evals_total"),
+        ("verify_dist_evals", "dod_cost_verify_dist_evals_total"),
+        ("hops", "dod_cost_hops_total"),
+    ] {
+        let booked = engine_series(&after, series) - engine_series(&before, series);
+        let logged = entry
+            .get("cost")
+            .and_then(|c| c.get(field))
+            .and_then(JsonValue::as_usize)
+            .unwrap_or_else(|| panic!("no cost.{field}: {body}")) as u64;
+        assert_eq!(logged, booked, "{field}: slow log vs /metrics");
+    }
+    assert!(engine_series(&after, "dod_cost_filter_dist_evals_total") > 0);
+
+    let (_, _, body) = get(addr, "/v1/debug/traces");
+    let doc = dod_wire::parse_json(&body).expect("traces json");
+    let trace = doc
+        .get("traces")
+        .and_then(JsonValue::as_arr)
+        .and_then(|ts| {
+            ts.iter()
+                .find(|t| t.get("request_id").and_then(JsonValue::as_str) == Some("repeated"))
+        })
+        .unwrap_or_else(|| panic!("the batch is not traced: {body}"));
+    let phases = span_duration_ns(trace, "filter") + span_duration_ns(trace, "verify");
+    let engine = span_duration_ns(trace, "engine");
+    assert!(
+        phases <= engine,
+        "filter + verify ({phases} ns) outlast the engine span ({engine} ns): {trace:?}"
+    );
+    handle.shutdown();
+}
+
 /// The per-session cost series: an exhaustive-backend session books one
 /// window scan per insert, visible as `dod_cost_insert_dist_evals_total`.
 #[test]

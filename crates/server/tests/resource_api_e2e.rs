@@ -5,10 +5,11 @@
 use dod_core::{IndexSpec, Query};
 use dod_datasets::{EngineSpec, Family};
 use dod_metrics::L2;
+use dod_server::routes::API_ROUTES;
 use dod_server::{encode, DodServer, ServerHandle};
 use dod_shard::{ShardSpec, ShardedStreamDetector};
 use dod_stream::{Backend, VectorSpace, WindowSpec};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -95,6 +96,81 @@ fn points_body(points: &[Vec<f32>]) -> String {
         })
         .collect();
     format!("{{\"points\":[{}]}}", rows.join(","))
+}
+
+// ---- routing -------------------------------------------------------------
+
+/// Every mounted pattern serves exactly the methods `API_ROUTES` lists
+/// for it. Any other method is a 405 naming those methods, in the
+/// message and in the `Allow` header; a path matching no pattern is a 404.
+#[test]
+fn unlisted_methods_answer_405_with_allow_and_unknown_paths_404() {
+    let handle = bare_server();
+    let addr = handle.addr();
+    // One exchange: status, the `allow` header if any, and the body.
+    let send = |method: &str, path: &str| -> (u16, Option<String>, String) {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(60))).ok();
+        write!(
+            conn,
+            "{method} {path} HTTP/1.1\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+        )
+        .expect("send");
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).expect("reply");
+        let (head, body) = reply.split_once("\r\n\r\n").expect("head and body");
+        let status = head[9..12].parse().expect("status code");
+        let allow = head
+            .lines()
+            .find_map(|l| l.strip_prefix("allow: "))
+            .map(str::to_string);
+        (status, allow, body.to_string())
+    };
+    let mut patterns: Vec<&str> = API_ROUTES.iter().map(|&(_, p)| p).collect();
+    patterns.dedup();
+    for pattern in patterns {
+        let listed: Vec<&str> = API_ROUTES
+            .iter()
+            .filter(|&&(_, p)| p == pattern)
+            .map(|&(m, _)| m)
+            .collect();
+        let allow = listed.join(", ");
+        let message = match allow.rsplit_once(", ") {
+            Some((head, last)) => format!("use {head} or {last}"),
+            None => format!("use {allow}"),
+        };
+        let path = pattern.replace("{name}", "e").replace("{id}", "s1");
+        for method in ["GET", "PUT", "POST", "DELETE", "PATCH"] {
+            let (status, got_allow, body) = send(method, &path);
+            if listed.contains(&method) {
+                assert_ne!(status, 405, "{method} {path}: {body}");
+                assert!(!body.contains("no route"), "{method} {path}: {body}");
+                continue;
+            }
+            assert_eq!(status, 405, "{method} {path}: {body}");
+            assert_eq!(assert_envelope(&body, "method_not_allowed"), message);
+            assert_eq!(
+                got_allow.as_deref(),
+                Some(allow.as_str()),
+                "{method} {path}"
+            );
+        }
+    }
+    // The multi-method spellings, byte for byte.
+    let (_, _, body) = send("POST", "/v1/engines/e");
+    assert!(body.contains("\"use PUT, GET or DELETE\""), "{body}");
+    let (_, _, body) = send("DELETE", "/v1/sessions");
+    assert!(body.contains("\"use POST or GET\""), "{body}");
+    for path in ["/nope", "<parse>", "<other>"] {
+        let (status, allow, body) = send("GET", path);
+        assert_eq!(status, 404, "{path}: {body}");
+        assert_eq!(
+            assert_envelope(&body, "not_found"),
+            format!("no route {path}")
+        );
+        assert_eq!(allow, None, "{path}");
+    }
+    handle.shutdown();
 }
 
 // ---- named engines -------------------------------------------------------
