@@ -1,6 +1,6 @@
-//! VP-tree vs linear scan: build cost, range counting with early
-//! termination, and kNN — the primitives behind the VP-tree baseline and
-//! the verification phase.
+//! VP-tree vs linear scan: build cost and range counting with early
+//! termination — the primitives behind the VP-tree baseline and the
+//! verification phase.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dod_datasets::Family;
@@ -49,13 +49,6 @@ fn bench_vptree(c: &mut Criterion) {
                 }
             }
             black_box(count)
-        })
-    });
-    g.bench_function("knn_10", |b| {
-        let mut q = 0;
-        b.iter(|| {
-            q = (q + 97) % n;
-            black_box(tree.knn(data, q, 10))
         })
     });
     g.finish();

@@ -14,8 +14,8 @@
 //! verification scan still costs `O(candidates · n)` — the `O(n²)`-class
 //! behavior the paper's Table 5 reports.
 
-use crate::parallel::par_map_strided;
 use crate::params::{assert_valid, DodParams, OutlierReport};
+use dod_graph::parallel::par_map;
 use dod_metrics::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,7 +112,7 @@ pub fn detect_with_stats<D: Dataset + ?Sized>(
         .filter(|e| !e.helper && e.count < k)
         .map(|e| e.id)
         .collect();
-    let verdicts: Vec<bool> = par_map_strided(candidates.len(), params.threads, |ci| {
+    let verdicts: Vec<bool> = par_map(candidates.len(), params.threads, |ci| {
         let p = candidates[ci] as usize;
         let mut count = 0usize;
         for j in 0..n {

@@ -7,19 +7,18 @@
 
 use crate::error::DodError;
 use crate::greedy::{greedy_count, BufferPool, TraversalBuffer};
-use crate::parallel::par_map_strided;
 use crate::params::{CostReport, DodParams, OutlierReport};
 use crate::verify::{ExactCounter, VerifyStrategy};
+use dod_graph::parallel::{par_map, par_map_with};
 use dod_graph::ProximityGraph;
 use dod_metrics::{Dataset, DistanceCounter};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-object outcome of the filtering phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FilterOutcome {
     /// Greedy count reached `k` — provably an inlier (Lemma 1).
-    #[default]
     Inlier,
     /// Count stayed below `k` — outlier candidate, must be verified.
     Candidate,
@@ -61,19 +60,23 @@ pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
     }
 
     // ---- Filtering phase (parallel, strided for load balance) -------
+    // Every worker owns one pooled traversal buffer for the whole phase;
+    // the buffers' cost tallies are drained as they go back to the pool.
     let t = Instant::now();
     let use_shortcut = g.use_exact_shortcut;
-    let (outcomes, (filter_dist_evals, hops)): (Vec<FilterOutcome>, (u64, u64)) = if threads <= 1 {
-        let mut buf = pool.take(n);
-        let out = (0..n)
-            .map(|p| filter_one(g, data, p, r, k, use_shortcut, &mut buf))
-            .collect();
-        let cost = buf.take_cost();
+    let (outcomes, bufs) = par_map_with(
+        n,
+        threads,
+        || pool.take(n),
+        |buf, p| filter_one(g, data, p, r, k, use_shortcut, buf),
+    );
+    let (mut filter_dist_evals, mut hops) = (0, 0);
+    for mut buf in bufs {
+        let (d, h) = buf.take_cost();
+        filter_dist_evals += d;
+        hops += h;
         pool.put(buf);
-        (out, cost)
-    } else {
-        par_filter_strided(g, data, n, r, k, use_shortcut, threads, pool)
-    };
+    }
     let filter_secs = t.elapsed().as_secs_f64();
 
     // ---- Verification phase ------------------------------------------
@@ -107,7 +110,7 @@ pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
         // Count only the verification itself: `ExactCounter::build` above
         // is cached engine state, excluded from per-query cost by design.
         let counted = DistanceCounter::new(data);
-        let verdicts: Vec<bool> = par_map_strided(candidates.len(), threads, |ci| {
+        let verdicts: Vec<bool> = par_map(candidates.len(), threads, |ci| {
             counter.count(&counted, candidates[ci] as usize, r, k) < k
         });
         verify_dist_evals = counted.calls();
@@ -167,56 +170,6 @@ fn filter_one<D: Dataset + ?Sized>(
     } else {
         FilterOutcome::Inlier
     }
-}
-
-/// Strided parallel filtering where every worker owns one pooled traversal
-/// buffer for the duration of the phase. Returns the outcomes plus the
-/// summed `(dist_evals, hops)` drained from every worker's buffer.
-#[allow(clippy::too_many_arguments)]
-fn par_filter_strided<D: Dataset + ?Sized>(
-    g: &ProximityGraph,
-    data: &D,
-    n: usize,
-    r: f64,
-    k: usize,
-    use_shortcut: bool,
-    threads: usize,
-    pool: &BufferPool,
-) -> (Vec<FilterOutcome>, (u64, u64)) {
-    let mut dist_evals = 0u64;
-    let mut hops = 0u64;
-    let buckets: Vec<Vec<FilterOutcome>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let mut buf = pool.take(n);
-                scope.spawn(move || {
-                    let bucket = (t..n)
-                        .step_by(threads)
-                        .map(|p| filter_one(g, data, p, r, k, use_shortcut, &mut buf))
-                        .collect::<Vec<_>>();
-                    (buf, bucket)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                let (mut buf, bucket) = h.join().expect("filter worker panicked");
-                let (d, hp) = buf.take_cost();
-                dist_evals += d;
-                hops += hp;
-                pool.put(buf);
-                bucket
-            })
-            .collect()
-    });
-    let mut out = vec![FilterOutcome::Inlier; n];
-    for (t, bucket) in buckets.into_iter().enumerate() {
-        for (j, v) in bucket.into_iter().enumerate() {
-            out[t + j * threads] = v;
-        }
-    }
-    (out, (dist_evals, hops))
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! in id order, which is what gives the algorithm its "near linear time in
 //! practice" behavior on mostly-inlier datasets.
 
-use crate::parallel::par_map_strided;
 use crate::params::{assert_valid, DodParams, OutlierReport};
+use dod_graph::parallel::par_map;
 use dod_metrics::{Dataset, DistanceCounter};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -35,7 +35,7 @@ pub fn detect<D: Dataset + ?Sized>(data: &D, params: &DodParams, seed: u64) -> O
     // makes even brute force cheaper than n·(n−1), and the report's
     // pruning power shows exactly how much.
     let counted = DistanceCounter::new(data);
-    let flags: Vec<bool> = par_map_strided(n, params.threads, |p| {
+    let flags: Vec<bool> = par_map(n, params.threads, |p| {
         let mut count = 0usize;
         let start = p % n; // stagger scan starts across objects
         for idx in 0..n {

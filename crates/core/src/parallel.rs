@@ -1,48 +1,9 @@
-//! Strided parallel map: the paper's "random partitioning" load balancing.
+//! The server's worker pool.
 //!
-//! Outliers cost far more to evaluate than inliers (their early
-//! termination never fires), and real outliers cluster in id ranges (our
-//! generators plant them at the tail, real datasets have hot regions).
-//! Chunked partitioning would hand one thread all the expensive objects;
-//! strided (round-robin) assignment spreads them evenly, which is the
-//! deterministic equivalent of the random partitioning §4 describes.
-
-/// Computes `f(i)` for `i in 0..n` with `threads` workers in round-robin
-/// assignment and returns results in index order. Deterministic for any
-/// thread count (each index is computed exactly once, independently).
-pub fn par_map_strided<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    // Clamp to the work available: a thread count beyond n would only
-    // spawn workers with empty strides.
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 || n < 2 {
-        return (0..n).map(f).collect();
-    }
-    // Each worker fills its own strided bucket; buckets are interleaved
-    // back afterwards. No shared mutable state.
-    let mut buckets: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                scope.spawn(move || (t..n).step_by(threads).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut out = vec![T::default(); n];
-    for (t, bucket) in buckets.iter_mut().enumerate() {
-        for (j, v) in bucket.drain(..).enumerate() {
-            out[t + j * threads] = v;
-        }
-    }
-    out
-}
+//! Known workloads (graph builds, Algorithm 1's filter and verify, the
+//! baselines) fan out through [`dod_graph::parallel`]'s strided map and
+//! join; this module holds only the long-lived [`WorkerPool`] that a
+//! serving loop feeds one job at a time.
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -87,12 +48,12 @@ impl PoolStats {
 
 /// A fixed pool of worker threads consuming jobs from one bounded queue.
 ///
-/// [`par_map_strided`] fans a *known* workload over scoped threads and
-/// joins; a serving loop has the opposite shape — an unbounded stream of
-/// independent jobs (connections) arriving one at a time. The pool keeps
-/// `threads` long-lived workers behind a bounded `sync_channel`, so a
-/// burst beyond `queue` pending jobs backpressures the submitter (the
-/// accept loop) instead of buffering without limit.
+/// [`dod_graph::parallel::par_map`] fans a *known* workload over scoped
+/// threads and joins; a serving loop has the opposite shape — an
+/// unbounded stream of independent jobs (connections) arriving one at a
+/// time. The pool keeps `threads` long-lived workers behind a bounded
+/// `sync_channel`, so a burst beyond `queue` pending jobs backpressures
+/// the submitter (the accept loop) instead of buffering without limit.
 ///
 /// A panicking job is caught and discarded: one poisoned request must not
 /// take a worker (and eventually the whole pool) down with it.
@@ -184,30 +145,6 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matches_sequential() {
-        let seq = par_map_strided(100, 1, |i| i * 3);
-        let par = par_map_strided(100, 4, |i| i * 3);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_and_tiny() {
-        assert!(par_map_strided(0, 3, |i| i).is_empty());
-        assert_eq!(par_map_strided(1, 3, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        assert_eq!(par_map_strided(2, 16, |i| i), vec![0, 1]);
-    }
-
-    #[test]
-    fn preserves_index_order() {
-        let out = par_map_strided(37, 5, |i| i as u64);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64));
-    }
 
     #[test]
     fn worker_pool_runs_every_job_and_joins_on_drop() {

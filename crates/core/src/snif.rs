@@ -20,8 +20,8 @@
 //! dimensions (everything is "far"), which is exactly the weakness the
 //! paper's Table 5 exposes.
 
-use crate::parallel::par_map_strided;
 use crate::params::{assert_valid, DodParams, OutlierReport};
+use dod_graph::parallel::par_map;
 use dod_metrics::{Dataset, TRIANGLE_SLACK};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -76,7 +76,7 @@ pub fn detect_with_stats<D: Dataset + ?Sized>(
     }
 
     // ---- Pruning and exact counting --------------------------------------
-    let flags: Vec<bool> = par_map_strided(n, params.threads, |p| {
+    let flags: Vec<bool> = par_map(n, params.threads, |p| {
         let own = cluster_of[p] as usize;
         // Prune 1: a big cluster proves all members inliers (> k objects
         // means >= k neighbors for each member).

@@ -6,8 +6,8 @@
 //! served through the [`Engine`](crate::Engine) front door
 //! ([`IndexSpec::VpTree`](crate::IndexSpec::VpTree)).
 
-use crate::parallel::par_map_strided;
 use crate::params::OutlierReport;
+use dod_graph::parallel::par_map;
 use dod_metrics::{Dataset, DistanceCounter};
 use dod_vptree::VpTree;
 use std::time::Instant;
@@ -28,7 +28,7 @@ pub(crate) fn detect_on_tree<D: Dataset + ?Sized>(
     }
     // Filter-less baseline: every evaluation books as verification cost.
     let counted = DistanceCounter::new(data);
-    let flags: Vec<bool> = par_map_strided(n, threads, |p| tree.range_count(&counted, p, r, k) < k);
+    let flags: Vec<bool> = par_map(n, threads, |p| tree.range_count(&counted, p, r, k) < k);
     let outliers: Vec<u32> = flags
         .iter()
         .enumerate()

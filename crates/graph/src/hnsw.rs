@@ -10,11 +10,10 @@
 //! hierarchy adds build time and memory.
 
 use crate::graph::{GraphKind, ProximityGraph};
-use dod_metrics::{Dataset, OrdF64};
+use crate::nsw::beam_search;
+use dod_metrics::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Parameters for [`build`].
 #[derive(Debug, Clone)]
@@ -73,7 +72,8 @@ impl Hnsw {
     }
 }
 
-/// Beam search over one layer. Returns up to `ef` `(dist, id)` ascending.
+/// [`beam_search`] over one layer from `entry`, with epoch-stamped visit
+/// marks. Returns up to `ef` `(dist, id)` ascending.
 fn search_layer<D: Dataset + ?Sized>(
     layer: &[Vec<u32>],
     data: &D,
@@ -83,34 +83,14 @@ fn search_layer<D: Dataset + ?Sized>(
     visited: &mut [u32],
     epoch: u32,
 ) -> Vec<(f64, u32)> {
-    let mut candidates: BinaryHeap<(Reverse<OrdF64>, u32)> = BinaryHeap::new();
-    let mut found: BinaryHeap<(OrdF64, u32)> = BinaryHeap::with_capacity(ef + 1);
-    visited[entry as usize] = epoch;
-    let d0 = data.dist(query, entry as usize);
-    candidates.push((Reverse(OrdF64(d0)), entry));
-    found.push((OrdF64(d0), entry));
-    while let Some((Reverse(OrdF64(d)), v)) = candidates.pop() {
-        if found.len() == ef && d > found.peek().expect("non-empty").0 .0 {
-            break;
-        }
-        for &w in &layer[v as usize] {
-            if visited[w as usize] == epoch {
-                continue;
-            }
-            visited[w as usize] = epoch;
-            let dw = data.dist(query, w as usize);
-            if found.len() < ef || dw < found.peek().expect("non-empty").0 .0 {
-                candidates.push((Reverse(OrdF64(dw)), w));
-                found.push((OrdF64(dw), w));
-                if found.len() > ef {
-                    found.pop();
-                }
-            }
-        }
-    }
-    let mut out: Vec<(f64, u32)> = found.into_iter().map(|(OrdF64(d), v)| (d, v)).collect();
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out
+    beam_search(
+        layer,
+        &[entry],
+        ef,
+        |v| std::mem::replace(&mut visited[v as usize], epoch) != epoch,
+        |v| Some(data.dist(query, v as usize)),
+    )
+    .0
 }
 
 /// Builds the hierarchical index by incremental insertion.

@@ -16,9 +16,15 @@
 //! An exact monotonic-search-graph builder ([`msg`]) is included as the
 //! Ω(n²) reference point of Theorem 3 (used in tests and ablations only),
 //! along with an [`hnsw`] extension (the paper's §3 argues DOD cannot
-//! benefit from HNSW's hierarchy; we include it so the claim is testable),
-//! binary index persistence ([`serialize`]) and reachability diagnostics
-//! ([`stats`]).
+//! benefit from HNSW's hierarchy; we include it so the claim is testable)
+//! and binary index persistence ([`serialize`]).
+//!
+//! Two primitives below the builders have one implementation each:
+//! [`nsw::beam_search`], the insertion-time search of NSW, HNSW and the
+//! streaming crate's graph backend, and [`parallel::par_map_with`], the
+//! strided parallel map behind the graph builds, Algorithm 1's filter and
+//! verify phases and the baselines. Greedy-Counting, the walk the detector
+//! runs over these graphs, lives in `dod_core`.
 //!
 //! All builders are deterministic for a fixed seed, including the
 //! multi-threaded ones (they double-buffer instead of sharing state).
@@ -35,7 +41,6 @@ pub mod parallel;
 pub mod partition;
 pub mod prune;
 pub mod serialize;
-pub mod stats;
 
 pub use graph::{GraphKind, ProximityGraph};
 pub use mrpg::{BuildBreakdown, MrpgParams};

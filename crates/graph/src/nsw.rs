@@ -44,43 +44,49 @@ impl NswParams {
     }
 }
 
-/// Beam search over the partial graph: returns up to `ef` nearest
-/// discovered nodes as `(dist, id)` ascending.
-fn beam_search<D: Dataset + ?Sized>(
-    g: &ProximityGraph,
-    data: &D,
-    query: usize,
+/// Beam search over `adj`: the one search behind NSW insertion, HNSW's
+/// layer search and the stream graph backend.
+///
+/// `first_visit(v)` marks `v` visited and answers whether it was unmarked.
+/// `dist(v)` is `v`'s distance to the query, or `None` for a vertex that
+/// holds no object (a recycled stream slot); such a vertex is skipped.
+/// Every start enters the result, even past `ef`. The search then expands
+/// the nearest unexpanded vertex, keeping the best `ef` vertices seen,
+/// and stops once it holds `ef` results and that vertex lies farther than
+/// the worst of them (`ef = 0` acts as 1).
+///
+/// Returns the kept `(dist, id)` pairs ascending by `(dist, id)`, and the
+/// number of vertices taken for expansion, the stopping one included.
+pub fn beam_search(
+    adj: &[Vec<u32>],
     starts: &[u32],
     ef: usize,
-    visited: &mut [u32],
-    epoch: u32,
-) -> Vec<(f64, u32)> {
-    // `candidates`: min-heap of nodes to expand; `found`: max-heap of the
-    // best `ef` nodes seen (top = worst kept).
+    mut first_visit: impl FnMut(u32) -> bool,
+    mut dist: impl FnMut(u32) -> Option<f64>,
+) -> (Vec<(f64, u32)>, u64) {
+    // `candidates`: min-heap of vertices to expand; `found`: max-heap of
+    // the kept results (top = worst kept).
     let mut candidates: BinaryHeap<(Reverse<OrdF64>, u32)> = BinaryHeap::new();
     let mut found: BinaryHeap<(OrdF64, u32)> = BinaryHeap::with_capacity(ef + 1);
     for &s in starts {
-        if visited[s as usize] == epoch {
+        if !first_visit(s) {
             continue;
         }
-        visited[s as usize] = epoch;
-        let d = data.dist(query, s as usize);
+        let Some(d) = dist(s) else { continue };
         candidates.push((Reverse(OrdF64(d)), s));
         found.push((OrdF64(d), s));
-        if found.len() > ef {
-            found.pop();
-        }
     }
+    let mut expanded = 0u64;
     while let Some((Reverse(OrdF64(d)), v)) = candidates.pop() {
-        if found.len() == ef && d > found.peek().expect("non-empty").0 .0 {
+        expanded += 1;
+        if found.len() >= ef && d > found.peek().expect("non-empty").0 .0 {
             break;
         }
-        for &w in &g.adj[v as usize] {
-            if visited[w as usize] == epoch {
+        for &w in &adj[v as usize] {
+            if !first_visit(w) {
                 continue;
             }
-            visited[w as usize] = epoch;
-            let dw = data.dist(query, w as usize);
+            let Some(dw) = dist(w) else { continue };
             if found.len() < ef || dw < found.peek().expect("non-empty").0 .0 {
                 candidates.push((Reverse(OrdF64(dw)), w));
                 found.push((OrdF64(dw), w));
@@ -92,7 +98,7 @@ fn beam_search<D: Dataset + ?Sized>(
     }
     let mut out: Vec<(f64, u32)> = found.into_iter().map(|(OrdF64(d), v)| (d, v)).collect();
     out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out
+    (out, expanded)
 }
 
 /// Builds an NSW graph over all objects of `data`.
@@ -117,7 +123,14 @@ pub fn build<D: Dataset + ?Sized>(data: &D, params: &NswParams) -> ProximityGrap
         for _ in 0..params.restarts.max(1) {
             let start = rng.gen_range(0..i) as u32;
             epoch += 1;
-            found.extend(beam_search(&g, data, i, &[start], ef, &mut visited, epoch));
+            let (beam, _) = beam_search(
+                &g.adj,
+                &[start],
+                ef,
+                |v| std::mem::replace(&mut visited[v as usize], epoch) != epoch,
+                |v| Some(data.dist(i, v as usize)),
+            );
+            found.extend(beam);
         }
         found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         found.dedup_by_key(|e| e.1);
@@ -139,6 +152,79 @@ mod tests {
             .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect();
         VectorSet::from_rows(&rows, L2)
+    }
+
+    /// Runs [`beam_search`] over a hand-built graph with given vertex
+    /// distances (`None` = no object), returning the result, the expansion
+    /// count and the visit order.
+    fn search(
+        adj: &[Vec<u32>],
+        dists: &[Option<f64>],
+        starts: &[u32],
+        ef: usize,
+    ) -> (Vec<(f64, u32)>, u64, Vec<u32>) {
+        let mut visited = Vec::new();
+        let (found, expanded) = beam_search(
+            adj,
+            starts,
+            ef,
+            |v| {
+                let first = !visited.contains(&v);
+                if first {
+                    visited.push(v);
+                }
+                first
+            },
+            |v| dists[v as usize],
+        );
+        (found, expanded, visited)
+    }
+
+    #[test]
+    fn beam_keeps_every_start_even_past_ef() {
+        // A triangle of starts: nothing new is discovered, and all three
+        // stay in the result although ef is 1.
+        let adj = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
+        let dists = [Some(3.0), Some(1.0), Some(2.0)];
+        let (found, expanded, _) = search(&adj, &dists, &[0, 1, 2], 1);
+        assert_eq!(found, vec![(1.0, 1), (2.0, 2), (3.0, 0)]);
+        assert_eq!(expanded, 3);
+    }
+
+    #[test]
+    fn beam_skips_vertices_without_an_object() {
+        // 0 - 1 - 2 and 0 - 3, where slot 1 holds no object: it is never
+        // returned, and never expanded, so 2 behind it stays unvisited.
+        let adj = vec![vec![1, 3], vec![0, 2], vec![1], vec![0]];
+        let dists = [Some(0.0), None, Some(0.1), Some(1.0)];
+        let (found, expanded, visited) = search(&adj, &dists, &[0], 4);
+        assert_eq!(found, vec![(0.0, 0), (1.0, 3)]);
+        assert_eq!(expanded, 2);
+        assert!(!visited.contains(&2), "expanded through an empty slot");
+    }
+
+    #[test]
+    fn beam_results_ascend_by_distance_then_id() {
+        let adj = vec![vec![4, 3, 2, 1], vec![0], vec![0], vec![0], vec![0]];
+        let dists = [Some(5.0), Some(2.0), Some(1.0), Some(1.0), Some(2.0)];
+        let (found, _, _) = search(&adj, &dists, &[0], 10);
+        assert_eq!(
+            found,
+            vec![(1.0, 2), (1.0, 3), (2.0, 1), (2.0, 4), (5.0, 0)]
+        );
+    }
+
+    #[test]
+    fn beam_counts_the_stopping_pop_as_an_expansion() {
+        // From 0, ef 1: 2 (at 3) then 1 (at 1) are discovered. 1 is
+        // expanded; popping 2, now worse than the kept 1, stops the search
+        // before 2's neighbor 3 is seen. That pop is the third expansion.
+        let adj = vec![vec![2, 1], vec![0], vec![0, 3], vec![2]];
+        let dists = [Some(5.0), Some(1.0), Some(3.0), Some(0.5)];
+        let (found, expanded, visited) = search(&adj, &dists, &[0], 1);
+        assert_eq!(found, vec![(1.0, 1)]);
+        assert_eq!(expanded, 3);
+        assert!(!visited.contains(&3));
     }
 
     #[test]

@@ -358,7 +358,7 @@ pub mod encode {
 /// flag. A wire-supplied `"threads"` is clamped to `max_threads`: the
 /// body size limit bounds bytes and [`MAX_BATCH_ITEMS`] bounds items,
 /// this bounds the third amplification axis (one tiny query demanding
-/// millions of OS threads from `par_map_strided`).
+/// millions of OS threads from `dod_graph::parallel::par_map_with`).
 ///
 /// Validation is strict: unknown keys — top-level or per-query — are
 /// named 400s, never silently ignored. A client that typos `"explian"`

@@ -17,8 +17,9 @@
 //! partitioning schemes for low doubling dimension build on). Their
 //! Voronoi cells are packed onto the `S` shards geometry-first: cells
 //! within `3r` of each other are fused into atomic groups (they would
-//! ghost each other's neighborhoods across any boundary), and each group
-//! joins the shard of its nearest farthest-first seed under a load cap.
+//! ghost each other's neighborhoods across any boundary) as long as a
+//! group stays within a ~1.5× mean load cap, and each group joins the
+//! shard of its nearest farthest-first seed under that cap.
 //! Every arriving point `p` is **owned** by the shard holding its nearest
 //! pivot's cell, and additionally **ghosted** into every other shard
 //! holding some pivot `c_j` with

@@ -395,12 +395,26 @@ impl<S: Space> Router<S> {
             // other are fused into atomic groups (union-find): two cells
             // that close ghost each other's neighborhoods across any
             // shard boundary, so splitting them buys parallelism at the
-            // price of near-total replication. Groups then join the
-            // shard of their nearest farthest-first seed, heaviest group
-            // first, under a ~1.5× mean load cap.
+            // price of near-total replication. On dense data closeness
+            // chains every pivot into one group that no shard can take,
+            // so a fusion is skipped when the merged group would exceed
+            // the ~1.5× mean load cap or hold two farthest-first seeds.
+            // Groups then join the shard of their nearest seed, heaviest
+            // group first, under that cap; each seed's own group sits at
+            // distance 0 from it, so no shard is left empty.
             let pivot_pts: Vec<&S::Point> = candidates.iter().map(|&i| pts[i]).collect();
             let np = pivot_pts.len();
+            let total: usize = cell_sizes.iter().sum();
+            let cap = (total.div_ceil(self.spec.shards) * 3).div_ceil(2).max(1);
+            let seeds = farthest_first(&pivot_pts, self.spec.shards, dist);
             let mut parent: Vec<usize> = (0..np).collect();
+            // Group weight and whether the group holds a seed, kept at
+            // each union-find root.
+            let mut weight = cell_sizes.clone();
+            let mut seeded = vec![false; np];
+            for &s in &seeds {
+                seeded[s] = true;
+            }
             fn find(parent: &mut [usize], mut x: usize) -> usize {
                 while parent[x] != x {
                     parent[x] = parent[parent[x]];
@@ -413,8 +427,12 @@ impl<S: Space> Router<S> {
                 for j in (i + 1)..np {
                     if self.space.dist(pivot_pts[i], pivot_pts[j]) <= tau {
                         let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                        if ri != rj {
-                            parent[ri.max(rj)] = ri.min(rj);
+                        if ri != rj && !(seeded[ri] && seeded[rj]) && weight[ri] + weight[rj] <= cap
+                        {
+                            let (root, child) = (ri.min(rj), ri.max(rj));
+                            parent[child] = root;
+                            weight[root] += weight[child];
+                            seeded[root] |= seeded[child];
                         }
                     }
                 }
@@ -435,9 +453,6 @@ impl<S: Space> Router<S> {
                 .iter()
                 .map(|m| m.iter().map(|&c| cell_sizes[c]).sum())
                 .collect();
-            let seeds = farthest_first(&pivot_pts, self.spec.shards, dist);
-            let total: usize = cell_sizes.iter().sum();
-            let cap = (total.div_ceil(self.spec.shards) * 3).div_ceil(2).max(1);
             let mut order: Vec<usize> = (0..group_members.len()).collect();
             order.sort_by_key(|&g| (std::cmp::Reverse(group_weight[g]), g));
             let mut load = vec![0usize; self.spec.shards];

@@ -193,6 +193,52 @@ fn collinear_integer_streams_stay_exact_under_rounding() {
 }
 
 #[test]
+fn dense_streams_spread_over_every_shard() {
+    // 400 uniform points in [0, 10)² with r = 1: farthest-first pivots
+    // sit within 3r of their neighbours, so closeness alone chains every
+    // pivot into one group. That group must not land on one shard.
+    let mut rng = 0xD0D_u64;
+    let mut coord = || (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * 10.0;
+    let points: Vec<Vec<f32>> = (0..400)
+        .map(|_| vec![coord() as f32, coord() as f32])
+        .collect();
+    let query = Query::new(1.0, 4).expect("valid query");
+    for shards in [3, 4] {
+        let mut single = StreamDetector::open(
+            VectorSpace::new(L2, 2),
+            query,
+            WindowSpec::Count(256),
+            Backend::Exhaustive,
+        )
+        .expect("single detector");
+        let mut sharded = ShardedStreamDetector::open(
+            VectorSpace::new(L2, 2),
+            query,
+            WindowSpec::Count(256),
+            Backend::Exhaustive,
+            ShardSpec::new(shards),
+        )
+        .expect("sharded detector");
+        for p in &points {
+            single.insert(p.clone());
+            sharded.insert(p.clone());
+        }
+        assert_eq!(sharded.outliers(), single.outliers(), "S={shards}");
+        let health = sharded.health();
+        let owned: Vec<usize> = health.shards.iter().map(|s| s.owned).collect();
+        assert!(
+            owned.iter().all(|&o| o > 0),
+            "S={shards}: a shard owns nothing: {owned:?}"
+        );
+        assert!(
+            health.owned_skew() < 2.0,
+            "S={shards}: owned {owned:?}, skew {}",
+            health.owned_skew()
+        );
+    }
+}
+
+#[test]
 fn ghost_expiry_keeps_boundary_counts_exact() {
     // Two clusters around 0 and 10; the pivots land one per cluster.
     // Boundary points near 5 are ghosted both ways; as the tiny window

@@ -1,8 +1,9 @@
 //! Graph-assisted neighbor discovery: a lazily-repaired proximity graph
 //! over the window.
 //!
-//! New points are wired in NSW-style (beam search over the partial graph,
-//! link to the nearest discoveries), then their in-range neighbors are
+//! New points are wired in NSW-style (the shared
+//! [`dod_graph::nsw::beam_search`] over the partial graph, link to the
+//! nearest discoveries), then their in-range neighbors are
 //! collected with [`dod_core::greedy_collect`] — the paper's Greedy
 //! walk restricted to the query ball. Expired vertices are *tombstoned*:
 //! they keep routing traffic (their point data is retained) but are never
@@ -21,10 +22,9 @@ use crate::seqmap::SeqMap;
 use crate::space::Space;
 use crate::window::WindowView;
 use dod_core::{greedy_collect, DodError, TraversalBuffer};
+use dod_graph::nsw::beam_search;
 use dod_graph::{GraphKind, ProximityGraph};
 use dod_metrics::{Dataset, OrdF64};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Tuning knobs for [`GraphIndex`].
 #[derive(Debug, Clone)]
@@ -212,11 +212,9 @@ impl<S: Space> GraphIndex<S> {
     /// `(dist, slot)`. Runs before `greedy_collect` in `on_insert`, so the
     /// two walks share one [`TraversalBuffer`] serially.
     fn beam_search(&mut self, space: &S, q: &S::Point, exclude: u32) -> Vec<(f64, u32)> {
-        let ef = self.params.ef.max(self.params.m).max(1);
+        let ef = self.params.ef.max(self.params.m);
         self.buf.begin();
         self.buf.mark(exclude);
-        let mut candidates: BinaryHeap<(Reverse<OrdF64>, u32)> = BinaryHeap::new();
-        let mut found: BinaryHeap<(OrdF64, u32)> = BinaryHeap::with_capacity(ef + 1);
         let mut starts: Vec<u32> = self
             .recent
             .iter()
@@ -230,45 +228,19 @@ impl<S: Space> GraphIndex<S> {
                     .find(|&s| s != exclude && self.points[s as usize].is_some()),
             );
         }
-        for s in starts {
-            if !self.buf.mark(s) {
-                continue;
-            }
-            self.dist_evals += 1;
-            let d = space.dist(
-                q,
-                self.points[s as usize].as_ref().expect("start allocated"),
-            );
-            candidates.push((Reverse(OrdF64(d)), s));
-            found.push((OrdF64(d), s));
-        }
-        while let Some((Reverse(OrdF64(d)), v)) = candidates.pop() {
-            self.hops += 1;
-            if found.len() >= ef && d > found.peek().expect("non-empty").0 .0 {
-                break;
-            }
-            for i in 0..self.graph.adj[v as usize].len() {
-                let w = self.graph.adj[v as usize][i];
-                if !self.buf.mark(w) {
-                    continue;
-                }
-                let Some(p) = self.points[w as usize].as_ref() else {
-                    continue;
-                };
+        let (found, expanded) = beam_search(
+            &self.graph.adj,
+            &starts,
+            ef,
+            |v| self.buf.mark(v),
+            |v| {
+                let p = self.points[v as usize].as_ref()?;
                 self.dist_evals += 1;
-                let dw = space.dist(q, p);
-                if found.len() < ef || dw < found.peek().expect("non-empty").0 .0 {
-                    candidates.push((Reverse(OrdF64(dw)), w));
-                    found.push((OrdF64(dw), w));
-                    if found.len() > ef {
-                        found.pop();
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(f64, u32)> = found.into_iter().map(|(OrdF64(d), v)| (d, v)).collect();
-        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
+                Some(space.dist(q, p))
+            },
+        );
+        self.hops += expanded;
+        found
     }
 
     /// Keeps only the nearest `2·m` links of an over-full vertex, removing

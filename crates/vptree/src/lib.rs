@@ -16,15 +16,14 @@
 //! the vantage point, giving strictly tighter pruning than the single
 //! `mu` radius described in §3 of the paper.
 //!
-//! All query entry points take *object ids* (queries in the DOD problem are
-//! themselves members of the dataset) and exclude the query id from counts
-//! and results, matching Definition 1 (a neighbor of `p` is drawn from
-//! `P \ {p}`).
+//! The one query, [`VpTree::range_count`], takes an *object id* (queries
+//! in the DOD problem are themselves members of the dataset) and excludes
+//! the query id from the count, matching Definition 1 (a neighbor of `p`
+//! is drawn from `P \ {p}`).
 
-use dod_metrics::{Dataset, OrdF64, TRIANGLE_SLACK};
+use dod_metrics::{Dataset, TRIANGLE_SLACK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
 
 const NONE: u32 = u32::MAX;
 
@@ -239,99 +238,6 @@ impl VpTree {
         }
         count
     }
-
-    /// Collects the ids of all objects within distance `r` of `query`
-    /// (excluding `query` itself), in no particular order.
-    pub fn range_search<D: Dataset + ?Sized>(&self, data: &D, query: usize, r: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        if self.root == NONE {
-            return out;
-        }
-        let mut stack = vec![self.root];
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx as usize];
-            if node.is_leaf() {
-                let ids = &self.leaf_ids
-                    [node.leaf_start as usize..(node.leaf_start + node.leaf_len) as usize];
-                out.extend(
-                    ids.iter()
-                        .copied()
-                        .filter(|&id| id as usize != query && data.dist(query, id as usize) <= r),
-                );
-                continue;
-            }
-            let d = data.dist(query, node.vp as usize);
-            if d <= r && node.vp as usize != query {
-                out.push(node.vp);
-            }
-            let (lo, hi) = search_ring(d, r);
-            if node.left != NONE && lo <= node.left_hi && hi >= node.left_lo {
-                stack.push(node.left);
-            }
-            if node.right != NONE && lo <= node.right_hi && hi >= node.right_lo {
-                stack.push(node.right);
-            }
-        }
-        out
-    }
-
-    /// The `k` nearest neighbors of object `query` (excluding itself),
-    /// ascending by distance. Returns fewer than `k` pairs only if the
-    /// dataset has fewer than `k + 1` objects.
-    ///
-    /// Best-first branch-and-bound on the stored child intervals.
-    pub fn knn<D: Dataset + ?Sized>(&self, data: &D, query: usize, k: usize) -> Vec<(f64, u32)> {
-        if k == 0 || self.root == NONE {
-            return Vec::new();
-        }
-        // Max-heap of current best k (top = worst kept distance).
-        let mut best: BinaryHeap<(OrdF64, u32)> = BinaryHeap::with_capacity(k + 1);
-        fn consider(d: f64, id: u32, k: usize, best: &mut BinaryHeap<(OrdF64, u32)>) {
-            if best.len() < k {
-                best.push((OrdF64(d), id));
-            } else if d < best.peek().expect("non-empty").0 .0 {
-                best.pop();
-                best.push((OrdF64(d), id));
-            }
-        }
-        use std::cmp::Reverse;
-        // Min-heap of subtrees keyed by their distance lower bound.
-        let mut frontier: BinaryHeap<(Reverse<OrdF64>, u32)> = BinaryHeap::new();
-        frontier.push((Reverse(OrdF64(0.0)), self.root));
-        while let Some((Reverse(OrdF64(lb)), idx)) = frontier.pop() {
-            if best.len() == k && lb > best.peek().expect("non-empty").0 .0 {
-                break; // no remaining subtree can improve the result
-            }
-            let node = &self.nodes[idx as usize];
-            if node.is_leaf() {
-                let ids = &self.leaf_ids
-                    [node.leaf_start as usize..(node.leaf_start + node.leaf_len) as usize];
-                for &id in ids {
-                    if id as usize != query {
-                        consider(data.dist(query, id as usize), id, k, &mut best);
-                    }
-                }
-                continue;
-            }
-            let d = data.dist(query, node.vp as usize);
-            if node.vp as usize != query {
-                consider(d, node.vp, k, &mut best);
-            }
-            // Lower bound of a child: how far outside its [lo, hi] ring the
-            // query sits.
-            if node.left != NONE {
-                let lb = (node.left_lo - d).max(d - node.left_hi).max(0.0);
-                frontier.push((Reverse(OrdF64(lb)), node.left));
-            }
-            if node.right != NONE {
-                let lb = (node.right_lo - d).max(d - node.right_hi).max(0.0);
-                frontier.push((Reverse(OrdF64(lb)), node.right));
-            }
-        }
-        let mut out: Vec<(f64, u32)> = best.into_iter().map(|(OrdF64(d), id)| (d, id)).collect();
-        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -398,53 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn range_search_returns_exact_ids() {
-        let data = grid(50);
-        let tree = VpTree::build(&data, 3);
-        let mut got = tree.range_search(&data, 10, 2.0);
-        got.sort_unstable();
-        assert_eq!(got, vec![8, 9, 11, 12]);
-    }
-
-    #[test]
     fn query_is_never_its_own_neighbor() {
         let data = grid(10);
         let tree = VpTree::build(&data, 0);
-        assert!(!tree.range_search(&data, 5, 100.0).contains(&5));
         assert_eq!(tree.range_count(&data, 5, 100.0, usize::MAX), 9);
-    }
-
-    #[test]
-    fn knn_matches_brute_force() {
-        let data = random_points(150, 3, 5);
-        let tree = VpTree::build(&data, 9);
-        for q in 0..20 {
-            let got = tree.knn(&data, q, 5);
-            let mut all: Vec<(f64, u32)> = (0..150)
-                .filter(|&j| j != q)
-                .map(|j| (data.dist(q, j), j as u32))
-                .collect();
-            all.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let want: Vec<f64> = all[..5].iter().map(|p| p.0).collect();
-            let got_d: Vec<f64> = got.iter().map(|p| p.0).collect();
-            assert_eq!(got_d, want, "q={q}");
-        }
-    }
-
-    #[test]
-    fn knn_is_sorted_ascending() {
-        let data = random_points(80, 2, 2);
-        let tree = VpTree::build(&data, 4);
-        let nn = tree.knn(&data, 0, 10);
-        assert_eq!(nn.len(), 10);
-        assert!(nn.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn knn_with_k_larger_than_dataset() {
-        let data = grid(4);
-        let tree = VpTree::build(&data, 0);
-        assert_eq!(tree.knn(&data, 0, 10).len(), 3);
     }
 
     #[test]
@@ -453,7 +316,6 @@ mod tests {
         let data = VectorSet::from_rows(&vec![vec![1.0, 1.0]; 100], L2);
         let tree = VpTree::build(&data, 0);
         assert_eq!(tree.range_count(&data, 0, 0.0, usize::MAX), 99);
-        assert_eq!(tree.knn(&data, 0, 5).len(), 5);
     }
 
     #[test]
@@ -461,7 +323,7 @@ mod tests {
         let empty = VectorSet::from_rows(&[], L2);
         let tree = VpTree::build(&empty, 0);
         assert!(tree.is_empty());
-        assert_eq!(tree.knn(&empty, 0, 3), vec![]);
+        assert_eq!(tree.range_count(&empty, 0, 10.0, usize::MAX), 0);
 
         let one = grid(1);
         let tree = VpTree::build(&one, 0);
@@ -476,7 +338,10 @@ mod tests {
         let b = VpTree::build(&data, 42);
         assert_eq!(a.size_bytes(), b.size_bytes());
         for q in 0..10 {
-            assert_eq!(a.range_search(&data, q, 0.5), b.range_search(&data, q, 0.5));
+            assert_eq!(
+                a.range_count(&data, q, 0.5, usize::MAX),
+                b.range_count(&data, q, 0.5, usize::MAX)
+            );
         }
     }
 

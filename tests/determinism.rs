@@ -6,6 +6,7 @@ use dod::core::{Engine, Query};
 use dod::datasets::Family;
 use dod::graph::MrpgParams;
 use dod::metrics::Dataset;
+use std::collections::BTreeMap;
 
 #[test]
 fn dataset_generation_is_reproducible() {
@@ -26,6 +27,8 @@ fn dataset_generation_is_reproducible() {
 
 #[test]
 fn mrpg_build_is_reproducible_across_thread_counts() {
+    // The strided parallel map must leave every graph unchanged: the same
+    // links, pivots and exact-K' distance lists at any thread count.
     let gen = Family::Glove.generate(400, 5);
     let build = |threads: usize| {
         let mut p = MrpgParams::new(8);
@@ -33,14 +36,22 @@ fn mrpg_build_is_reproducible_across_thread_counts() {
         p.threads = threads;
         dod::graph::mrpg::build(&gen.data, &p).0
     };
+    let exact_lists = |g: &dod::graph::ProximityGraph| {
+        g.exact
+            .iter()
+            .map(|(&p, e)| (p, e.dists.clone()))
+            .collect::<BTreeMap<_, _>>()
+    };
     let g1 = build(1);
-    let g3 = build(3);
-    assert_eq!(g1.adj, g3.adj);
-    assert_eq!(g1.pivot, g3.pivot);
-    assert_eq!(
-        g1.exact.keys().collect::<std::collections::BTreeSet<_>>(),
-        g3.exact.keys().collect::<std::collections::BTreeSet<_>>()
-    );
+    let kg1 = dod::graph::mrpg::build_kgraph(&gen.data, 8, 1, 21);
+    for threads in [2, 3] {
+        let g = build(threads);
+        assert_eq!(g1.adj, g.adj, "threads={threads}");
+        assert_eq!(g1.pivot, g.pivot, "threads={threads}");
+        assert_eq!(exact_lists(&g1), exact_lists(&g), "threads={threads}");
+        let kg = dod::graph::mrpg::build_kgraph(&gen.data, 8, threads, 21);
+        assert_eq!(kg1.adj, kg.adj, "kgraph threads={threads}");
+    }
 }
 
 #[test]

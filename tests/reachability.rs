@@ -3,10 +3,55 @@
 //! fewer filtering false positives (Table 7). Both ends are measured here
 //! on the same data.
 
-use dod::core::{Engine, Query};
+use dod::core::{greedy_collect, Engine, Query, TraversalBuffer};
 use dod::datasets::{calibrate_r, Family};
-use dod::graph::stats::neighbor_reachability;
-use dod::graph::{mrpg, MrpgParams};
+use dod::graph::{mrpg, MrpgParams, ProximityGraph};
+use dod::metrics::{Dataset, VectorSet, L2};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Reachability of neighbors over sampled objects.
+struct Reach {
+    /// Mean over sampled objects of (reached neighbors / true neighbors).
+    mean_recall: f64,
+    /// Sampled objects that reached fewer than all their neighbors: the
+    /// potential false positives of the filtering phase.
+    deficient_objects: usize,
+}
+
+/// Measures, for every `n / sample`-th object with at least one true
+/// `r`-neighbor, how many of those neighbors Greedy-Counting reaches
+/// without the early `k` cutoff. It runs the detector's own walk
+/// ([`greedy_collect`]), pivot-expansion rule included.
+fn neighbor_reach<D: Dataset + ?Sized>(
+    g: &ProximityGraph,
+    data: &D,
+    r: f64,
+    sample: usize,
+) -> Reach {
+    let n = data.len();
+    let mut buf = TraversalBuffer::new(n);
+    let mut reached = Vec::new();
+    let (mut recall_sum, mut deficient_objects, mut sampled) = (0.0, 0, 0);
+    for p in (0..n).step_by((n / sample.max(1)).max(1)) {
+        let truth = (0..n).filter(|&j| j != p && data.dist(p, j) <= r).count();
+        if truth == 0 {
+            continue;
+        }
+        greedy_collect(g, data, p, r, usize::MAX, &mut buf, &mut reached);
+        recall_sum += reached.len() as f64 / truth as f64;
+        deficient_objects += usize::from(reached.len() < truth);
+        sampled += 1;
+    }
+    Reach {
+        mean_recall: if sampled == 0 {
+            1.0
+        } else {
+            recall_sum / sampled as f64
+        },
+        deficient_objects,
+    }
+}
 
 #[test]
 fn mrpg_reaches_neighbors_at_least_as_well_as_kgraph() {
@@ -22,8 +67,8 @@ fn mrpg_reaches_neighbors_at_least_as_well_as_kgraph() {
         p
     });
 
-    let kg_reach = neighbor_reachability(&kgraph, data, r, 200);
-    let mrpg_reach = neighbor_reachability(&full, data, r, 200);
+    let kg_reach = neighbor_reach(&kgraph, data, r, 200);
+    let mrpg_reach = neighbor_reach(&full, data, r, 200);
     assert!(
         mrpg_reach.mean_recall >= kg_reach.mean_recall - 0.01,
         "MRPG recall {} below KGraph {}",
@@ -49,7 +94,7 @@ fn deficient_reachability_upper_bounds_false_positives() {
     let r = calibrate_r(data, k, 0.02, 300, 4);
 
     let kgraph = mrpg::build_kgraph(data, 8, 2, 0);
-    let reach = neighbor_reachability(&kgraph, data, r, 1200); // every object
+    let reach = neighbor_reach(&kgraph, data, r, 1200); // every object
     let report = Engine::builder(data)
         .prebuilt_graph(kgraph)
         .build()
@@ -61,5 +106,29 @@ fn deficient_reachability_upper_bounds_false_positives() {
         "{} deficient objects cannot explain {} false positives",
         reach.deficient_objects,
         report.false_positives
+    );
+}
+
+#[test]
+fn mrpg_reaches_at_least_as_much_as_its_aknn_core() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let rows: Vec<Vec<f32>> = (0..300)
+        .map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)])
+        .collect();
+    let data = VectorSet::from_rows(&rows, L2);
+    let mut p = MrpgParams::new(5);
+    p.enable_connect = false;
+    p.enable_detours = false;
+    p.enable_remove_links = false;
+    let (bare, _) = mrpg::build(&data, &p);
+    let (full, _) = mrpg::build(&data, &MrpgParams::new(5));
+    let r = 0.3;
+    let bare_reach = neighbor_reach(&bare, &data, r, 100);
+    let full_reach = neighbor_reach(&full, &data, r, 100);
+    assert!(
+        full_reach.mean_recall >= bare_reach.mean_recall - 1e-9,
+        "full {} < bare {}",
+        full_reach.mean_recall,
+        bare_reach.mean_recall
     );
 }
