@@ -1,9 +1,11 @@
 //! Filtering-phase benchmark: Greedy-Counting cost per object on each
-//! proximity graph (the quantity Table 8 decomposes), plus the exact-K\'
-//! shortcut path.
+//! proximity graph (the quantity Table 8 decomposes), walking without
+//! edge lengths (every vertex met is evaluated, Algorithm 2 as printed)
+//! and with them (`_lengths` rows: bounds decide most vertices), plus the
+//! exact-K\' shortcut path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dod_core::{greedy_count, TraversalBuffer};
+use dod_core::{greedy_walk, EdgeLengths, TraversalBuffer};
 use dod_datasets::{calibrate_r, Family};
 use dod_graph::mrpg;
 use dod_graph::MrpgParams;
@@ -24,14 +26,20 @@ fn bench_filtering(c: &mut Criterion) {
     let mut g = c.benchmark_group("greedy_counting_sift4k");
     g.sample_size(20);
     for (name, graph) in [("kgraph", &kgraph), ("mrpg", &mrpg_graph)] {
-        g.bench_function(name, |b| {
-            let mut buf = TraversalBuffer::new(n);
-            let mut q = 0;
-            b.iter(|| {
-                q = (q + 131) % n;
-                black_box(greedy_count(graph, data, q, r, k, &mut buf))
-            })
-        });
+        let measured = EdgeLengths::measure(graph, data, 2);
+        for (row, lengths) in [
+            (name.to_string(), None),
+            (format!("{name}_lengths"), Some(&measured)),
+        ] {
+            g.bench_function(&row, |b| {
+                let mut buf = TraversalBuffer::new(n);
+                let mut q = 0;
+                b.iter(|| {
+                    q = (q + 131) % n;
+                    black_box(greedy_walk(graph, lengths, data, q, r, k, &mut buf).len())
+                })
+            });
+        }
     }
     // The shortcut path for exact-K' nodes (no graph walk at all).
     let exact_ids: Vec<u32> = mrpg_graph.exact.keys().copied().collect();

@@ -27,10 +27,12 @@ const METRICS: &[(&str, Direction)] = &[
     ("slide_us", Direction::LowerIsBetter),
     ("speedup_vs_batch", Direction::HigherIsBetter),
     ("slides_per_sec", Direction::HigherIsBetter),
-    // --cost rows: distance evaluations are deterministic per seed, so a
-    // jump means the filter really got worse, not that CI was slow.
+    // --cost rows: distance evaluations and graph hops are deterministic
+    // per seed, so a jump means the filter really got worse, not that CI
+    // was slow. Hops move only when the walk itself changes.
     ("dist_evals", Direction::LowerIsBetter),
     ("pruning_power", Direction::HigherIsBetter),
+    ("hops", Direction::LowerIsBetter),
 ];
 
 /// Fields that are neither identity nor gated metrics: run-dependent
@@ -60,7 +62,6 @@ const INFORMATIONAL: &[&str] = &[
     // total, and the counting-hook micro-benchmark is pure timer noise.
     "filter_dist_evals",
     "verify_dist_evals",
-    "hops",
     "raw_secs",
     "counted_secs",
     "counting_overhead",
@@ -326,6 +327,40 @@ mod tests {
             "rows must match despite health drift:\n{}",
             cmp.rendered
         );
+    }
+
+    #[test]
+    fn cost_rows_gate_hops_like_dist_evals() {
+        let cost_row = |dist_evals: f64, hops: f64| {
+            let mut j = JsonReport::new();
+            j.row([
+                ("experiment", JsonVal::from("tables_cost")),
+                ("dataset", JsonVal::from("Deep")),
+                ("n", JsonVal::from(2400usize)),
+                ("index", JsonVal::from("mrpg:25")),
+                ("dist_evals", JsonVal::from(dist_evals)),
+                ("hops", JsonVal::from(hops)),
+            ]);
+            j.render()
+        };
+        // A walk that expands 50% more vertices regresses on hops alone,
+        // and the hop count is never part of the row's identity.
+        let cmp =
+            compare(&cost_row(1000.0, 200.0), &cost_row(1000.0, 300.0), 0.25).expect("compare");
+        assert_eq!(
+            cmp.regressions,
+            vec![(
+                "experiment=tables_cost dataset=Deep n=2400 index=mrpg:25".to_string(),
+                "hops".to_string()
+            )],
+            "{}",
+            cmp.rendered
+        );
+        // Fewer hops is an improvement, not a regression.
+        let cmp =
+            compare(&cost_row(1000.0, 200.0), &cost_row(1000.0, 100.0), 0.25).expect("compare");
+        assert!(cmp.regressions.is_empty(), "{}", cmp.rendered);
+        assert!(cmp.rendered.contains("improved"));
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use crate::error::DodError;
 use crate::graph_dod::detect_on_graph;
-use crate::greedy::BufferPool;
+use crate::greedy::{BufferPool, EdgeLengths};
 use crate::nested_loop;
 use crate::params::{DodParams, OutlierReport, Query};
 use crate::telemetry::EngineMetrics;
@@ -188,9 +188,25 @@ impl std::str::FromStr for IndexSpec {
 
 /// The built index an engine serves from.
 enum Index {
-    Graph(ProximityGraph),
+    /// A proximity graph with its edge lengths, which Greedy-Counting
+    /// decides most neighbours from (see [`crate::greedy`]).
+    Graph {
+        graph: ProximityGraph,
+        lengths: EdgeLengths,
+    },
     Tree(VpTree),
     None,
+}
+
+impl Index {
+    /// Serves `graph`, measuring its edge lengths over `data` — the
+    /// dataset the engine serves, whichever way the graph arrived (built,
+    /// prebuilt or loaded), so no stored or caller-supplied distance is
+    /// ever trusted. One distance evaluation per adjacency entry.
+    fn graph<D: Dataset + ?Sized>(graph: ProximityGraph, data: &D, threads: usize) -> Index {
+        let lengths = EdgeLengths::measure(&graph, data, threads);
+        Index::Graph { graph, lengths }
+    }
 }
 
 /// Configures and builds an [`Engine`]. Created by [`Engine::builder`].
@@ -240,13 +256,16 @@ impl<D: Dataset> EngineBuilder<D> {
         self
     }
 
-    /// Builds the index and returns the ready engine.
+    /// Builds the index and returns the ready engine. A graph index —
+    /// built here or [prebuilt](Self::prebuilt_graph) — also has its edge
+    /// lengths measured over the dataset.
     ///
     /// Fails with [`DodError::InvalidSpec`] on an unusable spec and
     /// [`DodError::SizeMismatch`] when a prebuilt graph does not cover the
     /// dataset.
     pub fn build(self) -> Result<Engine<D>, DodError> {
         let t = Instant::now();
+        let serve = |graph| Index::graph(graph, &self.data, self.threads);
         let index = match self.prebuilt {
             Some(graph) => {
                 if graph.node_count() != self.data.len() {
@@ -255,16 +274,16 @@ impl<D: Dataset> EngineBuilder<D> {
                         data: self.data.len(),
                     });
                 }
-                Index::Graph(graph)
+                serve(graph)
             }
             None => {
                 self.spec.validate()?;
                 match &self.spec {
-                    IndexSpec::Mrpg(p) => Index::Graph(mrpg::build(&self.data, p).0),
+                    IndexSpec::Mrpg(p) => serve(mrpg::build(&self.data, p).0),
                     IndexSpec::Nsw { degree } => {
-                        Index::Graph(mrpg::build_nsw(&self.data, *degree, self.seed))
+                        serve(mrpg::build_nsw(&self.data, *degree, self.seed))
                     }
-                    IndexSpec::KGraph { degree } => Index::Graph(mrpg::build_kgraph(
+                    IndexSpec::KGraph { degree } => serve(mrpg::build_kgraph(
                         &self.data,
                         *degree,
                         self.threads,
@@ -398,8 +417,9 @@ impl<D: Dataset> Engine<D> {
         let threads = query.threads().unwrap_or(self.threads).max(1);
         let (r, k) = (query.r(), query.k());
         match &self.index {
-            Index::Graph(g) => detect_on_graph(
-                g,
+            Index::Graph { graph, lengths } => detect_on_graph(
+                graph,
+                lengths,
                 &self.data,
                 r,
                 k,
@@ -436,7 +456,7 @@ impl<D: Dataset> Engine<D> {
     /// The proximity graph the engine serves from, if it is graph-backed.
     pub fn graph(&self) -> Option<&ProximityGraph> {
         match &self.index {
-            Index::Graph(g) => Some(g),
+            Index::Graph { graph, .. } => Some(graph),
             _ => None,
         }
     }
@@ -444,17 +464,17 @@ impl<D: Dataset> Engine<D> {
     /// Display name of the backing index, matching the paper's tables.
     pub fn index_name(&self) -> &'static str {
         match &self.index {
-            Index::Graph(g) => g.kind.name(),
+            Index::Graph { graph, .. } => graph.kind.name(),
             Index::Tree(_) => "VP-tree",
             Index::None => "Nested-loop",
         }
     }
 
     /// Index footprint in bytes (paper Table 6; 0 for
-    /// [`IndexSpec::None`]).
+    /// [`IndexSpec::None`]). A graph index counts its edge lengths too.
     pub fn index_bytes(&self) -> usize {
         match &self.index {
-            Index::Graph(g) => g.size_bytes(),
+            Index::Graph { graph, lengths } => graph.size_bytes() + lengths.size_bytes(),
             Index::Tree(t) => t.size_bytes(),
             Index::None => 0,
         }
@@ -484,13 +504,15 @@ impl<D: Dataset> Engine<D> {
     /// Persists the index and query defaults (not the dataset) to `w`.
     ///
     /// Graph indexes are stored via the binary graph codec
-    /// ([`dod_graph::serialize`]); a VP-tree engine stores only its seed
-    /// and deterministically rebuilds the tree on [`Engine::load`].
+    /// ([`dod_graph::serialize`]) without their edge lengths, which
+    /// [`Engine::load`] measures again over the dataset it is given; a
+    /// VP-tree engine stores only its seed and deterministically rebuilds
+    /// the tree on load.
     pub fn save<W: Write>(&self, mut w: W) -> Result<(), DodError> {
         let (tag, payload): (u8, Option<&ProximityGraph>) = match &self.index {
             Index::None => (TAG_NONE, None),
             Index::Tree(_) => (TAG_VPTREE, None),
-            Index::Graph(g) => (TAG_GRAPH, Some(g)),
+            Index::Graph { graph, .. } => (TAG_GRAPH, Some(graph)),
         };
         let mut head = Vec::with_capacity(HEADER_LEN);
         head.extend_from_slice(ENGINE_MAGIC);
@@ -588,7 +610,7 @@ impl<D: Dataset> Engine<D> {
                         data: n,
                     });
                 }
-                Index::Graph(g)
+                Index::graph(g, &data, threads.max(1))
             }
             _ => return Err(corrupt(5, "bad index tag")),
         };
@@ -619,6 +641,8 @@ const ENGINE_MAGIC: &[u8; 4] = b"DODE";
 /// order, and the §5.5 shortcut compares those against `r`, so a
 /// `dist == r` tie could disagree with a nested loop run on the current
 /// kernel. Version-2 payloads are refused; rebuild the index instead.
+/// Greedy-Counting's edge lengths are not part of the format: `load`
+/// measures them over the dataset it is given.
 const ENGINE_VERSION: u8 = 3;
 /// magic + version + index tag + verify + threads u32 + seed u64 +
 /// dataset digest u64 + n u64.
@@ -903,6 +927,23 @@ mod tests {
         let (g2, _) = mrpg::build(&small, &MrpgParams::new(5));
         let err = Engine::builder(&data).prebuilt_graph(g2).build();
         assert!(matches!(err, Err(DodError::SizeMismatch { .. })));
+    }
+
+    #[test]
+    fn index_bytes_count_the_graph_and_its_edge_lengths() {
+        let data = blobs(150, 14);
+        for spec in [
+            IndexSpec::Mrpg(MrpgParams::new(5)),
+            IndexSpec::Nsw { degree: 5 },
+            IndexSpec::KGraph { degree: 5 },
+        ] {
+            let engine = Engine::builder(&data).index(spec).build().expect("build");
+            let g = engine.graph().expect("graph-backed");
+            let entries: usize = g.adj.iter().map(Vec::len).sum();
+            let lengths = entries * std::mem::size_of::<f32>()
+                + g.adj.len() * std::mem::size_of::<Vec<f32>>();
+            assert_eq!(engine.index_bytes(), g.size_bytes() + lengths);
+        }
     }
 
     #[test]

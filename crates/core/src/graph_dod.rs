@@ -6,7 +6,7 @@
 //! adds buffer pooling, verification-engine caching and typed errors.
 
 use crate::error::DodError;
-use crate::greedy::{greedy_count, BufferPool, TraversalBuffer};
+use crate::greedy::{greedy_walk, BufferPool, EdgeLengths, TraversalBuffer};
 use crate::params::{CostReport, DodParams, OutlierReport};
 use crate::verify::{ExactCounter, VerifyStrategy};
 use dod_graph::parallel::{par_map, par_map_with};
@@ -28,7 +28,8 @@ enum FilterOutcome {
     ExactInlier,
 }
 
-/// Runs Algorithm 1 over a prebuilt graph.
+/// Runs Algorithm 1 over a prebuilt graph, whose edge `lengths` were
+/// measured over `data`.
 ///
 /// `pool` supplies reusable traversal buffers and `counter` caches the
 /// resolved verification engine across queries — both are per-engine state
@@ -37,6 +38,7 @@ enum FilterOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
     g: &ProximityGraph,
+    lengths: &EdgeLengths,
     data: &D,
     r: f64,
     k: usize,
@@ -68,7 +70,7 @@ pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
         n,
         threads,
         || pool.take(n),
-        |buf, p| filter_one(g, data, p, r, k, use_shortcut, buf),
+        |buf, p| filter_one(g, lengths, data, p, r, k, use_shortcut, buf),
     );
     let (mut filter_dist_evals, mut hops) = (0, 0);
     for mut buf in bufs {
@@ -142,8 +144,10 @@ pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
 
 /// Filter decision for one object (Algorithm 1 lines 3–5, with the §5.5
 /// replacement for exact-`K'` nodes).
+#[allow(clippy::too_many_arguments)]
 fn filter_one<D: Dataset + ?Sized>(
     g: &ProximityGraph,
+    lengths: &EdgeLengths,
     data: &D,
     p: usize,
     r: f64,
@@ -165,7 +169,7 @@ fn filter_one<D: Dataset + ?Sized>(
             }
         }
     }
-    if greedy_count(g, data, p, r, k, buf) < k {
+    if greedy_walk(g, Some(lengths), data, p, r, k, buf).len() < k {
         FilterOutcome::Candidate
     } else {
         FilterOutcome::Inlier

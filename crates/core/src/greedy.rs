@@ -4,26 +4,59 @@
 //! From object `p`, BFS the proximity graph expanding only vertices within
 //! distance `r` of `p` — plus pivots beyond `r` when the graph asks for it
 //! (lines 13–14; MRPG needs this because `Remove-Links` re-routes
-//! non-pivot/non-pivot connectivity through pivots). Each vertex's distance
-//! is evaluated at most once, and the walk stops the moment `k` neighbors
-//! are confirmed, so inliers in dense regions cost `O(k)` distance
-//! evaluations regardless of `n` or dimensionality.
+//! non-pivot/non-pivot connectivity through pivots). Each vertex is decided
+//! at most once, and the walk stops the moment `k` neighbors are confirmed,
+//! so inliers in dense regions cost `O(k)` work regardless of `n` or
+//! dimensionality.
+//!
+//! **Deciding from edge lengths.** Algorithm 2 evaluates `d(p, w)` for
+//! every vertex it meets, yet most of those verdicts follow from distances
+//! already known. [`greedy_walk`] queues each vertex `v` with bounds
+//! `[lo, hi]` on the computed `d(p, v)`: `[0, 0]` for `p` itself, the value
+//! once evaluated. Given the stored length of edge `(v, w)`
+//! ([`EdgeLengths`]), it derives bounds on `d(p, w)` from
+//! `|d(p,v) − d(v,w)| ≤ d(p,w) ≤ d(p,v) + d(v,w)` and evaluates `d(p, w)`
+//! only when they straddle `r`:
+//!
+//! - a length is the computed `d(v, w)` rounded to `f32`, so the walk
+//!   widens it to its two `f32` neighbours, between which the computed
+//!   distance lies;
+//! - the triangle step is [`Rounding::triangle`] under the dataset's own
+//!   error model ([`Dataset::rounding`]), which widens every step by the
+//!   rounding of the three distances it combines, so bounds derived from
+//!   derived bounds stay sound;
+//! - `w` is counted unevaluated only when its upper bound is `<= r`, and
+//!   rejected unevaluated only when its lower bound is `> r`.
+//!
+//! The bounds hold the *computed* `d(p, w)`, the value the nested loop
+//! compares against `r`, so every verdict is the one an evaluation would
+//! give. The walk therefore reaches the same vertices in the same order,
+//! with the same hops, whether or not it has lengths; only the number of
+//! evaluations falls. Without lengths every bound is `[0, ∞)` and each
+//! vertex met is evaluated, exactly as Algorithm 2 does.
 //!
 //! The returned count never exceeds the true neighbor count (Lemma 1):
 //! outliers can never be filtered, which is what makes Algorithm 1 exact.
+//!
+//! [`Rounding::triangle`]: dod_metrics::Rounding::triangle
 
+use dod_graph::parallel::par_map;
 use dod_graph::ProximityGraph;
-use dod_metrics::Dataset;
+use dod_metrics::{Dataset, DistBounds};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Reusable traversal state: epoch-stamped visited marks plus the BFS
-/// queue. One buffer per worker thread avoids a fresh allocation per
-/// object (the filtering phase runs `n` traversals).
+/// Reusable traversal state: epoch-stamped visited marks, the BFS queue
+/// and the reached ids. One buffer per worker thread avoids a fresh
+/// allocation per object (the filtering phase runs `n` traversals).
 pub struct TraversalBuffer {
     visited: Vec<u32>,
     epoch: u32,
-    queue: VecDeque<u32>,
+    /// Vertices to expand, each with bounds on its distance to the
+    /// walk's origin.
+    queue: VecDeque<(u32, DistBounds)>,
+    /// Neighbors reached by the current walk, in the order reached.
+    reached: Vec<u32>,
     /// Distance evaluations since the last [`take_cost`](Self::take_cost)
     /// — accumulated across traversals, *not* reset by [`begin`](Self::begin),
     /// so one drain per query phase captures every walk of that phase.
@@ -39,33 +72,21 @@ impl TraversalBuffer {
             visited: vec![0; n],
             epoch: 0,
             queue: VecDeque::new(),
+            reached: Vec::new(),
             dist_evals: 0,
             hops: 0,
         }
     }
 
-    /// Drains the accumulated `(dist_evals, hops)` tally, resetting both
-    /// to zero. Walk implementations sharing this buffer (the streaming
-    /// crate's beam search) should book their own work with
-    /// [`note_dist`](Self::note_dist)/[`note_hop`](Self::note_hop) so one
-    /// drain covers the whole phase.
+    /// Drains the `(dist_evals, hops)` tally of the [`greedy_walk`]s run
+    /// on this buffer, resetting both to zero. Other walks that borrow the
+    /// buffer's visited marks (the stream graph backend's beam search)
+    /// keep their own tallies.
     pub fn take_cost(&mut self) -> (u64, u64) {
         (
             std::mem::take(&mut self.dist_evals),
             std::mem::take(&mut self.hops),
         )
-    }
-
-    /// Books `n` distance evaluations against this buffer's tally.
-    #[inline]
-    pub fn note_dist(&mut self, n: u64) {
-        self.dist_evals += n;
-    }
-
-    /// Books `n` vertex expansions against this buffer's tally.
-    #[inline]
-    pub fn note_hop(&mut self, n: u64) {
-        self.hops += n;
     }
 
     /// Starts a new traversal: all vertices become unvisited in O(1).
@@ -81,6 +102,7 @@ impl TraversalBuffer {
             self.epoch = 1;
         }
         self.queue.clear();
+        self.reached.clear();
     }
 
     /// Marks `v` visited; `true` iff it was unvisited this traversal.
@@ -137,98 +159,120 @@ impl BufferPool {
     }
 }
 
-/// Counts neighbors of `p` (objects within `r`, excluding `p`) reachable by
-/// the greedy graph walk, stopping at `k`. Returns `min(reached, k)`.
+/// The length of every edge of one graph, in `f32` lists aligned with its
+/// adjacency: `of(v)[i]` is the computed `d(v, g.adj[v][i])` rounded to
+/// `f32`.
 ///
-/// Lemma 1: the result is a lower bound of the true neighbor count, so
-/// `greedy_count(..) >= k` proves `p` is an inlier while `< k` only makes
-/// it a *candidate* outlier.
-pub fn greedy_count<D: Dataset + ?Sized>(
-    g: &ProximityGraph,
-    data: &D,
-    p: usize,
-    r: f64,
-    k: usize,
-    buf: &mut TraversalBuffer,
-) -> usize {
-    if k == 0 {
-        return 0;
-    }
-    buf.begin();
-    buf.mark(p as u32);
-    buf.queue.push_back(p as u32);
-    let mut count = 0usize;
-    while let Some(v) = buf.queue.pop_front() {
-        buf.hops += 1;
-        for i in 0..g.adj[v as usize].len() {
-            let w = g.adj[v as usize][i];
-            if !buf.mark(w) {
-                continue;
-            }
-            buf.dist_evals += 1;
-            let d = data.dist(p, w as usize);
-            if d <= r {
-                count += 1;
-                if count == k {
-                    return count;
-                }
-                buf.queue.push_back(w);
-            } else if g.expand_pivots && g.pivot[w as usize] {
-                // Line 13: pivots bridge regions even when they themselves
-                // lie outside the query ball.
-                buf.queue.push_back(w);
-            }
-        }
-    }
-    count
+/// Lengths are only ever [`measure`](Self::measure)d from the dataset the
+/// walk runs over, never read from a file or taken from a caller, so
+/// [`greedy_walk`] trusts no distance it did not compute itself.
+pub struct EdgeLengths {
+    lists: Vec<Vec<f32>>,
 }
 
-/// Like [`greedy_count`], but collects the *ids* of the reached neighbors
-/// into `out` (cleared first) instead of only counting them, and does not
-/// stop at `k` — the walk floods everything reachable under the expansion
-/// rule, up to `limit` collected ids.
+impl EdgeLengths {
+    /// Measures every adjacency entry of `g` over `data`: one distance
+    /// evaluation each, on `threads` workers.
+    pub fn measure<D: Dataset + ?Sized>(g: &ProximityGraph, data: &D, threads: usize) -> Self {
+        let lists = par_map(g.adj.len(), threads, |v| {
+            g.adj[v]
+                .iter()
+                .map(|&w| data.dist(v, w as usize) as f32)
+                .collect()
+        });
+        EdgeLengths { lists }
+    }
+
+    /// The lengths of `v`'s edges, aligned with `g.adj[v]`.
+    fn of(&self, v: usize) -> &[f32] {
+        &self.lists[v]
+    }
+
+    /// Heap footprint in bytes, counted the way
+    /// [`ProximityGraph::size_bytes`] counts adjacency lists.
+    pub(crate) fn size_bytes(&self) -> usize {
+        self.lists
+            .iter()
+            .map(|l| l.len() * std::mem::size_of::<f32>() + std::mem::size_of::<Vec<f32>>())
+            .sum()
+    }
+}
+
+/// Bounds on the computed distance a stored length was rounded from:
+/// rounding to nearest leaves it between the length's `f32` neighbours.
+#[inline]
+fn stored(len: f32) -> DistBounds {
+    DistBounds {
+        lo: f64::from(len.next_down()),
+        hi: f64::from(len.next_up()),
+    }
+}
+
+/// Greedy-Counting from `p`: walks `g` from `p` through the vertices
+/// within `r` of it (and through pivots, when `g` expands them) and
+/// returns the neighbors reached, in the order reached, stopping once
+/// `limit` are reached.
 ///
-/// The result is a subset of the true `r`-neighborhood of `p` (Lemma 1
-/// applies unchanged), which is what incremental consumers — the streaming
-/// engine's graph backend discovers a new point's neighbors with this —
-/// need: every returned id is a certified neighbor, while missed neighbors
-/// only weaken filtering, never exactness.
-pub fn greedy_collect<D: Dataset + ?Sized>(
+/// With `lengths` (measured from `g` over `data`), each vertex's verdict
+/// is derived from bounds where they decide it and evaluated otherwise;
+/// without, every vertex met is evaluated. Both return the same ids in the
+/// same order with the same hops (see the [module docs](self)). Cost is
+/// tallied on `buf` (see [`TraversalBuffer::take_cost`]).
+///
+/// Lemma 1: every reached id is a true neighbor, so `len() >= k` with
+/// `limit = k` proves `p` is an inlier while `< k` only makes it a
+/// *candidate* outlier.
+pub fn greedy_walk<'b, D: Dataset + ?Sized>(
     g: &ProximityGraph,
+    lengths: Option<&EdgeLengths>,
     data: &D,
     p: usize,
     r: f64,
     limit: usize,
-    buf: &mut TraversalBuffer,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    if limit == 0 {
-        return;
-    }
+    buf: &'b mut TraversalBuffer,
+) -> &'b [u32] {
     buf.begin();
+    if limit == 0 {
+        return &buf.reached;
+    }
+    let rounding = data.rounding();
     buf.mark(p as u32);
-    buf.queue.push_back(p as u32);
-    while let Some(v) = buf.queue.pop_front() {
+    buf.queue.push_back((p as u32, DistBounds::exact(0.0)));
+    while let Some((v, to_v)) = buf.queue.pop_front() {
         buf.hops += 1;
-        for i in 0..g.adj[v as usize].len() {
-            let w = g.adj[v as usize][i];
+        let v = v as usize;
+        let lens = lengths.map(|l| l.of(v));
+        for (i, &w) in g.adj[v].iter().enumerate() {
             if !buf.mark(w) {
                 continue;
             }
-            buf.dist_evals += 1;
-            let d = data.dist(p, w as usize);
-            if d <= r {
-                out.push(w);
-                if out.len() == limit {
-                    return;
+            let mut to_w = match lens {
+                Some(lens) => rounding.triangle(to_v, stored(lens[i])),
+                None => DistBounds::UNKNOWN,
+            };
+            let within = match to_w.within(r) {
+                Some(within) => within,
+                None => {
+                    buf.dist_evals += 1;
+                    let d = data.dist(p, w as usize);
+                    to_w = DistBounds::exact(d);
+                    d <= r
                 }
-                buf.queue.push_back(w);
+            };
+            if within {
+                buf.reached.push(w);
+                if buf.reached.len() == limit {
+                    return &buf.reached;
+                }
+                buf.queue.push_back((w, to_w));
             } else if g.expand_pivots && g.pivot[w as usize] {
-                buf.queue.push_back(w);
+                // Line 13: pivots bridge regions even when they themselves
+                // lie outside the query ball.
+                buf.queue.push_back((w, to_w));
             }
         }
     }
+    &buf.reached
 }
 
 #[cfg(test)]
@@ -247,26 +291,44 @@ mod tests {
         (data, g)
     }
 
+    /// Walks without and then with measured edge lengths, checks that both
+    /// reach the same ids in the same order, and returns them.
+    fn walk(
+        g: &ProximityGraph,
+        data: &VectorSet<L2>,
+        p: usize,
+        r: f64,
+        limit: usize,
+        buf: &mut TraversalBuffer,
+    ) -> Vec<u32> {
+        let lengths = EdgeLengths::measure(g, data, 1);
+        let plain = greedy_walk(g, None, data, p, r, limit, buf).to_vec();
+        let bounded = greedy_walk(g, Some(&lengths), data, p, r, limit, buf);
+        assert_eq!(plain, bounded, "p={p} r={r} limit={limit}");
+        plain
+    }
+
     #[test]
     fn counts_reachable_neighbors() {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
         // From point 10 with r = 3: neighbors are 7..13 minus itself = 6.
-        assert_eq!(greedy_count(&g, &data, 10, 3.0, 100, &mut buf), 6);
+        assert_eq!(walk(&g, &data, 10, 3.0, 100, &mut buf).len(), 6);
     }
 
     #[test]
     fn early_termination_at_k() {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
-        assert_eq!(greedy_count(&g, &data, 10, 3.0, 4, &mut buf), 4);
+        assert_eq!(walk(&g, &data, 10, 3.0, 4, &mut buf).len(), 4);
     }
 
     #[test]
     fn k_zero_returns_zero() {
         let (data, g) = line_graph(5);
         let mut buf = TraversalBuffer::new(5);
-        assert_eq!(greedy_count(&g, &data, 2, 10.0, 0, &mut buf), 0);
+        assert!(walk(&g, &data, 2, 10.0, 0, &mut buf).is_empty());
+        assert_eq!(buf.take_cost(), (0, 0), "a zero limit walks nowhere");
     }
 
     #[test]
@@ -276,7 +338,7 @@ mod tests {
         for p in 0..30 {
             for r in [0.5, 1.0, 2.5, 7.0] {
                 let truth = (0..30).filter(|&j| j != p && data.dist(p, j) <= r).count();
-                let got = greedy_count(&g, &data, p, r, usize::MAX, &mut buf);
+                let got = walk(&g, &data, p, r, usize::MAX, &mut buf).len();
                 assert!(got <= truth, "p={p} r={r}: {got} > {truth}");
             }
         }
@@ -291,7 +353,7 @@ mod tests {
         g.add_undirected(0, 1);
         g.add_undirected(1, 2);
         let mut buf = TraversalBuffer::new(3);
-        assert_eq!(greedy_count(&g, &data, 0, 2.0, 10, &mut buf), 0);
+        assert!(walk(&g, &data, 0, 2.0, 10, &mut buf).is_empty());
     }
 
     #[test]
@@ -304,7 +366,7 @@ mod tests {
         g.add_undirected(1, 2);
         g.pivot[1] = true;
         let mut buf = TraversalBuffer::new(3);
-        assert_eq!(greedy_count(&g, &data, 0, 2.0, 10, &mut buf), 1);
+        assert_eq!(walk(&g, &data, 0, 2.0, 10, &mut buf).len(), 1);
     }
 
     #[test]
@@ -312,54 +374,59 @@ mod tests {
         let data = VectorSet::from_rows(&[vec![0.0], vec![0.1]], L2);
         let g = ProximityGraph::new(2, GraphKind::KGraph);
         let mut buf = TraversalBuffer::new(2);
-        assert_eq!(greedy_count(&g, &data, 0, 1.0, 5, &mut buf), 0);
+        assert!(walk(&g, &data, 0, 1.0, 5, &mut buf).is_empty());
     }
 
     #[test]
     fn buffer_reuse_is_clean_across_queries() {
         let (data, g) = line_graph(15);
         let mut buf = TraversalBuffer::new(15);
-        let a = greedy_count(&g, &data, 3, 2.0, 100, &mut buf);
+        let a = walk(&g, &data, 3, 2.0, 100, &mut buf);
         // Re-run the same query with the same buffer: same answer.
-        let b = greedy_count(&g, &data, 3, 2.0, 100, &mut buf);
+        let b = walk(&g, &data, 3, 2.0, 100, &mut buf);
         assert_eq!(a, b);
         // And an unrelated query is unaffected by stale marks.
-        assert_eq!(greedy_count(&g, &data, 12, 2.0, 100, &mut buf), 4);
+        assert_eq!(walk(&g, &data, 12, 2.0, 100, &mut buf).len(), 4);
     }
 
     #[test]
     fn collect_returns_exactly_the_reached_ids() {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
-        let mut out = Vec::new();
-        greedy_collect(&g, &data, 10, 3.0, usize::MAX, &mut buf, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![7, 8, 9, 11, 12, 13]);
+        // Breadth first: both sides of 10 at each distance in turn.
+        assert_eq!(
+            walk(&g, &data, 10, 3.0, usize::MAX, &mut buf),
+            vec![9, 11, 8, 12, 7, 13]
+        );
     }
 
     #[test]
     fn collect_respects_the_limit() {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
-        let mut out = Vec::new();
-        greedy_collect(&g, &data, 10, 3.0, 2, &mut buf, &mut out);
-        assert_eq!(out.len(), 2);
-        let mut none = vec![99];
-        greedy_collect(&g, &data, 10, 3.0, 0, &mut buf, &mut none);
-        assert!(none.is_empty(), "limit 0 must clear and collect nothing");
+        assert_eq!(walk(&g, &data, 10, 3.0, 2, &mut buf).len(), 2);
+        assert!(
+            walk(&g, &data, 10, 3.0, 0, &mut buf).is_empty(),
+            "limit 0 must clear and collect nothing"
+        );
     }
 
     #[test]
     fn collect_agrees_with_count() {
+        // An early-terminated walk reaches a prefix of the full flood.
         let (data, g) = line_graph(30);
         let mut buf = TraversalBuffer::new(30);
-        let mut out = Vec::new();
         for p in (0..30).step_by(5) {
             for r in [0.5, 2.0, 6.5] {
-                greedy_collect(&g, &data, p, r, usize::MAX, &mut buf, &mut out);
-                let counted = greedy_count(&g, &data, p, r, usize::MAX, &mut buf);
-                assert_eq!(out.len(), counted, "p={p} r={r}");
-                assert!(out.iter().all(|&w| data.dist(p, w as usize) <= r));
+                let flood = walk(&g, &data, p, r, usize::MAX, &mut buf);
+                assert!(flood.iter().all(|&w| data.dist(p, w as usize) <= r));
+                for k in 0..=flood.len() {
+                    assert_eq!(
+                        walk(&g, &data, p, r, k, &mut buf),
+                        flood[..k],
+                        "p={p} r={r}"
+                    );
+                }
             }
         }
     }
@@ -372,9 +439,7 @@ mod tests {
         g.add_undirected(1, 2);
         g.pivot[1] = true;
         let mut buf = TraversalBuffer::new(3);
-        let mut out = Vec::new();
-        greedy_collect(&g, &data, 0, 2.0, usize::MAX, &mut buf, &mut out);
-        assert_eq!(out, vec![2]);
+        assert_eq!(walk(&g, &data, 0, 2.0, usize::MAX, &mut buf), vec![2]);
     }
 
     #[test]
@@ -396,7 +461,7 @@ mod tests {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
         assert_eq!(buf.take_cost(), (0, 0));
-        greedy_count(&g, &data, 10, 3.0, 100, &mut buf);
+        greedy_walk(&g, None, &data, 10, 3.0, 100, &mut buf);
         let (d1, h1) = buf.take_cost();
         // From 10 with r=3 the walk evaluates each ball vertex (7..13)
         // plus the two boundary rejections (6 and 14), and expands every
@@ -404,32 +469,68 @@ mod tests {
         assert_eq!(d1, 8);
         assert_eq!(h1, 7);
         // The tally accumulates across walks and drains to zero.
-        greedy_count(&g, &data, 10, 3.0, 100, &mut buf);
-        greedy_count(&g, &data, 10, 3.0, 100, &mut buf);
+        greedy_walk(&g, None, &data, 10, 3.0, 100, &mut buf);
+        greedy_walk(&g, None, &data, 10, 3.0, 100, &mut buf);
         assert_eq!(buf.take_cost(), (2 * d1, 2 * h1));
         assert_eq!(buf.take_cost(), (0, 0));
         // Early termination at k does less work than the full flood.
-        greedy_count(&g, &data, 10, 3.0, 1, &mut buf);
+        greedy_walk(&g, None, &data, 10, 3.0, 1, &mut buf);
         let (d_early, _) = buf.take_cost();
         assert!(d_early < d1, "{d_early} >= {d1}");
-        // collect books the same flood cost as count.
-        let mut out = Vec::new();
-        greedy_collect(&g, &data, 10, 3.0, usize::MAX, &mut buf, &mut out);
-        assert_eq!(buf.take_cost(), (d1, h1));
-        // Manual booking rides the same tally.
-        buf.note_dist(5);
-        buf.note_hop(2);
-        assert_eq!(buf.take_cost(), (5, 2));
+        // With lengths, 9, 11, 8 and 12 are decided from their bounds; the
+        // ties at r (7, 13) and the boundary rejections (6, 14) straddle r
+        // once widened, so they are evaluated. Hops are unchanged.
+        let lengths = EdgeLengths::measure(&g, &data, 1);
+        greedy_walk(&g, Some(&lengths), &data, 10, 3.0, 100, &mut buf);
+        assert_eq!(buf.take_cost(), (4, h1));
+    }
+
+    #[test]
+    fn lengths_are_aligned_with_the_adjacency_and_sized_like_it() {
+        let (data, g) = line_graph(6);
+        let one = EdgeLengths::measure(&g, &data, 1);
+        for v in 0..6 {
+            let want: Vec<f32> = g.adj[v]
+                .iter()
+                .map(|&w| data.dist(v, w as usize) as f32)
+                .collect();
+            assert_eq!(one.of(v), want);
+        }
+        assert_eq!(EdgeLengths::measure(&g, &data, 3).lists, one.lists);
+        let entries: usize = g.adj.iter().map(Vec::len).sum();
+        assert_eq!(
+            one.size_bytes(),
+            entries * 4 + 6 * std::mem::size_of::<Vec<f32>>()
+        );
+    }
+
+    #[test]
+    fn stored_bounds_hold_the_rounded_distance() {
+        let max = f64::from(f32::MAX);
+        let tiny = [0.0, 1e-46, 1e-40];
+        let huge = [max, max * (1.0 + 1e-8), 1e39];
+        for d in tiny
+            .into_iter()
+            .chain([0.1, 1.0 / 3.0, 3.0, 1e20])
+            .chain(huge)
+        {
+            // Round-to-nearest's worst case, both ways.
+            for d in [d, d * (1.0 + 2f64.powi(-24)), d * (1.0 - 2f64.powi(-24))] {
+                let b = stored(d as f32);
+                assert!(b.lo <= d && d <= b.hi, "{d:e}: {b:?}");
+            }
+        }
     }
 
     #[test]
     fn epoch_wraparound_resets_marks() {
         let (data, g) = line_graph(4);
         let mut buf = TraversalBuffer::new(4);
-        buf.epoch = u32::MAX - 1;
-        let a = greedy_count(&g, &data, 1, 1.0, 100, &mut buf);
-        let b = greedy_count(&g, &data, 1, 1.0, 100, &mut buf); // wraps here
-        let c = greedy_count(&g, &data, 1, 1.0, 100, &mut buf);
+        // Each `walk` runs two walks: the second call's first one wraps.
+        buf.epoch = u32::MAX - 2;
+        let a = walk(&g, &data, 1, 1.0, 100, &mut buf).len();
+        let b = walk(&g, &data, 1, 1.0, 100, &mut buf).len(); // wraps here
+        let c = walk(&g, &data, 1, 1.0, 100, &mut buf).len();
         assert_eq!(a, 2);
         assert_eq!(b, 2);
         assert_eq!(c, 2);

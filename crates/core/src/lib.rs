@@ -40,7 +40,7 @@ pub mod vptree_dod;
 
 pub use engine::{Engine, EngineBuilder, IndexSpec};
 pub use error::DodError;
-pub use greedy::{greedy_collect, greedy_count, TraversalBuffer};
+pub use greedy::{greedy_walk, EdgeLengths, TraversalBuffer};
 pub use params::{CostReport, DodParams, OutlierReport, Query};
 pub use telemetry::EngineMetrics;
 pub use verify::VerifyStrategy;

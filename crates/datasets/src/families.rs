@@ -3,7 +3,7 @@
 
 use crate::gaussian::{ClusterGeometry, GaussianMixture, MixtureShape};
 use crate::words::WordGenerator;
-use dod_metrics::{Angular, Dataset, MetricKind, StringSet, VectorSet, L1, L2, L4};
+use dod_metrics::{Angular, Dataset, MetricKind, Rounding, StringSet, VectorSet, L1, L2, L4};
 use serde::{Deserialize, Serialize};
 
 /// A dataset family, named after the real dataset it emulates.
@@ -467,6 +467,18 @@ impl Dataset for AnyDataset {
             AnyDataset::Strings(s) => s.content_digest(),
         }
     }
+
+    /// The inner set's model: an erased angular or string set must not
+    /// fall back to the vector norms' relative slack.
+    fn rounding(&self) -> Rounding {
+        match self {
+            AnyDataset::L1(s) => s.rounding(),
+            AnyDataset::L2(s) => s.rounding(),
+            AnyDataset::L4(s) => s.rounding(),
+            AnyDataset::Angular(s) => s.rounding(),
+            AnyDataset::Strings(s) => s.rounding(),
+        }
+    }
 }
 
 /// A generated dataset together with its provenance.
@@ -654,6 +666,18 @@ mod tests {
             assert_eq!(reloaded.query(query).expect("query").outliers, truth);
             let other = Family::Glove.generate(250, 3).data;
             assert!(AnyEngine::load(other, &bytes[..]).is_err());
+        }
+    }
+
+    #[test]
+    fn erased_rounding_sees_through_to_the_inner_set() {
+        for f in Family::ALL {
+            let want = match f.metric() {
+                MetricKind::Angular => Rounding::ANGULAR,
+                MetricKind::Edit => Rounding::EXACT,
+                _ => Rounding::RELATIVE,
+            };
+            assert_eq!(f.generate(20, 1).data.rounding(), want, "{}", f.name());
         }
     }
 

@@ -1,5 +1,6 @@
 //! The [`Dataset`] abstraction: id-addressed objects in a metric space.
 
+use crate::Rounding;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Incremental [FNV-1a] hasher over raw bytes.
@@ -69,6 +70,18 @@ pub trait Dataset: Sync {
         self.len() == 0
     }
 
+    /// How far `dist` may stray from the metric it rounds: the slack every
+    /// triangle-inequality rule over this set widens its bounds by (see
+    /// [`crate::rounding`]).
+    ///
+    /// The default, [`Rounding::RELATIVE`], is the vector norms' model.
+    /// Object stores with another model override it, and every wrapper
+    /// must forward its inner set's: a wrapper that keeps the default
+    /// would let an angular set be pruned by too small a slack.
+    fn rounding(&self) -> Rounding {
+        Rounding::RELATIVE
+    }
+
     /// A deterministic FNV-1a digest of the dataset contents, embedded by
     /// persistence layers so a saved index can reject a mismatched
     /// dataset before anything else goes wrong.
@@ -110,6 +123,9 @@ impl<D: Dataset + ?Sized> Dataset for &D {
     fn content_digest(&self) -> u64 {
         (**self).content_digest()
     }
+    fn rounding(&self) -> Rounding {
+        (**self).rounding()
+    }
 }
 
 impl<D: Dataset + ?Sized> Dataset for Box<D> {
@@ -121,6 +137,9 @@ impl<D: Dataset + ?Sized> Dataset for Box<D> {
     }
     fn content_digest(&self) -> u64 {
         (**self).content_digest()
+    }
+    fn rounding(&self) -> Rounding {
+        (**self).rounding()
     }
 }
 
@@ -182,6 +201,10 @@ impl<D: Dataset> Dataset for DistanceCounter<D> {
     fn content_digest(&self) -> u64 {
         self.inner.content_digest()
     }
+
+    fn rounding(&self) -> Rounding {
+        self.inner.rounding()
+    }
 }
 
 /// A view of a subset of a dataset's ids, itself a [`Dataset`].
@@ -226,6 +249,10 @@ impl<D: Dataset> Dataset for Subset<D> {
 
     fn dist(&self, i: usize, j: usize) -> f64 {
         self.base.dist(self.ids[i] as usize, self.ids[j] as usize)
+    }
+
+    fn rounding(&self) -> Rounding {
+        self.base.rounding()
     }
 }
 
@@ -310,6 +337,33 @@ mod tests {
         assert_eq!(<&Line as Dataset>::content_digest(&&a), a.content_digest());
         let boxed: Box<dyn Dataset> = Box::new(Line(vec![0.0, 1.0, 3.0, 7.0]));
         assert_eq!(boxed.content_digest(), a.content_digest());
+    }
+
+    #[test]
+    fn wrappers_forward_the_rounding_model() {
+        /// A set whose model is not the default.
+        struct Exact;
+        impl Dataset for Exact {
+            fn len(&self) -> usize {
+                2
+            }
+            fn dist(&self, i: usize, j: usize) -> f64 {
+                f64::from(u8::from(i != j))
+            }
+            fn rounding(&self) -> Rounding {
+                Rounding::EXACT
+            }
+        }
+        assert_eq!(Line(vec![0.0]).rounding(), Rounding::RELATIVE);
+        assert_eq!(<&Exact as Dataset>::rounding(&&Exact), Rounding::EXACT);
+        let boxed: Box<dyn Dataset> = Box::new(Exact);
+        assert_eq!(boxed.rounding(), Rounding::EXACT);
+        assert_eq!(DistanceCounter::new(Exact).rounding(), Rounding::EXACT);
+        assert_eq!(Subset::new(Exact, vec![1]).rounding(), Rounding::EXACT);
+        assert_eq!(
+            DistanceCounter::new(Subset::new(&Exact, vec![0, 1])).rounding(),
+            Rounding::EXACT
+        );
     }
 
     #[test]

@@ -19,29 +19,24 @@
 //!
 //! All distances satisfy the metric axioms (identity, symmetry, triangle
 //! inequality); the property tests in this crate check them on random data.
+//! Computed distances obey the triangle inequality only up to rounding, so
+//! each metric also states its rounding error ([`Rounding`], reached
+//! through [`Dataset::rounding`]); the [`rounding`] module documents the
+//! model per metric.
 
 pub mod dataset;
+pub mod rounding;
 pub mod string;
 pub mod util;
 pub mod vector;
 
 pub use dataset::{Dataset, DistanceCounter, Fnv1a, Subset};
+pub use rounding::{DistBounds, Rounding, ANGULAR_ERROR, TRIANGLE_SLACK};
 pub use string::{edit_distance, StringSet};
 pub use util::OrdF64;
 pub use vector::{Angular, Chebyshev, Minkowski, VectorMetric, VectorSet, L1, L2, L4};
 
 use serde::{Deserialize, Serialize};
-
-/// Relative slack for pruning rules that rest on the triangle inequality.
-///
-/// Computed distances are rounded, and rounding can break the triangle
-/// inequality by an ulp (in `f64`, `√32 − √2 > √18` on collinear points).
-/// A rule that keeps or skips a whole group of objects from distance
-/// bounds alone — a VP-tree child, a SNIF cluster, a shard's ghost band —
-/// therefore widens its bound by `TRIANGLE_SLACK` times the magnitudes
-/// it adds, so no pair at `d == r` is pruned by rounding. What the slack
-/// lets through is still decided by an exact `d <= r` check.
-pub const TRIANGLE_SLACK: f64 = 1e-9;
 
 /// Identifies a distance function, e.g. in dataset descriptors and
 /// experiment configuration files.

@@ -1,6 +1,7 @@
 //! String space under Levenshtein edit distance (the paper's Words dataset).
 
 use crate::dataset::Dataset;
+use crate::Rounding;
 
 /// Levenshtein edit distance between two byte strings: the minimum number of
 /// single-byte insertions, deletions and substitutions turning `a` into `b`.
@@ -87,6 +88,11 @@ impl Dataset for StringSet {
         edit_distance(self.get(i), self.get(j)) as f64
     }
 
+    /// Edit distances are integers, so bounds over them are exact.
+    fn rounding(&self) -> Rounding {
+        Rounding::EXACT
+    }
+
     /// FNV-1a over every string's bytes with length framing, so moving a
     /// boundary between adjacent strings changes the digest.
     fn content_digest(&self) -> u64 {
@@ -145,6 +151,11 @@ mod tests {
         assert_eq!(s.dist(0, 1), 3.0);
         assert_eq!(s.dist(1, 0), 3.0);
         assert_eq!(s.dist(0, 0), 0.0);
+        assert_eq!(
+            s.rounding(),
+            Rounding::EXACT,
+            "integer distances round nothing"
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! angular metrics.
 
 use crate::dataset::Dataset;
+use crate::Rounding;
 
 /// A distance function over equal-length `f32` slices.
 ///
@@ -29,6 +30,13 @@ pub trait VectorMetric: Send + Sync {
 
     /// One-time hook to transform stored rows at dataset construction.
     fn preprocess(&self, _data: &mut [f32], _dim: usize) {}
+
+    /// The rounding error of [`dist`](Self::dist) (see
+    /// [`crate::rounding`]). The default, [`Rounding::RELATIVE`], fits the
+    /// norms; [`Angular`] overrides it.
+    fn rounding(&self) -> Rounding {
+        Rounding::RELATIVE
+    }
 
     /// Human-readable metric name.
     fn name(&self) -> &'static str;
@@ -195,6 +203,13 @@ impl VectorMetric for Angular {
         dot.clamp(-1.0, 1.0).acos()
     }
 
+    /// [`Rounding::ANGULAR`]: the `f32` row normalization puts an absolute
+    /// error of up to [`ANGULAR_ERROR`](crate::ANGULAR_ERROR) on every
+    /// distance, however small.
+    fn rounding(&self) -> Rounding {
+        Rounding::ANGULAR
+    }
+
     fn preprocess(&self, data: &mut [f32], dim: usize) {
         assert!(dim > 0, "angular metric requires dim > 0");
         for row in data.chunks_exact_mut(dim) {
@@ -289,6 +304,10 @@ impl<M: VectorMetric> Dataset for VectorSet<M> {
             return 0.0;
         }
         self.metric.dist(self.row(i), self.row(j))
+    }
+
+    fn rounding(&self) -> Rounding {
+        self.metric.rounding()
     }
 
     /// FNV-1a over the stored (preprocessed) point bytes plus the
@@ -499,6 +518,60 @@ mod tests {
                 assert_eq!(p3.dist(&a, &b), sum(cube).powf(1.0 / 3.0));
             }
         }
+    }
+
+    /// The angle between two stored rows from a cancellation-free formula,
+    /// `2·atan2(|â − b̂|, |â + b̂|)` in `f64`: the metric the kernel rounds,
+    /// accurate to a few ulps.
+    fn reference_angle(a: &[f32], b: &[f32]) -> f64 {
+        let norm = |x: &[f32]| x.iter().map(|&v| f64::from(v).powi(2)).sum::<f64>().sqrt();
+        let (na, nb) = (norm(a), norm(b));
+        let (mut minus, mut plus) = (0.0f64, 0.0f64);
+        for (&x, &y) in a.iter().zip(b) {
+            let (x, y) = (f64::from(x) / na, f64::from(y) / nb);
+            minus += (x - y).powi(2);
+            plus += (x + y).powi(2);
+        }
+        2.0 * minus.sqrt().atan2(plus.sqrt())
+    }
+
+    #[test]
+    fn angular_error_bounds_the_kernel_on_near_parallel_rows() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        assert_eq!(set2(Angular).rounding(), Rounding::ANGULAR);
+        assert_eq!(set2(L2).rounding(), Rounding::RELATIVE);
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut worst = 0.0f64;
+        for dim in [2usize, 3, 25, 96, 300] {
+            for _ in 0..400 {
+                // One direction at several scales, each copy nudged by at
+                // most 1e-6 per coordinate: identical and near-parallel
+                // rows, where acos is most ill-conditioned.
+                let base: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let rows: Vec<Vec<f32>> = (0..4)
+                    .map(|_| {
+                        let t = rng.gen_range(0.01f32..100.0);
+                        let nudge = if rng.gen_bool(0.5) { 1e-6 } else { 0.0 };
+                        base.iter()
+                            .map(|&x| t * (x + nudge * rng.gen_range(-1.0f32..1.0)))
+                            .collect()
+                    })
+                    .collect();
+                let s = VectorSet::from_rows(&rows, Angular);
+                for i in 0..4 {
+                    for j in 0..4 {
+                        let err = (s.dist(i, j) - reference_angle(s.row(i), s.row(j))).abs();
+                        let err = if i == j { s.dist(i, j) } else { err };
+                        worst = worst.max(err);
+                    }
+                }
+            }
+        }
+        assert!(worst <= crate::ANGULAR_ERROR, "kernel error {worst:e}");
+        // The probe reaches the bound's scale, so it tests something.
+        assert!(worst > crate::ANGULAR_ERROR / 4.0, "kernel error {worst:e}");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! New points are wired in NSW-style (the shared
 //! [`dod_graph::nsw::beam_search`] over the partial graph, link to the
 //! nearest discoveries), then their in-range neighbors are
-//! collected with [`dod_core::greedy_collect`] — the paper's Greedy
-//! walk restricted to the query ball. Expired vertices are *tombstoned*:
+//! collected with [`dod_core::greedy_walk`] — the paper's Greedy
+//! walk restricted to the query ball, run without edge lengths, so it
+//! evaluates every vertex it meets. Expired vertices are *tombstoned*:
 //! they keep routing traffic (their point data is retained) but are never
 //! reported as neighbors, and once tombstones reach a quarter of the live
 //! window the arena is compacted — dead vertices are bridged out and their
@@ -21,7 +22,7 @@ use crate::index::{IndexHealth, StreamIndex, DEGREE_BUCKETS, DEGREE_BUCKET_BOUND
 use crate::seqmap::SeqMap;
 use crate::space::Space;
 use crate::window::WindowView;
-use dod_core::{greedy_collect, DodError, TraversalBuffer};
+use dod_core::{greedy_walk, DodError, TraversalBuffer};
 use dod_graph::nsw::beam_search;
 use dod_graph::{GraphKind, ProximityGraph};
 use dod_metrics::{Dataset, OrdF64};
@@ -209,7 +210,7 @@ impl<S: Space> GraphIndex<S> {
     }
 
     /// Beam search for the nearest allocated slots to `q`; ascending
-    /// `(dist, slot)`. Runs before `greedy_collect` in `on_insert`, so the
+    /// `(dist, slot)`. Runs before `greedy_walk` in `on_insert`, so the
     /// two walks share one [`TraversalBuffer`] serially.
     fn beam_search(&mut self, space: &S, q: &S::Point, exclude: u32) -> Vec<(f64, u32)> {
         let ef = self.params.ef.max(self.params.m);
@@ -288,15 +289,15 @@ impl<S: Space> GraphIndex<S> {
         // Tombstones in range are collected by the walk too; widen the cap
         // by their count so they cannot crowd out live discoveries.
         let limit = self.discover_cap.saturating_add(self.dead);
-        greedy_collect(
+        discovered.extend_from_slice(greedy_walk(
             &self.graph,
+            None,
             &arena,
             slot as usize,
             r,
             limit,
             &mut self.buf,
-            &mut discovered,
-        );
+        ));
         for &(d, s) in found {
             if d <= r {
                 discovered.push(s);

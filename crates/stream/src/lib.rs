@@ -21,7 +21,7 @@
 //!   the [`GraphIndex`] wires new points into a lazily-repaired proximity
 //!   graph (tombstoned expiries, periodic compaction) and discovers
 //!   neighbors with the paper's greedy ball walk
-//!   ([`dod_core::greedy_collect`]) — a certified subset, so counts are
+//!   ([`dod_core::greedy_walk`]) — a certified subset, so counts are
 //!   lower bounds. Only the graph backend can miss a neighbor, so only
 //!   it runs the sampled recall auditor, at the cadence its
 //!   [`GraphParams`] set.

@@ -21,17 +21,18 @@
 //! the query id from the count, matching Definition 1 (a neighbor of `p`
 //! is drawn from `P \ {p}`).
 
-use dod_metrics::{Dataset, TRIANGLE_SLACK};
+use dod_metrics::{Dataset, Rounding};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const NONE: u32 = u32::MAX;
 
 /// The ring `[d - r, d + r]` of distances to a vantage point at which
-/// objects within `r` of a query at distance `d` can lie, widened by
-/// [`TRIANGLE_SLACK`] so rounding never prunes a child that holds one.
-fn search_ring(d: f64, r: f64) -> (f64, f64) {
-    let slack = TRIANGLE_SLACK * (d + r);
+/// objects within `r` of a query at distance `d` can lie, widened by the
+/// metric's [`Rounding::triangle_slack`] so rounding never prunes a child
+/// that holds one.
+fn search_ring(d: f64, r: f64, rounding: Rounding) -> (f64, f64) {
+    let slack = rounding.triangle_slack(d + r);
     (d - r - slack, d + r + slack)
 }
 
@@ -200,6 +201,7 @@ impl VpTree {
             return 0;
         }
         let mut count = 0;
+        let rounding = data.rounding();
         // Explicit stack; depth is O(log n) but recursion would thread the
         // early-exit flag awkwardly.
         let mut stack = vec![self.root];
@@ -228,7 +230,7 @@ impl VpTree {
             // A child can contain a neighbor only if its distance interval
             // to the vantage point intersects [d - r, d + r] (triangle
             // inequality both ways, widened for rounding).
-            let (lo, hi) = search_ring(d, r);
+            let (lo, hi) = search_ring(d, r, rounding);
             if node.left != NONE && lo <= node.left_hi && hi >= node.left_lo {
                 stack.push(node.left);
             }

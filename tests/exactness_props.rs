@@ -3,8 +3,9 @@
 //! filtering phase never produces false negatives (Lemma 1).
 
 use dod::core::{dolphin, nested_loop, snif, DodParams, Engine, IndexSpec, Query};
-use dod::core::{greedy_count, TraversalBuffer};
-use dod::graph::MrpgParams;
+use dod::core::{greedy_walk, EdgeLengths, TraversalBuffer, VerifyStrategy};
+use dod::graph::{mrpg, MrpgParams};
+use dod::metrics::DistanceCounter;
 use dod::prelude::*;
 use proptest::prelude::*;
 
@@ -61,9 +62,10 @@ proptest! {
         let n = data.len();
         let (g, _) = dod::graph::mrpg::build(&data, &MrpgParams::new(4));
         let mut buf = TraversalBuffer::new(n);
+        let lengths = EdgeLengths::measure(&g, &data, 1);
         for p in 0..n {
             let truth = (0..n).filter(|&j| j != p && data.dist(p, j) <= r).count();
-            let counted = greedy_count(&g, &data, p, r, usize::MAX, &mut buf);
+            let counted = greedy_walk(&g, Some(&lengths), &data, p, r, usize::MAX, &mut buf).len();
             prop_assert!(
                 counted <= truth,
                 "greedy overcounted at p={}: {} > {}", p, counted, truth
@@ -201,4 +203,203 @@ fn collinear_integer_points_stay_exact_under_rounding() {
         wrong.len(),
         wrong[0]
     );
+}
+
+/// Rows `t·(b0, b1 + ε, b2)` along one to four integer directions `b`
+/// (`b0` in 1..=7, `b1` and `b2` in 0..=6), with `t` in 1..50 and `ε` in
+/// {0, …, 4}·1e-3 per row: most pairs are parallel or nearly so, where
+/// `acos` turns the `f32` row normalization into up to 4.9e-4 rad of
+/// error.
+fn near_parallel_rows(rng: &mut u64) -> Vec<Vec<f32>> {
+    let dirs: Vec<[f64; 3]> = (0..1 + splitmix(rng) % 4)
+        .map(|_| {
+            [
+                (1 + splitmix(rng) % 7) as f64,
+                (splitmix(rng) % 7) as f64,
+                (splitmix(rng) % 7) as f64,
+            ]
+        })
+        .collect();
+    let n = 6 + (splitmix(rng) % 40) as usize;
+    (0..n)
+        .map(|_| {
+            let b = dirs[(splitmix(rng) % dirs.len() as u64) as usize];
+            let t = (1 + splitmix(rng) % 49) as f64;
+            let eps = (splitmix(rng) % 5) as f64 * 1e-3;
+            vec![
+                (t * b[0]) as f32,
+                (t * (b[1] + eps)) as f32,
+                (t * b[2]) as f32,
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn near_parallel_angular_points_stay_exact_under_rounding() {
+    // Identical directions measure up to 4.2e-4 rad apart, and r is one
+    // of the measured distances, so d == r ties sit inside the angular
+    // kernel's rounding. A triangle rule with a relative slack prunes
+    // such a neighbour and reports an inlier as an outlier.
+    let mut rng = 0xA06_u64;
+    let mut wrong = Vec::new();
+    const DATASETS: usize = 1000;
+    for _ in 0..DATASETS {
+        let rows = near_parallel_rows(&mut rng);
+        let data = VectorSet::from_rows(&rows, Angular);
+        let n = data.len();
+        let p = (splitmix(&mut rng) % n as u64) as usize;
+        let q = (splitmix(&mut rng) % n as u64) as usize;
+        let r = data.dist(p, q);
+        let k = 1 + (splitmix(&mut rng) % 4) as usize;
+        let truth = nested_loop::detect(&data, &DodParams::new(r, k), 0).outliers;
+        let query = Query::new(r, k).expect("valid query");
+        for (name, spec, verify) in [
+            ("vptree", IndexSpec::VpTree, VerifyStrategy::Auto),
+            (
+                "mrpg",
+                IndexSpec::Mrpg(MrpgParams::new(4)),
+                VerifyStrategy::Auto,
+            ),
+            (
+                "mrpg+vptree",
+                IndexSpec::Mrpg(MrpgParams::new(4)),
+                VerifyStrategy::VpTree,
+            ),
+            ("nsw", IndexSpec::Nsw { degree: 4 }, VerifyStrategy::Auto),
+            (
+                "kgraph",
+                IndexSpec::KGraph { degree: 4 },
+                VerifyStrategy::Auto,
+            ),
+        ] {
+            let engine = Engine::builder(&data)
+                .index(spec)
+                .verify(verify)
+                .build()
+                .expect("engine");
+            let got = engine.query(query).expect("query").outliers;
+            if got != truth {
+                wrong.push(format!(
+                    "{name}: n={n} r={r:e} k={k}: want {truth:?}, got {got:?}"
+                ));
+            }
+        }
+    }
+    let per_spec = ["vptree:", "mrpg:", "mrpg+vptree:", "nsw:", "kgraph:"]
+        .map(|spec| (spec, wrong.iter().filter(|w| w.starts_with(spec)).count()));
+    assert!(
+        wrong.is_empty(),
+        "{} wrong answers over {DATASETS} datasets {per_spec:?}; first: {}",
+        wrong.len(),
+        wrong[0]
+    );
+}
+
+/// Integer points `t·(a, b)` on a line through the origin, as in
+/// `collinear_integer_points_stay_exact_under_rounding`.
+fn collinear_rows(rng: &mut u64) -> Vec<Vec<f32>> {
+    let (a, b) = (1 + splitmix(rng) % 3, splitmix(rng) % 4);
+    let n = 20 + (splitmix(rng) % 20) as usize;
+    (0..n)
+        .map(|_| {
+            let t = splitmix(rng) % 40;
+            vec![(t * a) as f32, (t * b) as f32]
+        })
+        .collect()
+}
+
+/// Points on a small integer grid: many repeated distances.
+fn grid_rows(rng: &mut u64) -> Vec<Vec<f32>> {
+    let n = 20 + (splitmix(rng) % 20) as usize;
+    (0..n)
+        .map(|_| (0..3).map(|_| (splitmix(rng) % 5) as f32).collect())
+        .collect()
+}
+
+#[test]
+fn walk_with_lengths_matches_the_walk_without() {
+    // The walk over measured edge lengths must make every verdict an
+    // evaluation would: the same reached ids in the same order and the
+    // same hops, never more evaluations. It runs through `AnyDataset` and
+    // `DistanceCounter`, so a wrapper that drops the metric's rounding
+    // model (and falls back to a relative slack on angular data) fails.
+    let mut rng = 0x3A1C_u64;
+    let mut cases: Vec<(&str, AnyDataset)> = Vec::new();
+    for _ in 0..4 {
+        cases.push((
+            "l1",
+            AnyDataset::L1(VectorSet::from_rows(&grid_rows(&mut rng), L1)),
+        ));
+        cases.push((
+            "l2",
+            AnyDataset::L2(VectorSet::from_rows(&grid_rows(&mut rng), L2)),
+        ));
+        cases.push((
+            "l4",
+            AnyDataset::L4(VectorSet::from_rows(&grid_rows(&mut rng), L4)),
+        ));
+        cases.push((
+            "l2-collinear",
+            AnyDataset::L2(VectorSet::from_rows(&collinear_rows(&mut rng), L2)),
+        ));
+        cases.push((
+            "angular",
+            AnyDataset::Angular(VectorSet::from_rows(&near_parallel_rows(&mut rng), Angular)),
+        ));
+        let words: Vec<String> = (0..30)
+            .map(|_| {
+                let len = 1 + splitmix(&mut rng) % 8;
+                (0..len)
+                    .map(|_| char::from(b'a' + (splitmix(&mut rng) % 3) as u8))
+                    .collect()
+            })
+            .collect();
+        cases.push(("edit", AnyDataset::Strings(StringSet::new(&words))));
+    }
+    let mut evals = std::collections::BTreeMap::<&str, (u64, u64)>::new();
+    for (name, data) in &cases {
+        let n = data.len();
+        let counted = DistanceCounter::new(data);
+        let graphs = [
+            ("mrpg", mrpg::build(data, &MrpgParams::new(4)).0),
+            ("nsw", mrpg::build_nsw(data, 4, 1)),
+            ("kgraph", mrpg::build_kgraph(data, 4, 1, 1)),
+        ];
+        let mut buf = TraversalBuffer::new(n);
+        for (graph_name, g) in &graphs {
+            let lengths = EdgeLengths::measure(g, &counted, 1);
+            for p in 0..n {
+                // Every distance from p is a radius: ties at d == r.
+                for q in 0..n {
+                    let r = data.dist(p, q);
+                    for limit in [1 + q % 4, usize::MAX] {
+                        let mut walk = |lengths| {
+                            counted.reset();
+                            let ids =
+                                greedy_walk(g, lengths, &counted, p, r, limit, &mut buf).to_vec();
+                            let (d, hops) = buf.take_cost();
+                            assert_eq!(d, counted.calls(), "the tally books every evaluation");
+                            (ids, d, hops)
+                        };
+                        let (plain, plain_evals, plain_hops) = walk(None);
+                        let (bounded, bounded_evals, bounded_hops) = walk(Some(&lengths));
+                        let at = format!("{name} on {graph_name}: p={p} r={r:e} limit={limit}");
+                        assert_eq!(bounded, plain, "{at}");
+                        assert_eq!(bounded_hops, plain_hops, "{at}");
+                        assert!(bounded_evals <= plain_evals, "{at}");
+                        let tally = evals.entry(name).or_default();
+                        tally.0 += plain_evals;
+                        tally.1 += bounded_evals;
+                    }
+                }
+            }
+        }
+    }
+    for (name, (plain, bounded)) in evals {
+        assert!(
+            bounded < plain,
+            "{name}: lengths saved nothing ({bounded} of {plain})"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! fewer filtering false positives (Table 7). Both ends are measured here
 //! on the same data.
 
-use dod::core::{greedy_collect, Engine, Query, TraversalBuffer};
+use dod::core::{greedy_walk, EdgeLengths, Engine, Query, TraversalBuffer};
 use dod::datasets::{calibrate_r, Family};
 use dod::graph::{mrpg, MrpgParams, ProximityGraph};
 use dod::metrics::{Dataset, VectorSet, L2};
@@ -22,7 +22,8 @@ struct Reach {
 /// Measures, for every `n / sample`-th object with at least one true
 /// `r`-neighbor, how many of those neighbors Greedy-Counting reaches
 /// without the early `k` cutoff. It runs the detector's own walk
-/// ([`greedy_collect`]), pivot-expansion rule included.
+/// ([`greedy_walk`] over measured edge lengths), pivot-expansion rule
+/// included.
 fn neighbor_reach<D: Dataset + ?Sized>(
     g: &ProximityGraph,
     data: &D,
@@ -31,14 +32,14 @@ fn neighbor_reach<D: Dataset + ?Sized>(
 ) -> Reach {
     let n = data.len();
     let mut buf = TraversalBuffer::new(n);
-    let mut reached = Vec::new();
+    let lengths = EdgeLengths::measure(g, data, 1);
     let (mut recall_sum, mut deficient_objects, mut sampled) = (0.0, 0, 0);
     for p in (0..n).step_by((n / sample.max(1)).max(1)) {
         let truth = (0..n).filter(|&j| j != p && data.dist(p, j) <= r).count();
         if truth == 0 {
             continue;
         }
-        greedy_collect(g, data, p, r, usize::MAX, &mut buf, &mut reached);
+        let reached = greedy_walk(g, Some(&lengths), data, p, r, usize::MAX, &mut buf);
         recall_sum += reached.len() as f64 / truth as f64;
         deficient_objects += usize::from(reached.len() < truth);
         sampled += 1;
