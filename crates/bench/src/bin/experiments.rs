@@ -22,10 +22,9 @@
 //!                       pipeline at these shard counts (e.g. 1,2,4)
 //!   --trace-summary     tables/stream: print a per-phase time breakdown
 //!                       (filter/verify, insert/expiry) after the tables
-//!   --health            stream experiment only: run the index-health
-//!                       grid (recall-audit overhead, graph-health
-//!                       trajectory over a churning stream, shard-balance
-//!                       skew), e.g. for BENCH_health.json
+//!   --health            stream experiment only: run the shard-balance
+//!                       grid (owned and slide-time skew, ghost rates),
+//!                       e.g. for BENCH_health.json
 //!   --cost              table experiments only: run the query-cost grid
 //!                       (distance evaluations by phase, hops, pruning
 //!                       power per index spec, counting-hook overhead),

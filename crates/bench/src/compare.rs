@@ -45,16 +45,8 @@ const INFORMATIONAL: &[&str] = &[
     "overhead_vs_none",
     "fsyncs",
     "wal_bytes",
-    // --health observations: auditor tallies, graph-structure gauges and
-    // shard-balance skews drift run to run like ghost counts do.
-    "audits",
-    "audit_overhead",
-    "recall_estimate",
-    "tombstone_ratio",
-    "live",
-    "tombstones",
-    "compactions",
-    "bridge_edges",
+    // --health observations: shard-balance skews drift run to run like
+    // ghost counts do.
     "owned_skew",
     "slide_skew",
     "ghost_rate_max",
@@ -299,25 +291,24 @@ mod tests {
 
     #[test]
     fn health_observations_never_enter_the_identity_key() {
-        // Same --health config, different recall/tombstone/skew readings:
+        // Same --health config, different skew and ghost-rate readings:
         // the rows must still match so the slide_us gate actually gates.
-        let health_row = |recall: f64, skew: f64, slide_us: f64| {
+        let health_row = |skew: f64, ghost_rate: f64, slide_us: f64| {
             let mut j = JsonReport::new();
             j.row([
-                ("experiment", JsonVal::from("stream_health")),
-                ("engine", JsonVal::from("graph audit-on")),
+                ("experiment", JsonVal::from("stream_health_balance")),
+                ("shards", JsonVal::from(4usize)),
                 ("n", JsonVal::from(12000usize)),
-                ("recall_estimate", JsonVal::from(recall)),
-                ("tombstone_ratio", JsonVal::from(0.01 * skew)),
-                ("audit_overhead", JsonVal::from(0.002 * skew)),
                 ("owned_skew", JsonVal::from(skew)),
+                ("slide_skew", JsonVal::from(1.2 * skew)),
+                ("ghost_rate_max", JsonVal::from(ghost_rate)),
                 ("slide_us", JsonVal::from(slide_us)),
             ]);
             j.render()
         };
         let cmp = compare(
-            &health_row(1.0, 1.1, 10.0),
-            &health_row(0.97, 1.8, 30.0),
+            &health_row(1.1, 0.05, 10.0),
+            &health_row(1.8, 0.31, 30.0),
             0.2,
         )
         .expect("compare");

@@ -10,9 +10,7 @@ use dod_datasets::{calibrate_r, Family, StreamScenario};
 use dod_graph::ProximityGraph;
 use dod_metrics::{Dataset, Subset, VectorSet, L2};
 use dod_shard::{DurabilityPolicy, DurableSession, ShardSpec, ShardedStreamDetector, SyncPolicy};
-use dod_stream::{
-    Backend, GraphParams, IndexHealth, StreamDetector, StreamStats, VectorSpace, WindowSpec,
-};
+use dod_stream::{Backend, GraphParams, StreamDetector, VectorSpace, WindowSpec};
 use std::io::{self, Write};
 
 /// Which experiment(s) to run; parsed from the CLI subcommand.
@@ -1050,191 +1048,25 @@ fn stream_experiment(
     Ok(())
 }
 
-/// The `--health` grid: the observability counters under load. Three
-/// questions: what does sampled recall auditing cost at its default
-/// cadence (the auditor ships enabled, so its overhead must stay at
-/// noise level); how do the graph-health gauges — recall estimate,
-/// tombstone ratio, compaction/bridge counters — move over a long
-/// churning stream (the aging regime the auditor exists to catch); and
-/// how balanced does a sharded window stay (owned-point skew,
-/// slide-time skew, ghost rates).
+/// The `--health` grid: how balanced a sharded window stays (owned-point
+/// skew, slide-time skew, ghost rates) — the gauges the server exports.
+/// A graph backend's quality needs no grid of its own: it is the
+/// query-time repair work every stream report already counts.
 fn health_grid(
     cfg: &Config,
     out: &mut dyn Write,
     json: &mut Option<JsonReport>,
     scenario: &StreamScenario,
 ) -> io::Result<()> {
-    // Churn stays ON here (the shard grid turns it off): teleporting
-    // clusters are what ages a proximity graph — mass expiry leaves
-    // tombstones, edge loss forces repairs — so they are exactly what
-    // the gauges must be seen witnessing.
     let dim = scenario.dim;
     let n = ((12000.0 * cfg.scale) as usize).max(1024);
     let w = (n / 8).clamp(128, 1024);
     let k = 8;
-    let points = scenario.generate(n, cfg.seed ^ 0x6ea1);
-    let prefix = VectorSet::from_rows(&points[..w], L2);
-    let r = calibrate_r(&prefix, k, 0.01, 400.min(w), cfg.seed ^ 0x6ea1);
-    let query = Query::new(r, k).expect("calibrated health query is valid");
-    writeln!(
-        out,
-        "### Index health (`--health`): n={n}, W={w}, dim={dim}, r={r:.4}, k={k}\n"
-    )?;
-
-    // Audit-off vs audit-on over the same stream, the audit-on run
-    // doubling as the trajectory probe. Both runs pause the clock at the
-    // same checkpoints, so `index_health()` (an O(live) scan) and the
-    // checkpoint bookkeeping run off the clock and the timing comparison
-    // stays fair.
-    let defaults = GraphParams::default();
-    const CHECKPOINTS: usize = 8;
-    let mut totals = [0f64; 2];
-    let mut finals: [Option<StreamStats>; 2] = [None, None];
-    let mut trajectory: Vec<(usize, StreamStats, IndexHealth)> = Vec::new();
-    for (run, audit_sample) in [(0usize, 0usize), (1, defaults.audit_sample)] {
-        let mut det = StreamDetector::open(
-            VectorSpace::new(L2, dim),
-            query,
-            WindowSpec::Count(w),
-            Backend::Graph(GraphParams {
-                audit_sample,
-                ..defaults
-            }),
-        )
-        .expect("valid stream parameters");
-        let mut fed = 0usize;
-        for seg in 1..=CHECKPOINTS {
-            let until = n * seg / CHECKPOINTS;
-            let t0 = std::time::Instant::now();
-            for p in &points[fed..until] {
-                det.insert(p.clone());
-            }
-            totals[run] += t0.elapsed().as_secs_f64();
-            fed = until;
-            if run == 1 {
-                trajectory.push((fed, det.stats(), det.index_health()));
-            }
-        }
-        finals[run] = Some(det.stats());
-    }
-    let [off_secs, on_secs] = totals;
-    let overhead = on_secs / off_secs - 1.0;
-
-    let mut t = Table::new([
-        "engine",
-        "total",
-        "per slide",
-        "audits",
-        "recall estimate",
-        "audit overhead",
-    ]);
-    for (name, total, stats) in [
-        (
-            "graph audit-off",
-            off_secs,
-            finals[0].take().expect("audit-off run measured"),
-        ),
-        (
-            "graph audit-on",
-            on_secs,
-            finals[1].take().expect("audit-on run measured"),
-        ),
-    ] {
-        let audited = stats.recall_audits > 0;
-        t.row([
-            name.to_string(),
-            secs(total),
-            secs(total / n as f64),
-            stats.recall_audits.to_string(),
-            if audited {
-                format!("{:.4}", stats.recall_estimate())
-            } else {
-                "-".to_string()
-            },
-            if audited {
-                format!("{:+.2}%", overhead * 100.0)
-            } else {
-                "-".to_string()
-            },
-        ]);
-        if let Some(json) = json {
-            let mut row = vec![
-                ("experiment", JsonVal::from("stream_health")),
-                ("engine", JsonVal::from(name)),
-                ("n", JsonVal::from(n)),
-                ("window", JsonVal::from(w)),
-                ("r", JsonVal::from(r)),
-                ("k", JsonVal::from(k)),
-                ("total_secs", JsonVal::from(total)),
-                ("slide_us", JsonVal::from(total / n as f64 * 1e6)),
-            ];
-            if audited {
-                row.push(("audits", JsonVal::from(stats.recall_audits as usize)));
-                row.push(("recall_estimate", JsonVal::from(stats.recall_estimate())));
-                row.push(("audit_overhead", JsonVal::from(overhead)));
-            }
-            json.row(row);
-        }
-    }
-    writeln!(out, "{}", t.render())?;
-    writeln!(
-        out,
-        "(identical stream, graph backend; audit-on samples {} residents \
-         every {} slides — the default `GraphParams` cadence; exhaustive \
-         backends, wire sessions included, are never audited)\n",
-        defaults.audit_sample, defaults.sample_rate
-    )?;
-
-    writeln!(
-        out,
-        "#### Graph-health trajectory (audit-on run, {CHECKPOINTS} checkpoints)\n"
-    )?;
-    let mut t = Table::new([
-        "position",
-        "recall",
-        "audits",
-        "tombstone ratio",
-        "live",
-        "compactions",
-        "bridge edges",
-        "repairs",
-    ]);
-    for (pos, stats, health) in &trajectory {
-        t.row([
-            pos.to_string(),
-            format!("{:.4}", stats.recall_estimate()),
-            stats.recall_audits.to_string(),
-            format!("{:.4}", health.tombstone_ratio()),
-            health.live.to_string(),
-            health.compactions.to_string(),
-            health.bridge_edges.to_string(),
-            (stats.full_repairs + stats.incremental_repairs).to_string(),
-        ]);
-        if let Some(json) = json {
-            json.row([
-                ("experiment", JsonVal::from("stream_health_trajectory")),
-                ("position", JsonVal::from(*pos)),
-                ("n", JsonVal::from(n)),
-                ("window", JsonVal::from(w)),
-                ("recall_estimate", JsonVal::from(stats.recall_estimate())),
-                ("audits", JsonVal::from(stats.recall_audits as usize)),
-                ("tombstone_ratio", JsonVal::from(health.tombstone_ratio())),
-                ("live", JsonVal::from(health.live as usize)),
-                ("tombstones", JsonVal::from(health.tombstones as usize)),
-                ("compactions", JsonVal::from(health.compactions as usize)),
-                ("bridge_edges", JsonVal::from(health.bridge_edges as usize)),
-            ]);
-        }
-    }
-    writeln!(out, "{}", t.render())?;
-
-    // Shard balance: the skew gauges the server exports, measured over
-    // the shard grid's cluster geometry (many clusters, fixed r tied to
-    // the cluster scale). The churny single-window scenario above would
-    // be degenerate here — its calibrated r dwarfs the pivot spacing, so
-    // every point routes to one shard and skew pins at S, measuring
-    // nothing. Graph-backed shards, so the per-shard health documents
-    // being absorbed are non-trivial.
+    // The shard grid's cluster geometry: many clusters, r tied to the
+    // cluster scale. A churny scenario with a calibrated r would be
+    // degenerate here — r would dwarf the pivot spacing, so every point
+    // would route to one shard and skew would pin at S, measuring
+    // nothing.
     let shards = 4;
     let balance_scenario = StreamScenario {
         dim,
@@ -1251,7 +1083,7 @@ fn health_grid(
         VectorSpace::new(L2, dim),
         balance_query,
         WindowSpec::Count(w),
-        Backend::Graph(defaults),
+        Backend::Graph(GraphParams::default()),
         spec,
     )
     .expect("valid shard spec");
@@ -1264,7 +1096,7 @@ fn health_grid(
     let ghost_rate_max = report.ghost_rates().into_iter().fold(0.0f64, f64::max);
     writeln!(
         out,
-        "#### Shard balance (S={shards}, clustered stream, r={balance_r:.4})\n"
+        "### Shard balance (`--health`): n={n}, W={w}, dim={dim}, S={shards}, r={balance_r:.4}, k={k}\n"
     )?;
     let mut t = Table::new([
         "total",

@@ -33,10 +33,9 @@ pub struct Config {
     /// experiments, insert/expiry per slide for the stream experiment)
     /// after the result tables (`--trace-summary`).
     pub trace_summary: bool,
-    /// Run the stream experiment's index-health grid (`--health`): a
-    /// long churning stream tracking recall audits, tombstone ratio and
-    /// repair counters over stream position, the audit-on vs audit-off
-    /// overhead comparison, and shard-balance skew.
+    /// Run the stream experiment's shard-balance grid (`--health`):
+    /// owned-point skew, slide-time skew and ghost rates of a sharded
+    /// window over a clustered stream.
     pub health: bool,
     /// Run the table experiments' query-cost grid (`--cost`): distance
     /// evaluations by phase, graph hops and pruning power per index

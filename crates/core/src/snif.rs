@@ -11,9 +11,13 @@
 //! 3. a whole cluster is beyond `r` when `dist(p, center) - r/2 > r` —
 //!    skip it wholesale.
 //!
-//! Prunes 2 and 3 compare sums of rounded distances, so both are widened
-//! by [`TRIANGLE_SLACK`]: a cluster is counted or skipped wholesale only
-//! when rounding cannot change the verdict.
+//! All three compare sums of rounded distances, so each is widened by the
+//! metric's [`Rounding`](dod_metrics::Rounding) (reached through
+//! [`Dataset::rounding`]): the cluster radius shrinks to
+//! `(r − slack(r)) / 2`, so any two members still measure within `r`, and
+//! prunes 2 and 3 count or skip a cluster wholesale only when rounding
+//! cannot change the verdict. When the slack exceeds `r` the radius is
+//! negative and every object is a cluster of its own.
 //!
 //! Remaining objects get exact counts with early termination, so the
 //! result is exact. The cluster structure loses its bite in high
@@ -22,7 +26,7 @@
 
 use crate::params::{assert_valid, DodParams, OutlierReport};
 use dod_graph::parallel::par_map;
-use dod_metrics::{Dataset, TRIANGLE_SLACK};
+use dod_metrics::Dataset;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -54,7 +58,8 @@ pub fn detect_with_stats<D: Dataset + ?Sized>(
     // ---- Clustering pass: random-order first-fit with radius r/2 --------
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(&mut StdRng::seed_from_u64(seed));
-    let half = r / 2.0;
+    let rounding = data.rounding();
+    let half = (r - rounding.triangle_slack(r)) / 2.0;
     let mut centers: Vec<u32> = Vec::new();
     let mut members: Vec<Vec<u32>> = Vec::new(); // cluster -> members (incl. center)
     let mut cluster_of: Vec<u32> = vec![0; n];
@@ -93,7 +98,7 @@ pub fn detect_with_stats<D: Dataset + ?Sized>(
                 continue;
             }
             let dc = data.dist(p, c as usize);
-            let slack = TRIANGLE_SLACK * (dc + half + r);
+            let slack = rounding.triangle_slack(dc + half + r);
             if dc - half > r + slack {
                 continue; // prune 3: entire cluster out of range
             }

@@ -31,7 +31,7 @@ pub mod util;
 pub mod vector;
 
 pub use dataset::{Dataset, DistanceCounter, Fnv1a, Subset};
-pub use rounding::{DistBounds, Rounding, ANGULAR_ERROR, TRIANGLE_SLACK};
+pub use rounding::{DistBounds, Rounding, ANGULAR_ERROR};
 pub use string::{edit_distance, StringSet};
 pub use util::OrdF64;
 pub use vector::{Angular, Chebyshev, Minkowski, VectorMetric, VectorSet, L1, L2, L4};

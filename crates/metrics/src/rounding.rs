@@ -4,14 +4,17 @@
 //! only up to rounding (in `f64`, `√32 − √2 > √18` on collinear points).
 //! A rule that decides `d(p, w) <= r` from other distances instead of
 //! evaluating it — a VP-tree child test, a Greedy-Counting hop over a
-//! stored edge length — must widen its bound by the error of every
-//! distance it combines, or a pair at `d == r` is decided by rounding and
-//! an inlier is reported as an outlier. [`Rounding`] is that error for one
-//! metric, reached through [`Dataset::rounding`](crate::Dataset::rounding):
+//! stored edge length, SNIF's cluster radius and whole-cluster prunes,
+//! the shard router's ghost bound — must widen its bound by the error of
+//! every distance it combines, or a pair at `d == r` is decided by
+//! rounding and an inlier is reported as an outlier. [`Rounding`] is that
+//! error for one metric, reached through
+//! [`Dataset::rounding`](crate::Dataset::rounding) (and, for streams, the
+//! stream `Space`'s `rounding`):
 //!
 //! | Metric | Model | Why it holds |
 //! |---|---|---|
-//! | L1, L2, L4, Minkowski, Chebyshev | relative, [`TRIANGLE_SLACK`] (1e-9) of the magnitudes a bound adds | the lane sum's error is at most `(⌈dim/4⌉ + 5)·2⁻⁵³` of the sum (`vector.rs` tests it), and `sqrt`/`powf` add about an ulp: under 1e-9 for `dim` below 10⁷ |
+//! | L1, L2, L4, Minkowski, Chebyshev | relative, [`Rounding::RELATIVE`] (1e-9 of the magnitudes a bound adds) | the lane sum's error is at most `(⌈dim/4⌉ + 5)·2⁻⁵³` of the sum (`vector.rs` tests it), and `sqrt`/`powf` add about an ulp: under 1e-9 for `dim` below 10⁷ |
 //! | Angular | absolute, [`ANGULAR_ERROR`] (5e-4 rad) per distance | see below |
 //! | Edit distance | exact | distances are small integers, so every bound is exact in `f64` |
 //!
@@ -25,16 +28,9 @@
 //! relative slack cannot model this: the error does not shrink with the
 //! distance.
 
-/// Relative slack for pruning rules that rest on the triangle inequality:
-/// the error model of the vector norms ([`Rounding::RELATIVE`]).
-///
-/// A rule that keeps or skips a whole group of objects from distance
-/// bounds alone widens its bound by `TRIANGLE_SLACK` times the magnitudes
-/// it adds, so no pair at `d == r` is pruned by rounding. What the slack
-/// lets through is still decided by an exact `d <= r` check. SNIF's
-/// whole-cluster prunes and the shard router's ghost bound use it for
-/// every metric; per-metric rules go through [`Rounding`].
-pub const TRIANGLE_SLACK: f64 = 1e-9;
+/// Relative slack of the vector norms' model ([`Rounding::RELATIVE`]):
+/// the error per unit of the magnitudes a triangle bound adds.
+const TRIANGLE_SLACK: f64 = 1e-9;
 
 /// The error of one computed angular distance, in radians: `acos(1 − 2⁻²³)`
 /// rounded up (derivation in the [module docs](self)).
@@ -61,8 +57,8 @@ impl Rounding {
         absolute: 0.0,
     };
 
-    /// [`TRIANGLE_SLACK`] of the magnitudes a bound adds: the vector norms,
-    /// and the default for any [`Dataset`](crate::Dataset).
+    /// 1e-9 of the magnitudes a bound adds: the vector norms, and the
+    /// default for any [`Dataset`](crate::Dataset).
     pub const RELATIVE: Rounding = Rounding {
         relative: TRIANGLE_SLACK,
         absolute: 0.0,

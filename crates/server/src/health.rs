@@ -2,11 +2,11 @@
 //! footprint, and each session's shard balance (occupancy, ghost rates
 //! and skews) from the pipeline's health barrier.
 //!
-//! Sessions carry no discovery-recall or index-structure section: every
-//! wire session runs the exhaustive backend, whose discovery is the full
-//! scan an audit would compare against. Recall audits and graph health
-//! are a library feature of `dod_stream`'s graph backend
-//! (`StreamDetector::index_health`, `experiments stream --health`).
+//! Sessions carry no graph section: every wire session runs the
+//! exhaustive backend, which keeps no graph. A graph backend's quality
+//! is its query-time repair work, which `/metrics` already exports per
+//! session (`dod_cost_query_false_positives_total`,
+//! `dod_cost_query_dist_evals_total`).
 //!
 //! The document is deliberately *byte-stable*: two scrapes with no
 //! intervening ingest answer identical bytes. Everything rendered here

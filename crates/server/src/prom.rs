@@ -6,9 +6,11 @@
 //! including per-shard-pair ghost replication — labeled
 //! `{session="id"}`.
 //!
-//! Sessions export no graph-structure or recall-audit series: every wire
-//! session runs the exhaustive backend, which keeps no graph and is
-//! never audited, so such series could only ever read zero.
+//! Sessions export no graph-structure series: every wire session runs
+//! the exhaustive backend, which keeps no graph, so such series could
+//! only ever read zero. A graph backend's quality would read from the
+//! per-session repair counters (`dod_cost_query_false_positives_total`,
+//! `dod_cost_query_dist_evals_total`).
 //!
 //! Label cardinality stays bounded by construction: `route` is a
 //! fieldless enum, `status` is drawn from the fixed

@@ -11,10 +11,9 @@
 //! compiled for its metric.
 //!
 //! Every session runs the exhaustive per-shard backend, so its answers
-//! are exact without repair. That backend's discovery is the full window
-//! scan, which leaves nothing to recall-audit: the auditor and the graph
-//! health it measures belong to `dod_stream`'s graph backend, which no
-//! wire session runs.
+//! are exact without repair and its query-time repair counters stay at
+//! zero. `dod_stream`'s graph backend, which no wire session runs,
+//! reads its quality from those same counters.
 //!
 //! Only vector spaces are served — points travel as JSON number arrays;
 //! a string-space session has no natural wire shape here and stays an
@@ -51,8 +50,8 @@ pub(crate) trait SessionPipeline: Send + Sync {
     /// Snapshot-consistent outliers as global stream seqs, ascending.
     fn outliers(&self) -> Result<Vec<u64>, DodError>;
 
-    /// The topology's health document — per-shard occupancy, counters
-    /// and index structure plus ghost routing — collected at a read-only
+    /// The topology's health document — per-shard occupancy and
+    /// counters plus ghost routing — collected at a read-only
     /// barrier (never advances shard clocks; see
     /// [`IngestPipeline::health`]). One call is one consistent cut:
     /// summed counters ([`HealthReport::stats`]) and ghost accounting

@@ -330,10 +330,9 @@ fn metrics_carry_balance_and_profile_series() {
     handle.shutdown();
 }
 
-/// A session holding 1,024 residents after 2,048 points has slid past
-/// the graph backend's default audit cadence twice, yet it runs the
+/// A session holding 1,024 residents after 2,048 points runs the
 /// exhaustive backend: its scrape must carry no graph-structure or
-/// recall-audit series at all, rather than series that can only read 0.
+/// audit series at all, rather than series that can only read 0.
 #[test]
 fn exact_sessions_export_no_graph_or_audit_series() {
     let handle = DodServer::builder()

@@ -1,8 +1,6 @@
-//! Shard-balance health: the per-shard occupancy, timing, and index
-//! structure document. Its balance gauges are what `GET /v1/debug/health`
-//! and the `dod_shard_balance_*` metric family report; the index
-//! structure only describes something on the graph backend, which wire
-//! sessions do not run.
+//! Shard-balance health: the per-shard occupancy and timing. Its balance
+//! gauges are what `GET /v1/debug/health` and the `dod_shard_balance_*`
+//! metric family report.
 //!
 //! The derived gauges are the early-warning signals a future
 //! re-pivoting policy would act on: a drifting stream concentrates mass
@@ -13,10 +11,9 @@
 //! exactness is being bought with replication).
 
 use crate::router::GhostRouteStats;
-use dod_stream::{IndexHealth, StreamStats};
+use dod_stream::StreamStats;
 
-/// One shard's health snapshot: who lives there, what the work cost,
-/// and the structural state of its discovery index.
+/// One shard's health snapshot: who lives there and what the work cost.
 #[derive(Debug, Clone)]
 pub struct ShardHealth {
     /// Residents this shard owns (reports them).
@@ -26,10 +23,6 @@ pub struct ShardHealth {
     pub ghosts: usize,
     /// The shard detector's lifetime counters.
     pub stats: StreamStats,
-    /// The shard's index-structure document (tombstones, degree
-    /// histogram, maintenance counters; all zero on the exhaustive
-    /// backend).
-    pub index: IndexHealth,
 }
 
 impl ShardHealth {
@@ -90,16 +83,6 @@ impl HealthReport {
         total
     }
 
-    /// The absorbed index-structure document: counters summed, degree
-    /// histograms merged, `exact` only if *every* shard's backend is.
-    pub fn index(&self) -> IndexHealth {
-        let mut total = IndexHealth::default();
-        for s in &self.shards {
-            total.absorb(&s.index);
-        }
-        total
-    }
-
     /// Owned-resident skew (`max/mean`; `1.0` = balanced). Rises when
     /// stream drift concentrates the window onto few pivot cells.
     pub fn owned_skew(&self) -> f64 {
@@ -133,7 +116,6 @@ mod tests {
                 expiry_nanos: slide_nanos - slide_nanos / 2,
                 ..StreamStats::default()
             },
-            index: IndexHealth::default(),
         }
     }
 
@@ -173,19 +155,12 @@ mod tests {
     fn aggregates_absorb_across_shards() {
         let mut a = shard(4, 1, 100);
         a.stats.inserts = 7;
-        a.index.live = 4;
-        a.index.tombstones = 2;
         let mut b = shard(6, 0, 50);
         b.stats.inserts = 3;
-        b.index.live = 6;
-        b.index.exact = false;
         let report = HealthReport {
             shards: vec![a, b],
             routes: GhostRouteStats::default(),
         };
         assert_eq!(report.stats().inserts, 10);
-        let idx = report.index();
-        assert_eq!((idx.live, idx.tombstones), (10, 2));
-        assert!(!idx.exact, "one inexact shard makes the union inexact");
     }
 }

@@ -50,9 +50,9 @@ enum RouterCmd<P> {
     /// Collect a snapshot-consistent merged report; replies with the
     /// global window front and the merged report.
     Report(Sender<(u64, OutlierReport)>),
-    /// Collect the full health document: per-shard occupancy, counters
-    /// and index structure, plus the router's ghost accounting, all
-    /// under one barrier.
+    /// Collect the full health document: per-shard occupancy and
+    /// counters, plus the router's ghost accounting, all under one
+    /// barrier.
     Health(Sender<HealthReport>),
     /// Commit barrier: replies once every op enqueued before it has
     /// passed through the durability hook's WAL commit (append + sync
@@ -309,15 +309,14 @@ impl<S: Space + Clone + 'static> IngestPipeline<S> {
         reply_rx.recv().map_err(|_| closed())
     }
 
-    /// The full health document — per-shard occupancy, lifetime
-    /// counters and index structure, plus the router's ghost accounting
-    /// — collected under one barrier, so every number describes the
-    /// same slide boundary (snapshot-consistent with every insert
-    /// enqueued before the call). This is the one read barrier for a
-    /// running pipeline's accounting: [`HealthReport::stats`] sums the
-    /// shards' lifetime counters and [`HealthReport::routes`] carries
-    /// the ghost matrix and owned counts. The same shape as
-    /// [`ShardedStreamDetector::health`].
+    /// The full health document — per-shard occupancy and lifetime
+    /// counters, plus the router's ghost accounting — collected under
+    /// one barrier, so every number describes the same slide boundary
+    /// (snapshot-consistent with every insert enqueued before the call).
+    /// This is the one read barrier for a running pipeline's accounting:
+    /// [`HealthReport::stats`] sums the shards' lifetime counters and
+    /// [`HealthReport::routes`] carries the ghost matrix and owned
+    /// counts. The same shape as [`ShardedStreamDetector::health`].
     pub fn health(&self) -> Result<HealthReport, DodError> {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         send_counted(&self.tx, &self.gauges, RouterCmd::Health(reply_tx))?;

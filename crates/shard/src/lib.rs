@@ -57,6 +57,15 @@
 //! cell, as ghost otherwise). Conversely no non-window point is ever
 //! present, so counts cannot overshoot. ∎
 //!
+//! Computed distances obey the two triangle inequalities above only up
+//! to rounding, so the router widens each by the space's error model
+//! ([`dod_stream::Space::rounding`], through
+//! [`dod_metrics::Rounding::triangle`]): about 1e-9 relative for the
+//! vector norms, 1.5e-3 rad per inequality for the angular metric. A
+//! point is prepared ([`dod_stream::Space::prepare`]) once, by the
+//! router, and shards store it as it is, so every shard measures the
+//! same distances as the single window.
+//!
 //! Neither the pivot *choice* nor the cell→shard *assignment* appears in
 //! the argument — any fixed partition is exact; both only move load
 //! around. That is why sampling pivots from a prefix is safe: the
@@ -86,7 +95,7 @@
 //!   [`IngestPipeline::report`] returns a snapshot-consistent answer at
 //!   the current slide boundary. [`IngestPipeline::health`] is the one
 //!   read barrier for everything else — per-shard occupancy and
-//!   counters, index structure and ghost routing, all from one cut.
+//!   counters and ghost routing, all from one cut.
 //!   [`IngestPipeline::finish`] reassembles the synchronous detector.
 //!
 //! ```

@@ -8,13 +8,12 @@
 
 use crate::spec::ShardSpec;
 use dod_datasets::farthest_first;
-use dod_metrics::TRIANGLE_SLACK;
+use dod_metrics::DistBounds;
 use dod_stream::{Space, StreamParams, WindowSpec};
 use std::collections::VecDeque;
 
-/// One unit of per-shard work. Points are pre-prepared
-/// ([`Space::prepare`]) by the router, which is why `prepare` must be
-/// idempotent.
+/// One unit of per-shard work. The router prepares each point once
+/// ([`Space::prepare`]); shards store it as it is.
 pub(crate) enum ShardOp<P> {
     /// Insert a point this shard owns (it may be reported from here).
     Owned {
@@ -536,11 +535,20 @@ impl<S: Space> Router<S> {
             .expect("at least one pivot")
             .0;
         let owner = self.pivot_shard[nearest];
-        // The ghost bound is the triangle inequality, which rounded
-        // distances break by an ulp, so it carries the shared slack. A
-        // spare ghost is harmless: it adds to a count only after an exact
-        // `d <= r` check.
-        let bound = (dists[nearest] + 2.0 * self.params.r) * (1.0 + TRIANGLE_SLACK);
+        // The ghost bound chains the two triangle inequalities of the
+        // crate-doc proof over computed distances, each widened by the
+        // space's rounding. For a neighbour q of p (d(p, q) ≤ r) whose
+        // nearest pivot is c: first d(q, c_own(p)) ≤ d(q, p) + d(p,
+        // c_own(p)), which also bounds d(q, c); then d(p, c) ≤ d(p, q) +
+        // d(q, c). A spare ghost is harmless: it adds to a count only
+        // after an exact `d <= r` check.
+        let rounding = self.space.rounding();
+        let within_r = DistBounds {
+            lo: 0.0,
+            hi: self.params.r,
+        };
+        let to_own = rounding.triangle(within_r, DistBounds::exact(dists[nearest]));
+        let bound = rounding.triangle(within_r, to_own).hi;
         let mut ghosts = 0;
         hit[owner] = true;
         for (c, &d) in dists.iter().enumerate() {

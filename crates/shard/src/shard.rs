@@ -5,8 +5,34 @@
 use crate::health::ShardHealth;
 use crate::router::ShardOp;
 use dod_core::{DodError, OutlierReport};
+use dod_metrics::Rounding;
 use dod_stream::{Backend, SlideReport, Space, StreamDetector, StreamParams, StreamStats};
 use std::collections::VecDeque;
+
+/// A shard's view of the stream's space: the router has already prepared
+/// every point it routes, so `prepare` stores it as it is. Preparing it
+/// again would change its bits on a metric whose `prepare` is not
+/// idempotent (a second angular normalization moves some rows by an
+/// ulp), and the shard would then measure different distances from the
+/// single window it must agree with.
+pub(crate) struct Prepared<S>(S);
+
+impl<S: Space> Space for Prepared<S> {
+    type Point = S::Point;
+
+    #[inline]
+    fn dist(&self, a: &S::Point, b: &S::Point) -> f64 {
+        self.0.dist(a, b)
+    }
+
+    fn point_bytes(&self, p: &S::Point) -> usize {
+        self.0.point_bytes(p)
+    }
+
+    fn rounding(&self) -> Rounding {
+        self.0.rounding()
+    }
+}
 
 /// One shard's contribution to a merged report.
 pub(crate) struct ShardAnswer {
@@ -18,7 +44,7 @@ pub(crate) struct ShardAnswer {
 }
 
 pub(crate) struct Shard<S: Space> {
-    det: StreamDetector<S>,
+    det: StreamDetector<Prepared<S>>,
     /// `(global seq, is_ghost)` per live local seq, oldest first;
     /// `meta[0]` describes local seq `meta_front`.
     meta: VecDeque<(u64, bool)>,
@@ -26,11 +52,11 @@ pub(crate) struct Shard<S: Space> {
 }
 
 impl<S: Space + 'static> Shard<S> {
-    /// A shard over a fresh window, or the backend's [`DodError`] (a bad
-    /// [`GraphParams`](dod_stream::GraphParams) is only caught here).
+    /// A shard over a fresh window, or the detector's [`DodError`] for
+    /// invalid parameters.
     pub fn new(space: S, params: StreamParams, backend: Backend) -> Result<Self, DodError> {
         Ok(Shard {
-            det: StreamDetector::try_with_backend(space, params, backend)?,
+            det: StreamDetector::try_with_backend(Prepared(space), params, backend)?,
             meta: VecDeque::new(),
             meta_front: 0,
         })
@@ -121,15 +147,13 @@ impl<S: Space + 'static> Shard<S> {
         self.det.stats()
     }
 
-    /// The shard's health snapshot: occupancy, lifetime counters, and
-    /// the discovery index's structure document.
+    /// The shard's health snapshot: occupancy and lifetime counters.
     pub fn health(&self) -> ShardHealth {
         let (owned, ghosts) = self.occupancy();
         ShardHealth {
             owned,
             ghosts,
             stats: self.det.stats(),
-            index: self.det.index_health(),
         }
     }
 

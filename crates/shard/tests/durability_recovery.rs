@@ -22,7 +22,7 @@ use dod_metrics::L2;
 use dod_shard::{
     CommitAck, DurabilityPolicy, DurableSession, ShardSpec, ShardedStreamDetector, SyncPolicy,
 };
-use dod_stream::{Backend, GraphParams, VectorSpace, WindowSpec};
+use dod_stream::{Backend, VectorSpace, WindowSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -466,27 +466,23 @@ fn commit_barrier_reports_degraded_after_wal_failure() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A backend the detector refuses is a typed error from the durable
+/// A shard spec the detector refuses is a typed error from the durable
 /// open as well, raised before the session's directory is created.
 #[test]
-fn bad_graph_params_refuse_before_touching_the_disk() {
+fn bad_shard_spec_refuses_before_touching_the_disk() {
     let dir = scratch();
-    let backend = Backend::Graph(GraphParams {
-        sample_rate: 0,
-        ..GraphParams::default()
-    });
     let opened = DurableSession::open(
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(24),
-        backend,
-        ShardSpec::new(2).with_warmup(4),
+        Backend::Exhaustive,
+        ShardSpec::new(0),
         &dir,
         DurabilityPolicy::with_sync(SyncPolicy::Always),
     );
     match opened {
-        Err(err) => assert!(matches!(err, DodError::InvalidSpec { .. }), "{err}"),
-        Ok(_) => panic!("zero sample_rate must not construct"),
+        Err(err) => assert!(matches!(err, DodError::InvalidShardSpec { .. }), "{err}"),
+        Ok(_) => panic!("zero shards must not construct"),
     }
     assert!(!dir.exists(), "a refused spec created {}", dir.display());
 }

@@ -40,13 +40,7 @@ fn open(shards: usize, backend: Backend) -> ShardedStreamDetector<VectorSpace<L2
 /// whole window.
 #[test]
 fn pipeline_health_matches_synchronous_and_covers_the_window() {
-    // Audit every slide so a 300-point stream accumulates real samples.
-    let gp = GraphParams {
-        sample_rate: 1,
-        audit_sample: 4,
-        ..GraphParams::default()
-    };
-    let mut det = open(4, Backend::Graph(gp));
+    let mut det = open(4, Backend::Graph(GraphParams::default()));
     let stream = points(300, 17);
     for p in &stream {
         det.insert(p.clone());
@@ -64,7 +58,6 @@ fn pipeline_health_matches_synchronous_and_covers_the_window() {
     for (a, b) in health.shards.iter().zip(sync_health.shards.iter()) {
         assert_eq!((a.owned, a.ghosts), (b.owned, b.ghosts));
         assert_eq!(a.stats.inserts, b.stats.inserts);
-        assert_eq!(a.index.live, b.index.live);
     }
     assert_eq!(health.routes, sync_health.routes);
 
@@ -77,11 +70,6 @@ fn pipeline_health_matches_synchronous_and_covers_the_window() {
     for rate in health.ghost_rates() {
         assert!((0.0..=1.0).contains(&rate), "ghost rate {rate}");
     }
-    // Graph backend everywhere: the absorbed index document is inexact
-    // and audited (audit_sample > 0 ran on every shard slide).
-    let idx = health.index();
-    assert!(!idx.exact);
-    assert!(health.stats().recall_audits > 0, "auditors never ran");
 
     // The barrier sees every insert enqueued before it.
     pipeline.insert_many(stream[..64].to_vec()).expect("live");

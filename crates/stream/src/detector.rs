@@ -11,7 +11,7 @@
 
 use crate::counts::NeighborState;
 use crate::graph::{GraphIndex, GraphParams};
-use crate::index::{ExhaustiveIndex, IndexHealth, StreamIndex};
+use crate::index::{ExhaustiveIndex, StreamIndex};
 use crate::seqmap::SeqMap;
 use crate::space::Space;
 use crate::window::{WindowSpec, WindowStore, WindowView};
@@ -99,9 +99,9 @@ pub struct SlideReport {
     /// Window size after the slide.
     pub window_len: usize,
     /// What this slide cost: distance evaluations and graph hops spent
-    /// on neighbor discovery, expiry maintenance and any sampled recall
-    /// audit that fired. Slide-time work is all discovery (filter-side);
-    /// verification cost appears on query reports, not slides.
+    /// on neighbor discovery and expiry maintenance. Slide-time work is
+    /// all discovery (filter-side); verification cost appears on query
+    /// reports, not slides.
     pub cost: CostReport,
 }
 
@@ -163,17 +163,6 @@ pub struct StreamStats {
     pub insert_nanos: u64,
     /// Wall time spent expiring due residents, in nanoseconds.
     pub expiry_nanos: u64,
-    /// Sampled discovery-recall audits performed (graph backend only: an
-    /// exact backend never audits).
-    pub recall_audits: u64,
-    /// Across all audited residents: in-range neighbors the backend's
-    /// discovery actually found, each resident capped at `k` (finding
-    /// more than `k` cannot change a verdict).
-    pub recall_hits: u64,
-    /// Across all audited residents: in-range neighbors a brute-force
-    /// scan found, capped at `k` — the denominator of the recall
-    /// estimate.
-    pub recall_expected: u64,
     /// Distance evaluations spent in insertion-time neighbor discovery.
     pub insert_dist_evals: u64,
     /// Graph hops spent in insertion-time neighbor discovery.
@@ -183,12 +172,14 @@ pub struct StreamStats {
     pub expiry_dist_evals: u64,
     /// Graph hops spent on expiry maintenance.
     pub expiry_hops: u64,
-    /// Distance evaluations spent by sampled recall audits (brute-force
-    /// truth scans plus read-only re-discovery).
+    /// Always 0: a detector runs no audits. The field stays so callers
+    /// that sum every phase's evaluations keep compiling.
     pub audit_dist_evals: u64,
-    /// Graph hops spent by sampled recall audits.
-    pub audit_hops: u64,
-    /// Distance evaluations spent by query-time exact repairs.
+    /// Distance evaluations spent by query-time exact repairs. On the
+    /// graph backend this and
+    /// [`query_false_positives`](Self::query_false_positives) are the
+    /// graph's quality: every neighbor discovery misses is paid for
+    /// here, never in the answers.
     pub query_dist_evals: u64,
     /// Query-time candidates: residents whose verdict needed an exact
     /// repair before it was trusted.
@@ -214,15 +205,11 @@ impl StreamStats {
             incremental_repairs,
             insert_nanos,
             expiry_nanos,
-            recall_audits,
-            recall_hits,
-            recall_expected,
             insert_dist_evals,
             insert_hops,
             expiry_dist_evals,
             expiry_hops,
             audit_dist_evals,
-            audit_hops,
             query_dist_evals,
             query_candidates,
             query_false_positives,
@@ -236,32 +223,15 @@ impl StreamStats {
         self.incremental_repairs += incremental_repairs;
         self.insert_nanos += insert_nanos;
         self.expiry_nanos += expiry_nanos;
-        self.recall_audits += recall_audits;
-        self.recall_hits += recall_hits;
-        self.recall_expected += recall_expected;
         self.insert_dist_evals += insert_dist_evals;
         self.insert_hops += insert_hops;
         self.expiry_dist_evals += expiry_dist_evals;
         self.expiry_hops += expiry_hops;
         self.audit_dist_evals += audit_dist_evals;
-        self.audit_hops += audit_hops;
         self.query_dist_evals += query_dist_evals;
         self.query_candidates += query_candidates;
         self.query_false_positives += query_false_positives;
         self.query_decided_in_filter += query_decided_in_filter;
-    }
-
-    /// The sampled discovery-recall estimate: hits over expected across
-    /// every audited resident so far. `1.0` before any audit has found a
-    /// non-isolated resident — an empty sample is no evidence of
-    /// degradation. Always in `[0, 1]`: discovery certifies subsets of
-    /// the true neighbor set, so hits never exceed expected.
-    pub fn recall_estimate(&self) -> f64 {
-        if self.recall_expected == 0 {
-            1.0
-        } else {
-            self.recall_hits as f64 / self.recall_expected as f64
-        }
     }
 }
 
@@ -295,14 +265,6 @@ pub struct StreamDetector<S: Space> {
     states: SeqMap<NeighborState>,
     index: Box<dyn StreamIndex<S> + Send>,
     stats: StreamStats,
-    /// Slides between sampled recall audits ([`GraphParams::sample_rate`];
-    /// read only while `audit_sample > 0`).
-    audit_every: u64,
-    /// Residents re-discovered per audit ([`GraphParams::audit_sample`];
-    /// `0` = never audit, always so on the exhaustive backend).
-    audit_sample: usize,
-    /// Slides since the last audit.
-    since_audit: u64,
 }
 
 impl<S: Space> StreamDetector<S> {
@@ -347,10 +309,7 @@ impl<S: Space> StreamDetector<S> {
     }
 
     /// A detector on the chosen backend, or a [`DodError`] for invalid
-    /// parameters. Only [`Backend::Graph`] is recall-audited, at the
-    /// cadence its [`GraphParams`] set: exhaustive discovery *is* the
-    /// brute-force scan an audit compares against, so an exact backend
-    /// never audits.
+    /// parameters.
     pub fn try_with_backend(
         space: S,
         params: StreamParams,
@@ -359,16 +318,11 @@ impl<S: Space> StreamDetector<S> {
     where
         S: 'static,
     {
-        let (index, audit_every, audit_sample): (Box<dyn StreamIndex<S> + Send>, _, _) =
-            match backend {
-                Backend::Exhaustive => (Box::new(ExhaustiveIndex::default()), 0, 0),
-                Backend::Graph(gp) => {
-                    gp.validate()?;
-                    let (every, sample) = (gp.sample_rate, gp.audit_sample);
-                    (Box::new(GraphIndex::new(gp, params.k)), every, sample)
-                }
-            };
         params.validate()?;
+        let index: Box<dyn StreamIndex<S> + Send> = match backend {
+            Backend::Exhaustive => Box::new(ExhaustiveIndex::default()),
+            Backend::Graph(gp) => Box::new(GraphIndex::new(gp, params.k)),
+        };
         Ok(StreamDetector {
             space,
             params,
@@ -376,9 +330,6 @@ impl<S: Space> StreamDetector<S> {
             states: SeqMap::default(),
             index,
             stats: StreamStats::default(),
-            audit_every,
-            audit_sample,
-            since_audit: 0,
         })
     }
 
@@ -438,8 +389,6 @@ impl<S: Space> StreamDetector<S> {
             let view = WindowView::new(&self.win, &self.space);
             self.index.on_insert(&view, seq, self.params.r)
         };
-        // Drain the backend's discovery tally now, before the audit below
-        // can fire — each phase drains its own cost.
         let (d, h) = self.index.take_cost();
         self.stats.insert_dist_evals += d;
         self.stats.insert_hops += h;
@@ -462,16 +411,6 @@ impl<S: Space> StreamDetector<S> {
                 );
             }
         }
-        // Sampled recall audit, every `audit_every` slides: part of the
-        // slide's work on purpose, so its cost shows up in the same
-        // insert-time counter the bench harness measures overhead with.
-        if self.audit_sample > 0 {
-            self.since_audit += 1;
-            if self.since_audit >= self.audit_every {
-                self.since_audit = 0;
-                self.run_recall_audit();
-            }
-        }
         // Insert time is the slide minus whatever expire_due just booked,
         // so the two phase counters partition the slide's wall time.
         let expiry_within = self.stats.expiry_nanos - expiry_before;
@@ -489,78 +428,20 @@ impl<S: Space> StreamDetector<S> {
         }
     }
 
-    /// Lifetime `(dist_evals, hops)` of all slide-time phases (insert,
-    /// expiry, audit); a slide's own cost is the delta across `ingest`.
+    /// Lifetime `(dist_evals, hops)` of both slide-time phases (insert,
+    /// expiry); a slide's own cost is the delta across `ingest`.
     fn slide_cost_totals(&self) -> (u64, u64) {
         (
-            self.stats.insert_dist_evals
-                + self.stats.expiry_dist_evals
-                + self.stats.audit_dist_evals,
-            self.stats.insert_hops + self.stats.expiry_hops + self.stats.audit_hops,
+            self.stats.insert_dist_evals + self.stats.expiry_dist_evals,
+            self.stats.insert_hops + self.stats.expiry_hops,
         )
-    }
-
-    /// One sampled discovery-recall audit: pick `audit_sample` residents
-    /// by a deterministic stride (keyed off the audit counter, so
-    /// successive audits rotate through the window without a clock or an
-    /// RNG), brute-force their true in-range neighbor count capped at
-    /// `k`, re-run the backend's discovery read-only, and accumulate
-    /// hits/expected into the lifetime stats. Because discovery returns
-    /// certified subsets, hits ≤ expected always — the estimate is a
-    /// true recall, not a similarity.
-    fn run_recall_audit(&mut self) {
-        let len = self.win.len();
-        let (r, k) = (self.params.r, self.params.k);
-        if len < 2 || k == 0 {
-            return;
-        }
-        let sample = self.audit_sample.min(len);
-        let stride = (len / sample).max(1);
-        let start = (self.stats.recall_audits as usize).wrapping_mul(7919) % len;
-        for i in 0..sample {
-            let pos = (start + i * stride) % len;
-            let (seq, expected) = {
-                let view = WindowView::new(&self.win, &self.space);
-                let mut truth = 0usize;
-                for other in 0..len {
-                    if other == pos {
-                        continue;
-                    }
-                    self.stats.audit_dist_evals += 1;
-                    if view.dist(pos, other) <= r {
-                        truth += 1;
-                        if truth >= k {
-                            break;
-                        }
-                    }
-                }
-                (view.seq_at(pos), truth)
-            };
-            let discovered = {
-                let view = WindowView::new(&self.win, &self.space);
-                self.index.audit_discover(&view, seq, r)
-            };
-            self.stats.recall_hits += discovered.len().min(expected) as u64;
-            self.stats.recall_expected += expected as u64;
-        }
-        // Read-only re-discovery walked the backend; book it to the audit.
-        let (d, h) = self.index.take_cost();
-        self.stats.audit_dist_evals += d;
-        self.stats.audit_hops += h;
-        self.stats.recall_audits += 1;
-    }
-
-    /// The backend's structural health document (live/tombstone split,
-    /// maintenance counters, degree histogram). All-zero with
-    /// `exact = true` on the exhaustive backend.
-    pub fn index_health(&self) -> IndexHealth {
-        self.index.health()
     }
 
     /// Fault injection for degradation tests: drop all but `keep` links
     /// per vertex in the backend (no-op on the exhaustive backend).
-    /// Discovery recall falls; outlier verdicts stay exact — the lazy
-    /// repair never trusts the graph.
+    /// Discovery finds fewer neighbors, so queries book more repairs and
+    /// false positives; outlier verdicts stay exact — the lazy repair
+    /// never trusts the graph.
     #[doc(hidden)]
     pub fn inject_edge_loss(&mut self, keep: usize) {
         self.index.inject_edge_loss(keep);
@@ -1097,7 +978,7 @@ mod tests {
         let stats = d.stats();
         assert_eq!(
             slide_dists,
-            stats.insert_dist_evals + stats.expiry_dist_evals + stats.audit_dist_evals,
+            stats.insert_dist_evals + stats.expiry_dist_evals,
             "per-slide deltas must sum to the lifetime phase counters"
         );
         let rep = d.report();

@@ -18,11 +18,11 @@
 //! any outlier verdict is trusted. Graph quality therefore affects only
 //! speed, never correctness.
 
-use crate::index::{IndexHealth, StreamIndex, DEGREE_BUCKETS, DEGREE_BUCKET_BOUNDS};
+use crate::index::StreamIndex;
 use crate::seqmap::SeqMap;
 use crate::space::Space;
 use crate::window::WindowView;
-use dod_core::{greedy_walk, DodError, TraversalBuffer};
+use dod_core::{greedy_walk, TraversalBuffer};
 use dod_graph::nsw::beam_search;
 use dod_graph::{GraphKind, ProximityGraph};
 use dod_metrics::{Dataset, OrdF64};
@@ -41,15 +41,6 @@ pub struct GraphParams {
     /// Degree at which a vertex's adjacency is pruned back to the nearest
     /// `2·m` entries (bridging and inbound links grow lists over time).
     pub prune_above: usize,
-    /// Slides between sampled discovery-recall audits (must be ≥ 1; see
-    /// [`GraphParams::validate`]). Each audit re-discovers a few window
-    /// residents read-only and compares against a brute-force count, so
-    /// [`StreamStats::recall_estimate`](crate::StreamStats::recall_estimate)
-    /// tracks graph degradation live. The only place the audit cadence
-    /// is set: the exhaustive backend is never audited.
-    pub sample_rate: u64,
-    /// Residents re-checked per audit (`0` disables auditing entirely).
-    pub audit_sample: usize,
 }
 
 impl Default for GraphParams {
@@ -59,24 +50,7 @@ impl Default for GraphParams {
             ef: 32,
             discover_cap: 0,
             prune_above: 48,
-            sample_rate: 1024,
-            audit_sample: 4,
         }
-    }
-}
-
-impl GraphParams {
-    /// Validates the audit knobs: a zero `sample_rate` is a typed
-    /// [`DodError::InvalidSpec`], not a silent clamp — disable auditing
-    /// with `audit_sample = 0`, not by dividing by zero.
-    pub fn validate(&self) -> Result<(), DodError> {
-        if self.sample_rate == 0 {
-            return Err(DodError::InvalidSpec {
-                reason: "sample_rate must be >= 1 (set audit_sample = 0 to disable audits)"
-                    .to_string(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -123,12 +97,6 @@ pub struct GraphIndex<S: Space> {
     scratch: Vec<u32>,
     /// Heap bytes of retained point payloads (live + tombstoned).
     payload_bytes: usize,
-    /// Lifetime compaction passes.
-    compactions: u64,
-    /// Lifetime bridge edges added while compacting.
-    bridge_edges: u64,
-    /// Lifetime adjacency prunes.
-    prunes: u64,
     /// Distance evaluations outside the shared walk buffer (beam search,
     /// pruning) since the last [`StreamIndex::take_cost`] drain.
     dist_evals: u64,
@@ -161,9 +129,6 @@ impl<S: Space> GraphIndex<S> {
             buf_cap: 0,
             scratch: Vec::new(),
             payload_bytes: 0,
-            compactions: 0,
-            bridge_edges: 0,
-            prunes: 0,
             dist_evals: 0,
             hops: 0,
         }
@@ -250,7 +215,6 @@ impl<S: Space> GraphIndex<S> {
     /// its slot is recycled). Dropping links can only reduce discovery,
     /// never exactness.
     fn prune(&mut self, space: &S, slot: u32) {
-        self.prunes += 1;
         let own = self.points[slot as usize]
             .clone()
             .expect("pruned slot allocated");
@@ -276,10 +240,10 @@ impl<S: Space> GraphIndex<S> {
         }
     }
 
-    /// The discovery step shared by `on_insert` and `audit_discover`:
-    /// the paper's greedy ball walk from `slot`, unioned with the
-    /// in-range entries of the beam result `found`, filtered to live
-    /// vertices and mapped to seqs (excluding `slot` itself).
+    /// The discovery step of `on_insert`: the paper's greedy ball walk
+    /// from `slot`, unioned with the in-range entries of the beam result
+    /// `found`, filtered to live vertices and mapped to seqs (excluding
+    /// `slot` itself).
     fn collect_in_range(&mut self, space: &S, slot: u32, r: f64, found: &[(f64, u32)]) -> Vec<u64> {
         let arena = ArenaView {
             space,
@@ -318,7 +282,6 @@ impl<S: Space> GraphIndex<S> {
     /// Removes every tombstone: bridge its neighbors (so routes survive),
     /// unlink it everywhere, recycle the slot.
     fn compact(&mut self, space: &S) {
-        self.compactions += 1;
         for s in 0..self.points.len() {
             if self.points[s].is_none() || self.alive[s] {
                 continue;
@@ -331,7 +294,6 @@ impl<S: Space> GraphIndex<S> {
                 .collect();
             for pair in anchors.windows(2) {
                 self.graph.add_undirected(pair[0], pair[1]);
-                self.bridge_edges += 1;
             }
             for &w in &anchors {
                 self.graph.adj[w as usize].retain(|&x| x != s as u32);
@@ -420,45 +382,6 @@ impl<S: Space> StreamIndex<S> for GraphIndex<S> {
             + self.alive.capacity()
             + self.slot_of.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
             + self.buf_cap * std::mem::size_of::<u32>()
-    }
-
-    fn health(&self) -> IndexHealth {
-        let mut degree_hist = [0u64; DEGREE_BUCKETS];
-        for s in 0..self.points.len() {
-            if self.points[s].is_none() {
-                continue;
-            }
-            let deg = self.graph.adj[s].len();
-            let bucket = DEGREE_BUCKET_BOUNDS
-                .iter()
-                .position(|&b| deg <= b)
-                .unwrap_or(DEGREE_BUCKETS - 1);
-            degree_hist[bucket] += 1;
-        }
-        IndexHealth {
-            exact: false,
-            live: self.live as u64,
-            tombstones: self.dead as u64,
-            compactions: self.compactions,
-            bridge_edges: self.bridge_edges,
-            prunes: self.prunes,
-            degree_hist,
-        }
-    }
-
-    fn audit_discover(&mut self, view: &WindowView<'_, S>, seq: u64, r: f64) -> Vec<u64> {
-        let Some(&slot) = self.slot_of.get(&seq) else {
-            return Vec::new();
-        };
-        let Some(q) = self.points[slot as usize].clone() else {
-            return Vec::new();
-        };
-        // The same beam + greedy-walk discovery an insertion runs, but
-        // read-only: no links are added, so a degraded graph stays
-        // degraded and the audit measures what it would actually find.
-        let space = view.space();
-        let found = self.beam_search(space, &q, slot);
-        self.collect_in_range(space, slot, r, &found)
     }
 
     fn inject_edge_loss(&mut self, keep: usize) {

@@ -12,89 +12,6 @@ use crate::space::Space;
 use crate::window::WindowView;
 use dod_metrics::Dataset;
 
-/// Number of degree-distribution buckets in [`IndexHealth::degree_hist`]:
-/// the eight finite bounds of [`DEGREE_BUCKET_BOUNDS`] plus overflow.
-pub const DEGREE_BUCKETS: usize = 9;
-
-/// Upper bounds (inclusive) of the finite degree buckets. Vertices with
-/// more links than the last bound land in the overflow bucket.
-pub const DEGREE_BUCKET_BOUNDS: [usize; DEGREE_BUCKETS - 1] = [0, 2, 4, 8, 16, 32, 64, 128];
-
-/// A backend's structural health document: how much of the index is
-/// dead weight, how hard maintenance has worked, and how link degrees
-/// are distributed. Exact backends report an all-zero document with
-/// `exact = true` — they have no structure to degrade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexHealth {
-    /// Whether discovery is complete ([`StreamIndex::is_exact`]).
-    pub exact: bool,
-    /// Live (reportable) vertices currently indexed.
-    pub live: u64,
-    /// Tombstoned vertices awaiting compaction.
-    pub tombstones: u64,
-    /// Lifetime compaction passes.
-    pub compactions: u64,
-    /// Lifetime bridge edges added while compacting tombstones out.
-    pub bridge_edges: u64,
-    /// Lifetime adjacency prunes (over-full vertices trimmed back).
-    pub prunes: u64,
-    /// Vertex count per degree bucket (bounds in
-    /// [`DEGREE_BUCKET_BOUNDS`], last slot = overflow), over live and
-    /// tombstoned vertices alike — tombstones still route traffic.
-    pub degree_hist: [u64; DEGREE_BUCKETS],
-}
-
-impl Default for IndexHealth {
-    fn default() -> Self {
-        IndexHealth {
-            exact: true,
-            live: 0,
-            tombstones: 0,
-            compactions: 0,
-            bridge_edges: 0,
-            prunes: 0,
-            degree_hist: [0; DEGREE_BUCKETS],
-        }
-    }
-}
-
-impl IndexHealth {
-    /// Fraction of indexed vertices that are tombstones (`0.0` for an
-    /// empty or structureless index).
-    pub fn tombstone_ratio(&self) -> f64 {
-        let total = self.live + self.tombstones;
-        if total == 0 {
-            0.0
-        } else {
-            self.tombstones as f64 / total as f64
-        }
-    }
-
-    /// Folds another backend's document into this one (the sharded
-    /// engine sums per-shard documents). Exactness survives only if
-    /// every merged backend is exact.
-    pub fn absorb(&mut self, other: &IndexHealth) {
-        let IndexHealth {
-            exact,
-            live,
-            tombstones,
-            compactions,
-            bridge_edges,
-            prunes,
-            degree_hist,
-        } = other;
-        self.exact &= exact;
-        self.live += live;
-        self.tombstones += tombstones;
-        self.compactions += compactions;
-        self.bridge_edges += bridge_edges;
-        self.prunes += prunes;
-        for (mine, theirs) in self.degree_hist.iter_mut().zip(degree_hist) {
-            *mine += theirs;
-        }
-    }
-}
-
 /// A neighbor-discovery backend for the streaming engine.
 pub trait StreamIndex<S: Space> {
     /// Called right after the point with sequence number `seq` entered the
@@ -118,33 +35,15 @@ pub trait StreamIndex<S: Space> {
     /// Approximate heap bytes held by the backend.
     fn size_bytes(&self) -> usize;
 
-    /// The backend's structural health document. The default (an exact,
-    /// structureless index) suits backends with nothing to degrade.
-    fn health(&self) -> IndexHealth {
-        IndexHealth {
-            exact: self.is_exact(),
-            ..IndexHealth::default()
-        }
-    }
-
-    /// Re-runs neighbor discovery for an *existing* resident, read-only
-    /// (no linking, no structural change): what would this backend find
-    /// for `seq` right now? The recall auditor compares the result
-    /// against a brute-force count. Only the graph backend is audited —
-    /// an exact backend's discovery *is* that brute-force count — so the
-    /// default, which finds nothing, never runs.
-    fn audit_discover(&mut self, _view: &WindowView<'_, S>, _seq: u64, _r: f64) -> Vec<u64> {
-        Vec::new()
-    }
-
     /// Fault injection for degradation tests: throw away all but the
     /// first `keep` links of every vertex (no-op on structureless
-    /// backends). Discovery recall should fall; exactness must not.
+    /// backends). Discovery finds fewer neighbors, so query-time repairs
+    /// do more work; exactness must not change.
     fn inject_edge_loss(&mut self, _keep: usize) {}
 
     /// Drains the backend's `(distance evaluations, graph hops)` tally
     /// accumulated since the last drain. The engine drains once per
-    /// phase (insert, expiry, audit) to attribute backend work to cost
+    /// phase (insert, expiry) to attribute backend work to cost
     /// counters; backends that do not tally return `(0, 0)`.
     fn take_cost(&mut self) -> (u64, u64) {
         (0, 0)

@@ -22,9 +22,12 @@
 //!   graph (tombstoned expiries, periodic compaction) and discovers
 //!   neighbors with the paper's greedy ball walk
 //!   ([`dod_core::greedy_walk`]) — a certified subset, so counts are
-//!   lower bounds. Only the graph backend can miss a neighbor, so only
-//!   it runs the sampled recall auditor, at the cadence its
-//!   [`GraphParams`] set.
+//!   lower bounds. Only the graph backend can miss a neighbor, and what
+//!   it misses shows up as query-time repair work
+//!   ([`StreamStats::query_dist_evals`],
+//!   [`StreamStats::query_false_positives`]), never in an answer. Those
+//!   two counters are the graph's quality, as filter false positives
+//!   rank graphs in the paper.
 //! * **Verdicts are verified** the way the paper's Algorithm 1 verifies
 //!   filter survivors: a candidate whose maintained count is below `k` and
 //!   not known-exact gets a lazy exact repair against the window before it
@@ -72,6 +75,6 @@ pub mod window;
 
 pub use detector::{Backend, SlideReport, StreamDetector, StreamParams, StreamStats};
 pub use graph::{GraphIndex, GraphParams};
-pub use index::{ExhaustiveIndex, IndexHealth, StreamIndex, DEGREE_BUCKETS, DEGREE_BUCKET_BOUNDS};
+pub use index::{ExhaustiveIndex, StreamIndex};
 pub use space::{Space, StringSpace, VectorSpace};
 pub use window::{WindowSpec, WindowView};

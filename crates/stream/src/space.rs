@@ -8,7 +8,7 @@
 //! points (and to normalize one on ingestion, which is how the angular
 //! metric's unit-length preprocessing carries over).
 
-use dod_metrics::{edit_distance, VectorMetric};
+use dod_metrics::{edit_distance, Rounding, VectorMetric};
 
 /// A metric over owned points, used by the streaming engine to compare an
 /// incoming point against window residents.
@@ -19,10 +19,6 @@ use dod_metrics::{edit_distance, VectorMetric};
 /// batch algorithms can run on them for cross-checking; `Send` lets a
 /// detector (and therefore its space and points) move onto the per-shard
 /// pump threads of the sharded engine.
-///
-/// `prepare` must be *idempotent* (`prepare(prepare(p)) == prepare(p)`):
-/// the sharded engine prepares a point once for pivot routing and the
-/// receiving shard's detector prepares it again on insertion.
 pub trait Space: Send + Sync {
     /// The object type flowing through the stream.
     type Point: Clone + Send + Sync;
@@ -42,6 +38,14 @@ pub trait Space: Send + Sync {
     /// size reporting; the default counts only the inline size).
     fn point_bytes(&self, _p: &Self::Point) -> usize {
         std::mem::size_of::<Self::Point>()
+    }
+
+    /// The rounding error of [`dist`](Self::dist), for rules that bound a
+    /// distance by the triangle inequality instead of evaluating it (see
+    /// [`dod_metrics::rounding`]). The default, [`Rounding::RELATIVE`], is
+    /// [`dod_metrics::Dataset::rounding`]'s default too.
+    fn rounding(&self) -> Rounding {
+        Rounding::RELATIVE
     }
 }
 
@@ -104,6 +108,10 @@ impl<M: VectorMetric> Space for VectorSpace<M> {
     fn point_bytes(&self, p: &Vec<f32>) -> usize {
         std::mem::size_of::<Vec<f32>>() + p.capacity() * std::mem::size_of::<f32>()
     }
+
+    fn rounding(&self) -> Rounding {
+        self.metric.rounding()
+    }
 }
 
 /// Strings under Levenshtein edit distance (the paper's Words space).
@@ -120,6 +128,10 @@ impl Space for StringSpace {
 
     fn point_bytes(&self, p: &String) -> usize {
         std::mem::size_of::<String>() + p.capacity()
+    }
+
+    fn rounding(&self) -> Rounding {
+        Rounding::EXACT
     }
 }
 
@@ -152,6 +164,13 @@ mod tests {
     fn wrong_dimension_is_rejected_at_the_boundary() {
         let s = VectorSpace::new(L2, 3);
         let _ = s.prepare(vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn spaces_state_their_metric_rounding() {
+        assert_eq!(VectorSpace::new(Angular, 2).rounding(), Rounding::ANGULAR);
+        assert_eq!(VectorSpace::new(L2, 2).rounding(), Rounding::RELATIVE);
+        assert_eq!(StringSpace.rounding(), Rounding::EXACT);
     }
 
     #[test]

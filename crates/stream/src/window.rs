@@ -10,7 +10,7 @@
 
 use crate::space::Space;
 use dod_core::DodError;
-use dod_metrics::Dataset;
+use dod_metrics::{Dataset, Rounding};
 use std::collections::VecDeque;
 
 /// What bounds the window.
@@ -232,6 +232,10 @@ impl<S: Space> Dataset for WindowView<'_, S> {
             return 0.0;
         }
         self.space.dist(self.point_at(i), self.point_at(j))
+    }
+
+    fn rounding(&self) -> Rounding {
+        self.space.rounding()
     }
 }
 

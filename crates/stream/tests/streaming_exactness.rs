@@ -94,7 +94,7 @@ proptest! {
         // A deliberately starved graph (tiny beam, tiny degree, tiny
         // discovery cap) must still be exact — quality only moves work to
         // the lazy repair.
-        let gp = GraphParams { m, ef, discover_cap: cap, prune_above: 4 * m, ..GraphParams::default() };
+        let gp = GraphParams { m, ef, discover_cap: cap, prune_above: 4 * m };
         check_backend(Backend::Graph(gp), 1.2, 3, 24, seed);
     }
 }

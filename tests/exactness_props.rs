@@ -252,8 +252,40 @@ fn near_parallel_angular_points_stay_exact_under_rounding() {
         let q = (splitmix(&mut rng) % n as u64) as usize;
         let r = data.dist(p, q);
         let k = 1 + (splitmix(&mut rng) % 4) as usize;
-        let truth = nested_loop::detect(&data, &DodParams::new(r, k), 0).outliers;
+        let params = DodParams::new(r, k);
+        let truth = nested_loop::detect(&data, &params, 0).outliers;
         let query = Query::new(r, k).expect("valid query");
+        let got = snif::detect(&data, &params, 0).outliers;
+        if got != truth {
+            wrong.push(format!(
+                "snif: n={n} r={r:e} k={k}: want {truth:?}, got {got:?}"
+            ));
+        }
+        // A batch engine over a stream window must measure with the
+        // window's metric, rounding model included.
+        let mut det = StreamDetector::open(
+            VectorSpace::new(Angular, 3),
+            query,
+            WindowSpec::Count(64),
+            Backend::Exhaustive,
+        )
+        .expect("stream detector");
+        for row in &rows {
+            det.insert(row.clone());
+        }
+        let view_truth = nested_loop::detect(&det.window_view(), &params, 0).outliers;
+        let got = Engine::builder(det.window_view())
+            .index(IndexSpec::VpTree)
+            .build()
+            .expect("engine")
+            .query(query)
+            .expect("query")
+            .outliers;
+        if got != view_truth {
+            wrong.push(format!(
+                "window-view: n={n} r={r:e} k={k}: want {view_truth:?}, got {got:?}"
+            ));
+        }
         for (name, spec, verify) in [
             ("vptree", IndexSpec::VpTree, VerifyStrategy::Auto),
             (
@@ -286,8 +318,16 @@ fn near_parallel_angular_points_stay_exact_under_rounding() {
             }
         }
     }
-    let per_spec = ["vptree:", "mrpg:", "mrpg+vptree:", "nsw:", "kgraph:"]
-        .map(|spec| (spec, wrong.iter().filter(|w| w.starts_with(spec)).count()));
+    let per_spec = [
+        "vptree:",
+        "mrpg:",
+        "mrpg+vptree:",
+        "nsw:",
+        "kgraph:",
+        "snif:",
+        "window-view:",
+    ]
+    .map(|spec| (spec, wrong.iter().filter(|w| w.starts_with(spec)).count()));
     assert!(
         wrong.is_empty(),
         "{} wrong answers over {DATASETS} datasets {per_spec:?}; first: {}",
