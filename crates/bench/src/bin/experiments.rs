@@ -26,9 +26,9 @@
 //!                       grid (owned and slide-time skew, ghost rates),
 //!                       e.g. for BENCH_health.json
 //!   --cost              table experiments only: run the query-cost grid
-//!                       (distance evaluations by phase, hops, pruning
-//!                       power per index spec, counting-hook overhead),
-//!                       e.g. for BENCH_cost.json
+//!                       (distance evaluations of the engine build and by
+//!                       query phase, hops, pruning power per index spec,
+//!                       counting-hook overhead), e.g. for BENCH_cost.json
 //!
 //! compare diffs two --json artifacts row by row and exits nonzero when
 //! any timing metric regressed by more than --threshold (default 0.25,

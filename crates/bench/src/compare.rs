@@ -2,10 +2,12 @@
 //!
 //! Diffs two machine-readable `BENCH_*.json` artifacts (as written by
 //! `--json`), matching rows by their identity fields and reporting the
-//! per-row change of every timing metric. With `--threshold t`, any
-//! metric that regressed by more than `t` (fractional, e.g. `0.25` =
-//! 25 %) makes the run fail, so CI can diff the current PR's artifact
-//! against the previous one and flag slowdowns automatically.
+//! per-row change of every tracked metric: the signed relative change
+//! `candidate / baseline − 1`, so a rise prints positive whichever way is
+//! better. With `--threshold t`, any metric that regressed by more than
+//! `t` (fractional, e.g. `0.25` = 25 %, measured in the metric's own
+//! direction) makes the run fail, so CI can diff the current PR's
+//! artifact against the previous one and flag slowdowns automatically.
 //!
 //! JSON parsing is delegated to [`dod_wire`], the workspace's shared
 //! wire format (the parser started its life in this module and was
@@ -33,6 +35,9 @@ const METRICS: &[(&str, Direction)] = &[
     ("dist_evals", Direction::LowerIsBetter),
     ("pruning_power", Direction::HigherIsBetter),
     ("hops", Direction::LowerIsBetter),
+    // Distance evaluations of the engine build (index and edge lengths),
+    // as deterministic as the query's.
+    ("build_dist_evals", Direction::LowerIsBetter),
 ];
 
 /// Fields that are neither identity nor gated metrics: run-dependent
@@ -148,7 +153,8 @@ pub fn compare(a_src: &str, b_src: &str, threshold: f64) -> Result<Comparison, S
                 continue;
             }
             compared += 1;
-            // Fractional regression: positive = got worse.
+            // Fractional regression: positive = got worse. The verdict
+            // reads this; the table prints the plain change.
             let regression = match dir {
                 Direction::LowerIsBetter => bv / av - 1.0,
                 Direction::HigherIsBetter => av / bv - 1.0,
@@ -166,7 +172,7 @@ pub fn compare(a_src: &str, b_src: &str, threshold: f64) -> Result<Comparison, S
                 metric.to_string(),
                 format!("{av:.6}"),
                 format!("{bv:.6}"),
-                format!("{:+.1}%", regression * 100.0),
+                format!("{:+.1}%", (bv / av - 1.0) * 100.0),
                 verdict.to_string(),
             ]);
         }
@@ -352,6 +358,68 @@ mod tests {
             compare(&cost_row(1000.0, 200.0), &cost_row(1000.0, 100.0), 0.25).expect("compare");
         assert!(cmp.regressions.is_empty(), "{}", cmp.rendered);
         assert!(cmp.rendered.contains("improved"));
+    }
+
+    /// The cells of the rendered table row for `metric`.
+    fn cells<'a>(rendered: &'a str, metric: &str) -> Vec<&'a str> {
+        rendered
+            .lines()
+            .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+            .find(|cells| cells.contains(&metric))
+            .unwrap_or_else(|| panic!("no {metric} row in:\n{rendered}"))
+    }
+
+    #[test]
+    fn change_is_signed_like_the_metric_moved() {
+        // A rising higher-is-better metric prints a rise and improves; a
+        // rising lower-is-better one prints a rise and regresses.
+        let cmp = compare(&artifact(10.0, 8.0), &artifact(15.0, 12.0), 0.2).expect("compare");
+        let speedup = cells(&cmp.rendered, "speedup_vs_batch");
+        assert!(speedup.contains(&"+50.0%"), "{speedup:?}");
+        assert!(speedup.contains(&"improved"), "{speedup:?}");
+        let slide = cells(&cmp.rendered, "slide_us");
+        assert!(slide.contains(&"+50.0%"), "{slide:?}");
+        assert!(slide.contains(&"REGRESSED"), "{slide:?}");
+        // A falling higher-is-better metric prints a fall.
+        let cmp = compare(&artifact(10.0, 8.0), &artifact(10.0, 4.0), 0.2).expect("compare");
+        let speedup = cells(&cmp.rendered, "speedup_vs_batch");
+        assert!(speedup.contains(&"-50.0%"), "{speedup:?}");
+        assert!(speedup.contains(&"REGRESSED"), "{speedup:?}");
+    }
+
+    #[test]
+    fn cost_rows_gate_build_dist_evals() {
+        let cost_row = |build: Option<f64>| {
+            let mut j = JsonReport::new();
+            let mut fields = vec![
+                ("experiment", JsonVal::from("tables_cost")),
+                ("dataset", JsonVal::from("Deep")),
+                ("index", JsonVal::from("mrpg:25")),
+                ("dist_evals", JsonVal::from(1000.0)),
+            ];
+            if let Some(build) = build {
+                fields.push(("build_dist_evals", JsonVal::from(build)));
+            }
+            j.row(fields);
+            j.render()
+        };
+        // An index build that evaluates 50% more distances regresses.
+        let cmp = compare(&cost_row(Some(2.0e5)), &cost_row(Some(3.0e5)), 0.25).expect("compare");
+        assert_eq!(
+            cmp.regressions,
+            vec![(
+                "experiment=tables_cost dataset=Deep index=mrpg:25".to_string(),
+                "build_dist_evals".to_string()
+            )],
+            "{}",
+            cmp.rendered
+        );
+        // A baseline written before the field existed matches the row and
+        // skips the metric.
+        let cmp = compare(&cost_row(None), &cost_row(Some(3.0e5)), 0.25).expect("compare");
+        assert!(cmp.regressions.is_empty(), "{}", cmp.rendered);
+        assert!(!cmp.rendered.contains("new row"), "{}", cmp.rendered);
+        assert!(!cmp.rendered.contains("build_dist_evals"));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::workload::{Config, Workload};
 use dod_core::{dolphin, nested_loop, snif, DodParams, Engine, IndexSpec, OutlierReport, Query};
 use dod_datasets::{calibrate_r, Family, StreamScenario};
 use dod_graph::ProximityGraph;
-use dod_metrics::{Dataset, Subset, VectorSet, L2};
+use dod_metrics::{Dataset, DistanceCounter, Subset, VectorSet, L2};
 use dod_shard::{DurabilityPolicy, DurableSession, ShardSpec, ShardedStreamDetector, SyncPolicy};
 use dod_stream::{Backend, GraphParams, StreamDetector, VectorSpace, WindowSpec};
 use std::io::{self, Write};
@@ -515,10 +515,12 @@ fn tables(
 /// degree, so the three graphs compare like with like), one
 /// calibrated query reports its distance evaluations by phase, graph
 /// hops and pruning power `1 − evals ⁄ n·(n−1)` — the paper's headline
-/// quantity, now measured instead of inferred from wall time. A
-/// micro-benchmark of the counting hook itself rides along, since the
-/// accounting cannot be compiled out: the documented budget is <2%
-/// (PR 9's phase-span precedent measured ~1.7%).
+/// quantity, now measured instead of inferred from wall time. The
+/// engine build is counted too (`build_dist_evals`: the index build plus
+/// the graph's edge lengths), so a costlier build is gated like a
+/// costlier query. A micro-benchmark of the counting hook itself rides
+/// along, since the accounting cannot be compiled out: the documented
+/// budget is <2% (the phase-span hooks, the precedent, measured ~1.7%).
 fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -> io::Result<()> {
     writeln!(out, "### Query-cost accounting (`--cost`)\n")?;
     for &family in &cfg.families {
@@ -536,6 +538,7 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
         let query = workload_query(&w, cfg.threads);
         let mut t = Table::new([
             "index",
+            "build evals",
             "filter evals",
             "verify evals",
             "total",
@@ -545,13 +548,15 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
         let mut reference: Option<Vec<u32>> = None;
         for spec in &specs {
             let index: IndexSpec = spec.parse().expect("cost-grid specs are valid");
-            let engine = Engine::builder(&w.data)
+            let counted = DistanceCounter::new(&w.data);
+            let engine = Engine::builder(&counted)
                 .index(index)
                 .verify(w.verify_strategy())
                 .threads(cfg.threads)
                 .seed(cfg.seed)
                 .build()
                 .expect("cost-grid engines build for any workload");
+            let build_evals = counted.calls();
             let report = engine.query(query).expect("cost-grid query");
             match &reference {
                 None => reference = Some(report.outliers.clone()),
@@ -561,6 +566,7 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
             let power = cost.pruning_power(w.n);
             t.row([
                 spec.clone(),
+                build_evals.to_string(),
                 cost.filter_dist_evals.to_string(),
                 cost.verify_dist_evals.to_string(),
                 cost.total_dist_evals().to_string(),
@@ -587,6 +593,7 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
                     ),
                     ("hops", JsonVal::from(cost.hops as usize)),
                     ("pruning_power", JsonVal::from(power)),
+                    ("build_dist_evals", JsonVal::from(build_evals as usize)),
                 ]);
             }
         }
@@ -597,17 +604,16 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
 }
 
 /// Prices the counting hook itself: the same distance evaluations with
-/// and without the [`DistanceCounter`](dod_metrics::DistanceCounter)
-/// wrapper (one relaxed `fetch_add` per call). The accounting is always
-/// on in the engines, so this micro-benchmark is the only way to see its
-/// cost; the reading is informational, never gated (CI timer noise), and
-/// documented against the <2% budget.
+/// and without the [`DistanceCounter`] wrapper (one relaxed `fetch_add`
+/// per call). The accounting is always on in the engines, so this
+/// micro-benchmark is the only way to see its cost; the reading is
+/// informational, never gated (CI timer noise), and documented against
+/// the <2% budget.
 fn counting_overhead(
     cfg: &Config,
     out: &mut dyn Write,
     json: &mut Option<JsonReport>,
 ) -> io::Result<()> {
-    use dod_metrics::DistanceCounter;
     let family = *cfg.families.first().unwrap_or(&Family::Glove);
     let w = Workload::prepare(family, cfg);
     let pairs: u64 = 2_000_000;

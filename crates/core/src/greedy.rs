@@ -41,17 +41,16 @@
 //! [`Rounding::triangle`]: dod_metrics::Rounding::triangle
 
 use dod_graph::parallel::par_map;
-use dod_graph::ProximityGraph;
+use dod_graph::{ProximityGraph, VisitMarks};
 use dod_metrics::{Dataset, DistBounds};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Reusable traversal state: epoch-stamped visited marks, the BFS queue
-/// and the reached ids. One buffer per worker thread avoids a fresh
-/// allocation per object (the filtering phase runs `n` traversals).
+/// Reusable traversal state: visit marks, the BFS queue and the reached
+/// ids. One buffer per worker thread avoids a fresh allocation per object
+/// (the filtering phase runs `n` traversals).
 pub struct TraversalBuffer {
-    visited: Vec<u32>,
-    epoch: u32,
+    visited: VisitMarks,
     /// Vertices to expand, each with bounds on its distance to the
     /// walk's origin.
     queue: VecDeque<(u32, DistBounds)>,
@@ -69,8 +68,7 @@ impl TraversalBuffer {
     /// A buffer for graphs of `n` vertices.
     pub fn new(n: usize) -> Self {
         TraversalBuffer {
-            visited: vec![0; n],
-            epoch: 0,
+            visited: VisitMarks::new(n),
             queue: VecDeque::new(),
             reached: Vec::new(),
             dist_evals: 0,
@@ -92,15 +90,10 @@ impl TraversalBuffer {
     /// Starts a new traversal: all vertices become unvisited in O(1).
     ///
     /// Public so other walk implementations (e.g. the streaming crate's
-    /// insertion-time beam search) can reuse the epoch-stamped visited set
-    /// instead of duplicating the wrap-around logic.
+    /// insertion-time beam search) can reuse the buffer's
+    /// [`VisitMarks`].
     pub fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: reset marks once every 2^32 traversals.
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.epoch = 1;
-        }
+        self.visited.begin();
         self.queue.clear();
         self.reached.clear();
     }
@@ -108,13 +101,7 @@ impl TraversalBuffer {
     /// Marks `v` visited; `true` iff it was unvisited this traversal.
     #[inline]
     pub fn mark(&mut self, v: u32) -> bool {
-        let slot = &mut self.visited[v as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
+        self.visited.mark(v)
     }
 }
 
@@ -166,18 +153,55 @@ impl BufferPool {
 /// Lengths are only ever [`measure`](Self::measure)d from the dataset the
 /// walk runs over, never read from a file or taken from a caller, so
 /// [`greedy_walk`] trusts no distance it did not compute itself.
+///
+/// An undirected edge is one evaluation: the entry `(v, w)` with `w < v`
+/// holds the `d(w, v)` its reverse entry measured. The built-in kernels
+/// give `d(a, b) == d(b, a)` bit for bit (README "Exactness contract"),
+/// so for them the copy is the value `d(v, w)` would have given. For any
+/// other [`Dataset`], the computed `d(w, v)` still lies within the
+/// metric's rounding model of the true `d(v, w)`, and that is all
+/// [`Rounding::triangle`](dod_metrics::Rounding::triangle) assumes of a
+/// length.
 pub struct EdgeLengths {
     lists: Vec<Vec<f32>>,
 }
 
 impl EdgeLengths {
-    /// Measures every adjacency entry of `g` over `data`: one distance
-    /// evaluation each, on `threads` workers.
+    /// Measures the edges of `g` over `data` on `threads` workers: one
+    /// distance evaluation per undirected edge, and one per entry whose
+    /// reverse entry is missing.
     pub fn measure<D: Dataset + ?Sized>(g: &ProximityGraph, data: &D, threads: usize) -> Self {
-        let lists = par_map(g.adj.len(), threads, |v| {
+        // Pass 1: an entry (v, w) with w < v whose reverse entry exists
+        // notes that entry's index (`Err`); every other entry is
+        // evaluated (`Ok`).
+        let measured: Vec<Vec<Result<f32, u32>>> = par_map(g.adj.len(), threads, |v| {
             g.adj[v]
                 .iter()
-                .map(|&w| data.dist(v, w as usize) as f32)
+                .map(|&w| {
+                    let w = w as usize;
+                    let reverse = if w < v {
+                        g.adj[w].iter().position(|&x| x as usize == v)
+                    } else {
+                        None
+                    };
+                    match reverse {
+                        Some(j) => Err(j as u32),
+                        None => Ok(data.dist(v, w) as f32),
+                    }
+                })
+                .collect()
+        });
+        // Pass 2: copy each noted length from the entry that measured it.
+        let lists = par_map(g.adj.len(), threads, |v| {
+            measured[v]
+                .iter()
+                .zip(&g.adj[v])
+                .map(|(&len, &w)| {
+                    len.unwrap_or_else(|j| {
+                        measured[w as usize][j as usize]
+                            .expect("an entry toward a higher id is evaluated")
+                    })
+                })
                 .collect()
         });
         EdgeLengths { lists }
@@ -505,6 +529,29 @@ mod tests {
     }
 
     #[test]
+    fn lengths_evaluate_each_undirected_edge_once() {
+        // The line graph is symmetric: 19 edges in 38 entries.
+        let (data, mut g) = line_graph(20);
+        let counted = dod_metrics::DistanceCounter::new(&data);
+        EdgeLengths::measure(&g, &counted, 2);
+        assert_eq!(counted.calls(), 19);
+        // Two one-sided entries, toward a higher and a lower id: each is
+        // evaluated on its own.
+        g.adj[0].push(5);
+        g.adj[7].push(2);
+        counted.reset();
+        let lengths = EdgeLengths::measure(&g, &counted, 2);
+        assert_eq!(counted.calls(), 21);
+        for (v, list) in g.adj.iter().enumerate() {
+            let want: Vec<f32> = list
+                .iter()
+                .map(|&w| data.dist(v, w as usize) as f32)
+                .collect();
+            assert_eq!(lengths.of(v), want, "vertex {v}");
+        }
+    }
+
+    #[test]
     fn stored_bounds_hold_the_rounded_distance() {
         let max = f64::from(f32::MAX);
         let tiny = [0.0, 1e-46, 1e-40];
@@ -520,19 +567,5 @@ mod tests {
                 assert!(b.lo <= d && d <= b.hi, "{d:e}: {b:?}");
             }
         }
-    }
-
-    #[test]
-    fn epoch_wraparound_resets_marks() {
-        let (data, g) = line_graph(4);
-        let mut buf = TraversalBuffer::new(4);
-        // Each `walk` runs two walks: the second call's first one wraps.
-        buf.epoch = u32::MAX - 2;
-        let a = walk(&g, &data, 1, 1.0, 100, &mut buf).len();
-        let b = walk(&g, &data, 1, 1.0, 100, &mut buf).len(); // wraps here
-        let c = walk(&g, &data, 1, 1.0, 100, &mut buf).len();
-        assert_eq!(a, 2);
-        assert_eq!(b, 2);
-        assert_eq!(c, 2);
     }
 }

@@ -8,9 +8,16 @@
 //! hop-bounded BFS, collect vertices whose BFS path is non-monotonic, and
 //! chain-link them in ascending distance order — which *is* a monotonic
 //! path from the target through all of them.
+//!
+//! Every BFS records what it has seen in [`VisitMarks`], so testing a
+//! vertex costs `O(1)` however far the BFS got (the 3-hop budget is
+//! `min(K³, 50,000)` visits). Each worker of the parallel pass owns one
+//! set of marks for all its targets; a build runs `n / K` targets of up to
+//! `1 + pivots_per_target` BFSs each and allocates no `O(n)` array per BFS.
 
 use crate::graph::ProximityGraph;
-use crate::parallel::par_map;
+use crate::parallel::par_map_with;
+use crate::visit::VisitMarks;
 use dod_metrics::{Dataset, OrdF64};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -60,7 +67,8 @@ impl DetourParams {
 /// (`Get-Non-Monotonic` in the paper, with the Algorithm 5 hop constraint).
 ///
 /// Returns `(dist_to_anchor, vertex)` pairs, at most `max_list`, keeping
-/// those closest to the anchor.
+/// those closest to the anchor. `marks` must cover the graph's vertices.
+#[allow(clippy::too_many_arguments)]
 pub fn get_non_monotonic<D: Dataset + ?Sized>(
     g: &ProximityGraph,
     data: &D,
@@ -69,17 +77,18 @@ pub fn get_non_monotonic<D: Dataset + ?Sized>(
     max_hops: usize,
     visit_cap: usize,
     max_list: usize,
+    marks: &mut VisitMarks,
 ) -> Vec<(f64, u32)> {
     // (vertex, its distance to anchor, hop count)
     let mut queue: VecDeque<(u32, f64, usize)> = VecDeque::new();
-    let mut seen: Vec<u32> = Vec::with_capacity(visit_cap.min(4096));
+    marks.begin();
     let start_d = if start as usize == anchor {
         0.0
     } else {
         data.dist(anchor, start as usize)
     };
     queue.push_back((start, start_d, 0));
-    seen.push(start);
+    marks.mark(start);
     // Max-heap keeps the `max_list` smallest anchor distances.
     let mut worst: BinaryHeap<(OrdF64, u32)> = BinaryHeap::with_capacity(max_list + 1);
     let mut visits = 0usize;
@@ -88,14 +97,13 @@ pub fn get_non_monotonic<D: Dataset + ?Sized>(
             continue;
         }
         for &w in &g.adj[v as usize] {
-            if w as usize == anchor || seen.contains(&w) {
+            if w as usize == anchor || !marks.mark(w) {
                 continue;
             }
             visits += 1;
             if visits > visit_cap {
                 break;
             }
-            seen.push(w);
             let w_d = data.dist(anchor, w as usize);
             if v_d > w_d && max_list > 0 {
                 // The BFS path reached w through a vertex farther from the
@@ -128,9 +136,11 @@ fn nearby_pivots<D: Dataset + ?Sized>(
     max_hops: usize,
     visit_cap: usize,
     want: usize,
+    marks: &mut VisitMarks,
 ) -> Vec<u32> {
     let mut queue: VecDeque<(u32, usize)> = VecDeque::new();
-    let mut seen: Vec<u32> = vec![target as u32];
+    marks.begin();
+    marks.mark(target as u32);
     queue.push_back((target as u32, 0));
     let one_hop = &g.adj[target];
     let mut found: Vec<(f64, u32)> = Vec::new();
@@ -140,14 +150,13 @@ fn nearby_pivots<D: Dataset + ?Sized>(
             continue;
         }
         for &w in &g.adj[v as usize] {
-            if seen.contains(&w) {
+            if !marks.mark(w) {
                 continue;
             }
             visits += 1;
             if visits > visit_cap {
                 break 'outer;
             }
-            seen.push(w);
             if g.pivot[w as usize] && !one_hop.contains(&w) && !g.exact.contains_key(&w) {
                 found.push((data.dist(target, w as usize), w));
             }
@@ -196,43 +205,47 @@ pub fn remove_detours<D: Dataset + ?Sized>(
     }
 
     // Collect every target's non-monotonic list in parallel (read-only on
-    // the graph), then apply the chain links sequentially.
+    // the graph, one set of marks per worker), then apply the chain links
+    // sequentially.
     let g_ref: &ProximityGraph = g;
-    let lists: Vec<Vec<(f64, u32)>> = par_map(targets.len(), params.threads, |ti| {
-        let p = targets[ti] as usize;
-        let mut a = get_non_monotonic(
-            g_ref,
-            data,
-            p,
-            p as u32,
-            3,
-            params.visit_cap3,
-            params.max_list,
-        );
-        for piv in nearby_pivots(
-            g_ref,
-            data,
-            p,
-            3,
-            params.visit_cap3,
-            params.pivots_per_target,
-        ) {
-            a.extend(get_non_monotonic(
+    let (lists, _) = par_map_with(
+        targets.len(),
+        params.threads,
+        || VisitMarks::new(n),
+        |marks, ti| {
+            let p = targets[ti] as usize;
+            let pivots = nearby_pivots(
                 g_ref,
                 data,
                 p,
-                piv,
-                2,
-                params.visit_cap2,
-                params.max_list,
-            ));
-        }
-        // Merge, dedup by vertex, keep closest `max_list`.
-        a.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-        a.dedup_by_key(|e| e.1);
-        a.truncate(params.max_list);
-        a
-    });
+                3,
+                params.visit_cap3,
+                params.pivots_per_target,
+                marks,
+            );
+            let mut non_monotonic = |start: u32, hops: usize, visit_cap: usize| {
+                get_non_monotonic(
+                    g_ref,
+                    data,
+                    p,
+                    start,
+                    hops,
+                    visit_cap,
+                    params.max_list,
+                    marks,
+                )
+            };
+            let mut a = non_monotonic(p as u32, 3, params.visit_cap3);
+            for piv in pivots {
+                a.extend(non_monotonic(piv, 2, params.visit_cap2));
+            }
+            // Merge, dedup by vertex, keep closest `max_list`.
+            a.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+            a.dedup_by_key(|e| e.1);
+            a.truncate(params.max_list);
+            a
+        },
+    );
 
     for (ti, list) in lists.into_iter().enumerate() {
         let mut prev = targets[ti];
@@ -250,6 +263,10 @@ mod tests {
     use super::*;
     use crate::graph::GraphKind;
     use dod_metrics::{VectorSet, L2};
+
+    fn marks(g: &ProximityGraph) -> VisitMarks {
+        VisitMarks::new(g.node_count())
+    }
 
     /// A deliberate detour: p=0 at origin, w=2 nearby, but the only path
     /// runs through far-away node 1.
@@ -273,7 +290,7 @@ mod tests {
     #[test]
     fn detects_the_detour() {
         let (data, g) = detour_triangle();
-        let non_mono = get_non_monotonic(&g, &data, 0, 0, 3, 1000, 100);
+        let non_mono = get_non_monotonic(&g, &data, 0, 0, 3, 1000, 100, &mut marks(&g));
         let ids: Vec<u32> = non_mono.iter().map(|&(_, w)| w).collect();
         assert!(ids.contains(&2), "vertex 2 should be flagged: {ids:?}");
         assert!(!ids.contains(&1), "vertex 1 is reached monotonically");
@@ -296,7 +313,7 @@ mod tests {
     #[test]
     fn respects_the_list_cap() {
         let (data, g) = detour_triangle();
-        let non_mono = get_non_monotonic(&g, &data, 0, 0, 3, 1000, 0);
+        let non_mono = get_non_monotonic(&g, &data, 0, 0, 3, 1000, 0, &mut marks(&g));
         assert!(non_mono.is_empty());
     }
 
@@ -311,9 +328,9 @@ mod tests {
         for i in 0..4u32 {
             g.add_undirected(i, i + 1);
         }
-        let hop1 = get_non_monotonic(&g, &data, 0, 0, 1, 1000, 100);
+        let hop1 = get_non_monotonic(&g, &data, 0, 0, 1, 1000, 100, &mut marks(&g));
         assert!(hop1.is_empty(), "1 hop sees only vertex 1 (monotone)");
-        let hop2 = get_non_monotonic(&g, &data, 0, 0, 2, 1000, 100);
+        let hop2 = get_non_monotonic(&g, &data, 0, 0, 2, 1000, 100, &mut marks(&g));
         assert_eq!(hop2.iter().map(|&(_, w)| w).collect::<Vec<_>>(), vec![2]);
     }
 
@@ -327,7 +344,7 @@ mod tests {
         }
         g.pivot = vec![false, true, true, true, false];
         g.exact.insert(3, crate::graph::ExactNn { dists: vec![] });
-        let piv = nearby_pivots(&g, &data, 0, 4, 1000, 10);
+        let piv = nearby_pivots(&g, &data, 0, 4, 1000, 10, &mut marks(&g));
         // 1 is one-hop (excluded), 3 is exact (excluded) => only 2.
         assert_eq!(piv, vec![2]);
     }

@@ -11,6 +11,7 @@
 
 use crate::graph::{GraphKind, ProximityGraph};
 use crate::nsw::beam_search;
+use crate::visit::VisitMarks;
 use dod_metrics::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,22 +73,22 @@ impl Hnsw {
     }
 }
 
-/// [`beam_search`] over one layer from `entry`, with epoch-stamped visit
-/// marks. Returns up to `ef` `(dist, id)` ascending.
+/// [`beam_search`] over one layer from `entry`, as a new walk of `marks`.
+/// Returns up to `ef` `(dist, id)` ascending.
 fn search_layer<D: Dataset + ?Sized>(
     layer: &[Vec<u32>],
     data: &D,
     query: usize,
     entry: u32,
     ef: usize,
-    visited: &mut [u32],
-    epoch: u32,
+    marks: &mut VisitMarks,
 ) -> Vec<(f64, u32)> {
+    marks.begin();
     beam_search(
         layer,
         &[entry],
         ef,
-        |v| std::mem::replace(&mut visited[v as usize], epoch) != epoch,
+        |v| marks.mark(v),
         |v| Some(data.dist(query, v as usize)),
     )
     .0
@@ -106,8 +107,7 @@ pub fn build<D: Dataset + ?Sized>(data: &D, params: &HnswParams) -> Hnsw {
     }
     let mut rng = StdRng::seed_from_u64(params.seed);
     let ml = 1.0 / (params.m.max(2) as f64).ln();
-    let mut visited = vec![0u32; n];
-    let mut epoch = 0u32;
+    let mut marks = VisitMarks::new(n);
 
     for i in 1..n {
         let level = ((-rng.gen_range(f64::EPSILON..1.0f64).ln()) * ml).floor() as usize;
@@ -120,23 +120,20 @@ pub fn build<D: Dataset + ?Sized>(data: &D, params: &HnswParams) -> Hnsw {
         let mut cur = hnsw.entry;
         // Greedy descent through layers above the insertion level.
         for l in ((level + 1)..=entry_level.min(top)).rev() {
-            epoch += 1;
-            let best = search_layer(&hnsw.layers[l], data, i, cur, 1, &mut visited, epoch);
+            let best = search_layer(&hnsw.layers[l], data, i, cur, 1, &mut marks);
             if let Some(&(_, v)) = best.first() {
                 cur = v;
             }
         }
         // Insert with beam search on each layer from min(level, entry) down.
         for l in (0..=level.min(entry_level)).rev() {
-            epoch += 1;
             let found = search_layer(
                 &hnsw.layers[l],
                 data,
                 i,
                 cur,
                 params.ef_construction,
-                &mut visited,
-                epoch,
+                &mut marks,
             );
             let max_links = if l == 0 { params.m * 2 } else { params.m };
             for &(_, v) in found.iter().take(max_links) {

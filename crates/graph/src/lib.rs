@@ -19,12 +19,13 @@
 //! benefit from HNSW's hierarchy; we include it so the claim is testable)
 //! and binary index persistence ([`serialize`]).
 //!
-//! Two primitives below the builders have one implementation each:
+//! Three primitives below the builders have one implementation each:
 //! [`nsw::beam_search`], the insertion-time search of NSW, HNSW and the
-//! streaming crate's graph backend, and [`parallel::par_map_with`], the
+//! streaming crate's graph backend; [`parallel::par_map_with`], the
 //! strided parallel map behind the graph builds, Algorithm 1's filter and
-//! verify phases and the baselines. Greedy-Counting, the walk the detector
-//! runs over these graphs, lives in `dod_core`.
+//! verify phases and the baselines; and [`visit::VisitMarks`], the
+//! epoch-stamped visited set of every repeated walk. Greedy-Counting, the
+//! walk the detector runs over these graphs, lives in `dod_core`.
 //!
 //! All builders are deterministic for a fixed seed, including the
 //! multi-threaded ones (they double-buffer instead of sharing state).
@@ -41,8 +42,10 @@ pub mod parallel;
 pub mod partition;
 pub mod prune;
 pub mod serialize;
+pub mod visit;
 
 pub use graph::{GraphKind, ProximityGraph};
 pub use mrpg::{BuildBreakdown, MrpgParams};
 pub use nndescent::{AknnGraph, NnDescentParams};
 pub use nsw::NswParams;
+pub use visit::VisitMarks;

@@ -15,9 +15,27 @@
 //! The iteration is double-buffered: every node's new list is computed from
 //! the previous iteration's lists only, so the parallel build is
 //! deterministic for any thread count.
+//!
+//! **Candidate set.** Node `p`'s similar objects are the members of its
+//! AKNN and reverse-AKNN lists. Its candidates are those objects and the
+//! members of their own two lists (NNDescent+ takes the lists only of the
+//! objects whose list changed last iteration), minus `p` and its current
+//! list. The raw lists repeat ids heavily: on Deep (n 2400, K 25) the
+//! first iteration names 3.4M ids for 645k distinct candidates. So each
+//! worker keeps one [`VisitMarks`] over the `n` ids for the iteration:
+//! `p` and its list are marked first, and every other id enters the
+//! candidate list only the first time it is marked. Duplicates and current
+//! members never cost more than the mark.
+//!
+//! The distinct candidates are then sorted and evaluated in ascending id
+//! order. The order is part of the output: `insert_capped` keeps the
+//! first of equal distances, so where candidates tie (edit distance,
+//! integer grids, duplicate points) it decides which of them a full list
+//! keeps.
 
-use crate::parallel::par_map;
+use crate::parallel::{par_map, par_map_with};
 use crate::partition::partition_initialize;
+use crate::visit::VisitMarks;
 use dod_metrics::{Dataset, OrdF64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,50 +211,58 @@ pub fn build<D: Dataset + ?Sized>(data: &D, params: &NnDescentParams) -> AknnGra
             }
         }
 
-        let results: Vec<(Vec<(f64, u32)>, bool)> = par_map(n, params.threads, |p| {
-            let mut list = knn[p].clone();
-            // Sorted ids of the incoming list for O(log K) membership tests;
-            // insertions during this pass are tracked separately.
-            let mut member_ids: Vec<u32> = list.iter().map(|&(_, id)| id).collect();
-            member_ids.sort_unstable();
-            let mut fresh_ids: Vec<u32> = Vec::new();
-            let mut changed = false;
-
-            // Similar-object list of p: its AKNNs and reverse AKNNs.
-            let mut sim: Vec<u32> = Vec::with_capacity(2 * k);
-            sim.extend(knn[p].iter().map(|&(_, id)| id));
-            sim.extend(rev[p].iter().copied());
-            sim.sort_unstable();
-            sim.dedup();
-
-            // Candidates: members of the similar lists of p's similar
-            // objects (skipping lists that did not change last iteration —
-            // the NNDescent+ "no updates" optimization).
-            let mut candidates: Vec<u32> = Vec::with_capacity(4 * k * k);
-            for &q in &sim {
-                candidates.push(q);
-                if params.plus && !updated[q as usize] {
-                    continue;
+        // Each worker keeps one set of marks and one candidate buffer for
+        // the whole iteration (see the module docs).
+        let (results, _) = par_map_with(
+            n,
+            params.threads,
+            || (VisitMarks::new(n), Vec::new()),
+            |(marks, candidates): &mut (VisitMarks, Vec<u32>), p| {
+                // p and its current list are never candidates.
+                marks.begin();
+                marks.mark(p as u32);
+                for &(_, id) in &knn[p] {
+                    marks.mark(id);
                 }
-                candidates.extend(knn[q as usize].iter().map(|&(_, id)| id));
-                candidates.extend(rev[q as usize].iter().copied());
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-
-            for &x in &candidates {
-                if x as usize == p || member_ids.binary_search(&x).is_ok() || fresh_ids.contains(&x)
-                {
-                    continue;
+                // p's similar objects are its list and its reverse list;
+                // those outside its list are candidates themselves.
+                candidates.clear();
+                candidates.extend(rev[p].iter().copied().filter(|&q| marks.mark(q)));
+                let reverse_only = candidates.len();
+                // Each similar object whose list changed last iteration
+                // (NNDescent+ skips the rest; plain NNDescent takes all)
+                // adds its own list and reverse list.
+                let mut admit_lists_of = |q: u32, candidates: &mut Vec<u32>| {
+                    if params.plus && !updated[q as usize] {
+                        return;
+                    }
+                    let q = q as usize;
+                    for x in knn[q]
+                        .iter()
+                        .map(|&(_, id)| id)
+                        .chain(rev[q].iter().copied())
+                    {
+                        if marks.mark(x) {
+                            candidates.push(x);
+                        }
+                    }
+                };
+                for &(_, q) in &knn[p] {
+                    admit_lists_of(q, candidates);
                 }
-                let d = data.dist(p, x as usize);
-                if insert_capped(&mut list, d, x, k) {
-                    fresh_ids.push(x);
-                    changed = true;
+                for i in 0..reverse_only {
+                    admit_lists_of(candidates[i], candidates);
                 }
-            }
-            (list, changed)
-        });
+                // Ascending ids: the order decides insert_capped's ties.
+                candidates.sort_unstable();
+                let mut list = knn[p].clone();
+                let mut changed = false;
+                for &x in candidates.iter() {
+                    changed |= insert_capped(&mut list, data.dist(p, x as usize), x, k);
+                }
+                (list, changed)
+            },
+        );
 
         let mut any = false;
         for (p, (list, changed)) in results.into_iter().enumerate() {

@@ -9,6 +9,7 @@
 //! exactly this as NSW's scalability weakness (Table 3's NA rows).
 
 use crate::graph::{GraphKind, ProximityGraph};
+use crate::visit::VisitMarks;
 use dod_metrics::{Dataset, OrdF64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,8 +110,7 @@ pub fn build<D: Dataset + ?Sized>(data: &D, params: &NswParams) -> ProximityGrap
         return g;
     }
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut visited = vec![0u32; n];
-    let mut epoch = 0u32;
+    let mut marks = VisitMarks::new(n);
     let ef = params.ef.max(params.m);
     let mut found: Vec<(f64, u32)> = Vec::new();
     for i in 1..n {
@@ -122,12 +122,12 @@ pub fn build<D: Dataset + ?Sized>(data: &D, params: &NswParams) -> ProximityGrap
         found.clear();
         for _ in 0..params.restarts.max(1) {
             let start = rng.gen_range(0..i) as u32;
-            epoch += 1;
+            marks.begin();
             let (beam, _) = beam_search(
                 &g.adj,
                 &[start],
                 ef,
-                |v| std::mem::replace(&mut visited[v as usize], epoch) != epoch,
+                |v| marks.mark(v),
                 |v| Some(data.dist(i, v as usize)),
             );
             found.extend(beam);
