@@ -1,12 +1,11 @@
-//! Streaming slide cost: incremental maintenance (both `StreamIndex`
-//! backends) vs per-slide batch re-detection, at the acceptance workload
-//! n=4000, W=1024.
+//! Streaming slide cost: incremental maintenance vs per-slide batch
+//! re-detection, at the acceptance workload n=4000, W=1024.
 //!
 //! Each timed iteration is one *slide*: ingest the next point of a
 //! drift/burst stream into a pre-warmed window and answer "current
 //! outliers". The batch baseline answers the same question by re-running
 //! the randomized nested loop over a window snapshot. The final
-//! `speedup_summary` "benchmark" feeds the whole stream through all three
+//! `speedup_summary` "benchmark" feeds the whole stream through both
 //! engines and prints the end-to-end ratio the acceptance criterion asks
 //! for (incremental ≥ 5x cheaper than batch).
 
@@ -15,7 +14,7 @@ use dod_bench::BatchSlideBaseline;
 use dod_core::{DodParams, Query};
 use dod_datasets::{calibrate_r, StreamScenario};
 use dod_metrics::{VectorSet, L2};
-use dod_stream::{Backend, GraphParams, StreamDetector, VectorSpace, WindowSpec};
+use dod_stream::{StreamDetector, VectorSpace, WindowSpec};
 use std::hint::black_box;
 
 const N: usize = 4000;
@@ -30,22 +29,13 @@ fn workload() -> (Vec<Vec<f32>>, f64) {
     (points, r)
 }
 
-fn warmed_detector(
-    points: &[Vec<f32>],
-    r: f64,
-    backend: Backend,
-) -> StreamDetector<VectorSpace<L2>> {
-    let mut det = StreamDetector::open(
+fn detector(r: f64) -> StreamDetector<VectorSpace<L2>> {
+    StreamDetector::open(
         VectorSpace::new(L2, DIM),
         Query::new(r, K).expect("calibrated query is valid"),
         WindowSpec::Count(W),
-        backend,
     )
-    .expect("valid stream parameters");
-    for p in &points[..W] {
-        det.insert(p.clone());
-    }
-    det
+    .expect("valid stream parameters")
 }
 
 fn bench_slides(c: &mut Criterion) {
@@ -53,13 +43,13 @@ fn bench_slides(c: &mut Criterion) {
     let mut g = c.benchmark_group("streaming_slide_n4000_w1024");
     g.sample_size(10);
 
-    for (name, backend) in [
-        ("incremental_exhaustive", Backend::Exhaustive),
-        ("incremental_graph", Backend::Graph(GraphParams::default())),
-    ] {
-        let mut det = warmed_detector(&points, r, backend);
+    {
+        let mut det = detector(r);
+        for p in &points[..W] {
+            det.insert(p.clone());
+        }
         let mut i = W;
-        g.bench_function(name, |b| {
+        g.bench_function("incremental_exhaustive", |b| {
             b.iter(|| {
                 det.insert(points[i % N].clone());
                 i += 1;
@@ -104,31 +94,23 @@ fn speedup_summary(_c: &mut Criterion) {
         "batch_per_slide              {batch_secs:>9.3}s total ({:.0} us/slide, {batch_out} outlier-slides)",
         batch_secs / N as f64 * 1e6
     );
-    for (name, backend) in [
-        ("incremental_exhaustive", Backend::Exhaustive),
-        ("incremental_graph", Backend::Graph(GraphParams::default())),
-    ] {
-        let mut det = StreamDetector::open(
-            VectorSpace::new(L2, DIM),
-            Query::new(r, K).expect("calibrated query is valid"),
-            WindowSpec::Count(W),
-            backend,
-        )
-        .expect("valid stream parameters");
-        let t0 = std::time::Instant::now();
-        let mut out = 0usize;
-        for p in &points {
-            det.insert(p.clone());
-            out += det.outliers().len();
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(out, batch_out, "{name} disagrees with batch");
-        println!(
-            "{name:<28} {secs:>9.3}s total ({:.0} us/slide) -> {:.1}x cheaper than batch",
-            secs / N as f64 * 1e6,
-            batch_secs / secs
-        );
+    let mut det = detector(r);
+    let t0 = std::time::Instant::now();
+    let mut out = 0usize;
+    for p in &points {
+        det.insert(p.clone());
+        out += det.outliers().len();
     }
+    let secs = t0.elapsed().as_secs_f64();
+    assert_eq!(
+        out, batch_out,
+        "incremental_exhaustive disagrees with batch"
+    );
+    println!(
+        "incremental_exhaustive       {secs:>9.3}s total ({:.0} us/slide) -> {:.1}x cheaper than batch",
+        secs / N as f64 * 1e6,
+        batch_secs / secs
+    );
 }
 
 criterion_group!(benches, bench_slides, speedup_summary);

@@ -215,7 +215,7 @@ mod tests {
         j.meta("scale", 0.25);
         j.row([
             ("experiment", JsonVal::from("stream")),
-            ("engine", JsonVal::from("stream graph")),
+            ("engine", JsonVal::from("stream exhaustive")),
             ("n", JsonVal::from(1000usize)),
             ("slide_us", JsonVal::from(slide_us)),
             ("speedup_vs_batch", JsonVal::from(speedup)),
@@ -230,7 +230,7 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let (key, metrics) = rows.iter().next().unwrap();
         assert!(
-            key.contains("engine=stream graph") && key.contains("n=1000"),
+            key.contains("engine=stream exhaustive") && key.contains("n=1000"),
             "{key}"
         );
         assert_eq!(metrics["slide_us"], 12.5);

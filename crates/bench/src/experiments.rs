@@ -10,7 +10,7 @@ use dod_datasets::{calibrate_r, Family, StreamScenario};
 use dod_graph::ProximityGraph;
 use dod_metrics::{Dataset, DistanceCounter, Subset, VectorSet, L2};
 use dod_shard::{DurabilityPolicy, DurableSession, ShardSpec, ShardedStreamDetector, SyncPolicy};
-use dod_stream::{Backend, GraphParams, StreamDetector, VectorSpace, WindowSpec};
+use dod_stream::{Backend, StreamDetector, VectorSpace, WindowSpec};
 use std::io::{self, Write};
 
 /// Which experiment(s) to run; parsed from the CLI subcommand.
@@ -918,9 +918,9 @@ fn stream_experiment(
         "## Extension — sliding-window streaming engine\n\n\
          A drift/burst/churn stream is fed point-by-point; after every\n\
          slide the engine answers \"current outliers\". Incremental\n\
-         maintenance (both backends) is compared against re-running the\n\
-         batch nested loop over the window contents per slide. All three\n\
-         agree exactly on every slide (asserted).\n"
+         maintenance is compared against re-running the batch nested\n\
+         loop over the window contents per slide. Both agree exactly on\n\
+         every slide (asserted).\n"
     )?;
     let dim = 8;
     let n = ((4000.0 * cfg.scale) as usize).max(256);
@@ -948,14 +948,12 @@ fn stream_experiment(
         "per slide",
         "speedup vs batch",
         "safe promotions",
-        "repairs",
     ]);
     t.row([
         "batch nested-loop".to_string(),
         secs(batch_secs),
         secs(batch_secs / n as f64),
         "1.0x".to_string(),
-        "-".to_string(),
         "-".to_string(),
     ]);
 
@@ -978,49 +976,37 @@ fn stream_experiment(
     };
     emit_row(json, "batch nested-loop", batch_secs);
 
-    let mut measured: Vec<(&str, f64)> = Vec::new();
-    let mut phase_rows: Vec<(&str, f64, u64, u64)> = Vec::new();
-    for (name, backend) in [
-        ("stream exhaustive", Backend::Exhaustive),
-        ("stream graph", Backend::Graph(GraphParams::default())),
-    ] {
-        let space = VectorSpace::new(L2, dim);
-        let query = Query::new(r, k).expect("calibrated stream query is valid");
-        let mut det = StreamDetector::open(space, query, WindowSpec::Count(w), backend)
-            .expect("valid stream parameters");
-        let t0 = std::time::Instant::now();
-        let mut disagreements = 0usize;
-        for (i, p) in points.iter().enumerate() {
-            det.insert(p.clone());
-            let got = det.outliers();
-            if got != batch_outliers[i] {
-                disagreements += 1;
-            }
+    let name = "stream exhaustive";
+    let space = VectorSpace::new(L2, dim);
+    let query = Query::new(r, k).expect("calibrated stream query is valid");
+    let mut det =
+        StreamDetector::open(space, query, WindowSpec::Count(w)).expect("valid stream parameters");
+    let t0 = std::time::Instant::now();
+    let mut disagreements = 0usize;
+    for (i, p) in points.iter().enumerate() {
+        det.insert(p.clone());
+        let got = det.outliers();
+        if got != batch_outliers[i] {
+            disagreements += 1;
         }
-        let total = t0.elapsed().as_secs_f64();
-        assert_eq!(disagreements, 0, "{name} disagreed with batch re-detection");
-        let stats = det.stats();
-        t.row([
-            name.to_string(),
-            secs(total),
-            secs(total / n as f64),
-            format!("{:.1}x", batch_secs / total),
-            stats.safe_promotions.to_string(),
-            (stats.full_repairs + stats.incremental_repairs).to_string(),
-        ]);
-        measured.push((name, total));
-        phase_rows.push((name, total, stats.insert_nanos, stats.expiry_nanos));
-        emit_row(json, name, total);
     }
+    let total = t0.elapsed().as_secs_f64();
+    assert_eq!(disagreements, 0, "{name} disagreed with batch re-detection");
+    let stats = det.stats();
+    t.row([
+        name.to_string(),
+        secs(total),
+        secs(total / n as f64),
+        format!("{:.1}x", batch_secs / total),
+        stats.safe_promotions.to_string(),
+    ]);
+    emit_row(json, name, total);
     writeln!(out, "{}", t.render())?;
-    for (name, total) in measured {
-        writeln!(
-            out,
-            "{name}: {:.1}x cheaper per slide than batch re-detection",
-            batch_secs / total
-        )?;
-    }
-    writeln!(out)?;
+    writeln!(
+        out,
+        "{name}: {:.1}x cheaper per slide than batch re-detection\n",
+        batch_secs / total
+    )?;
 
     if cfg.trace_summary {
         writeln!(
@@ -1028,17 +1014,15 @@ fn stream_experiment(
             "### Trace summary — per-slide phase breakdown (`--trace-summary`)\n"
         )?;
         let mut t = Table::new(["engine", "insert", "expiry", "insert/slide", "insert share"]);
-        for (name, total, insert_nanos, expiry_nanos) in &phase_rows {
-            let insert = *insert_nanos as f64 / 1e9;
-            let expiry = *expiry_nanos as f64 / 1e9;
-            t.row([
-                (*name).to_string(),
-                secs(insert),
-                secs(expiry),
-                secs(insert / n as f64),
-                format!("{:.0}%", 100.0 * insert / total.max(1e-12)),
-            ]);
-        }
+        let insert = stats.insert_nanos as f64 / 1e9;
+        let expiry = stats.expiry_nanos as f64 / 1e9;
+        t.row([
+            name.to_string(),
+            secs(insert),
+            secs(expiry),
+            secs(insert / n as f64),
+            format!("{:.0}%", 100.0 * insert / total.max(1e-12)),
+        ]);
         writeln!(out, "{}", t.render())?;
     }
 
@@ -1056,8 +1040,6 @@ fn stream_experiment(
 
 /// The `--health` grid: how balanced a sharded window stays (owned-point
 /// skew, slide-time skew, ghost rates) — the gauges the server exports.
-/// A graph backend's quality needs no grid of its own: it is the
-/// query-time repair work every stream report already counts.
 fn health_grid(
     cfg: &Config,
     out: &mut dyn Write,
@@ -1089,7 +1071,7 @@ fn health_grid(
         VectorSpace::new(L2, dim),
         balance_query,
         WindowSpec::Count(w),
-        Backend::Graph(GraphParams::default()),
+        Backend::Exhaustive,
         spec,
     )
     .expect("valid shard spec");
@@ -1203,13 +1185,8 @@ fn shard_grid(
 
     // Reference answer: one synchronous detector over the same stream.
     let query = Query::new(r, k).expect("calibrated query is valid");
-    let mut single = StreamDetector::open(
-        VectorSpace::new(L2, dim),
-        query,
-        WindowSpec::Count(w),
-        Backend::Exhaustive,
-    )
-    .expect("valid stream parameters");
+    let mut single = StreamDetector::open(VectorSpace::new(L2, dim), query, WindowSpec::Count(w))
+        .expect("valid stream parameters");
     for p in &points {
         single.insert(p.clone());
     }
@@ -1387,7 +1364,6 @@ fn durability_grid(
                 VectorSpace::new(L2, dim),
                 query,
                 WindowSpec::Count(w),
-                Backend::Exhaustive,
                 spec,
                 &dir,
                 DurabilityPolicy::with_sync(sync),

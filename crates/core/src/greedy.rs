@@ -33,7 +33,9 @@
 //! give. The walk therefore reaches the same vertices in the same order,
 //! with the same hops, whether or not it has lengths; only the number of
 //! evaluations falls. Without lengths every bound is `[0, ∞)` and each
-//! vertex met is evaluated, exactly as Algorithm 2 does.
+//! vertex met is evaluated, exactly as Algorithm 2 does; the engine always
+//! walks with lengths, and the walk without them is the reference the
+//! tests hold the bounded walk to.
 //!
 //! The returned count never exceeds the true neighbor count (Lemma 1):
 //! outliers can never be filtered, which is what makes Algorithm 1 exact.
@@ -77,9 +79,7 @@ impl TraversalBuffer {
     }
 
     /// Drains the `(dist_evals, hops)` tally of the [`greedy_walk`]s run
-    /// on this buffer, resetting both to zero. Other walks that borrow the
-    /// buffer's visited marks (the stream graph backend's beam search)
-    /// keep their own tallies.
+    /// on this buffer, resetting both to zero.
     pub fn take_cost(&mut self) -> (u64, u64) {
         (
             std::mem::take(&mut self.dist_evals),
@@ -88,11 +88,7 @@ impl TraversalBuffer {
     }
 
     /// Starts a new traversal: all vertices become unvisited in O(1).
-    ///
-    /// Public so other walk implementations (e.g. the streaming crate's
-    /// insertion-time beam search) can reuse the buffer's
-    /// [`VisitMarks`].
-    pub fn begin(&mut self) {
+    fn begin(&mut self) {
         self.visited.begin();
         self.queue.clear();
         self.reached.clear();
@@ -100,7 +96,7 @@ impl TraversalBuffer {
 
     /// Marks `v` visited; `true` iff it was unvisited this traversal.
     #[inline]
-    pub fn mark(&mut self, v: u32) -> bool {
+    fn mark(&mut self, v: u32) -> bool {
         self.visited.mark(v)
     }
 }

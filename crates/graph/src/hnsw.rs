@@ -89,7 +89,7 @@ fn search_layer<D: Dataset + ?Sized>(
         &[entry],
         ef,
         |v| marks.mark(v),
-        |v| Some(data.dist(query, v as usize)),
+        |v| data.dist(query, v as usize),
     )
     .0
 }

@@ -20,8 +20,8 @@
 //! and binary index persistence ([`serialize`]).
 //!
 //! Three primitives below the builders have one implementation each:
-//! [`nsw::beam_search`], the insertion-time search of NSW, HNSW and the
-//! streaming crate's graph backend; [`parallel::par_map_with`], the
+//! [`nsw::beam_search`], the insertion-time search of NSW and HNSW;
+//! [`parallel::par_map_with`], the
 //! strided parallel map behind the graph builds, Algorithm 1's filter and
 //! verify phases and the baselines; and [`visit::VisitMarks`], the
 //! epoch-stamped visited set of every repeated walk. Greedy-Counting, the

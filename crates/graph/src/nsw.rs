@@ -45,13 +45,12 @@ impl NswParams {
     }
 }
 
-/// Beam search over `adj`: the one search behind NSW insertion, HNSW's
-/// layer search and the stream graph backend.
+/// Beam search over `adj`: the one search behind NSW insertion and HNSW's
+/// layer search.
 ///
 /// `first_visit(v)` marks `v` visited and answers whether it was unmarked.
-/// `dist(v)` is `v`'s distance to the query, or `None` for a vertex that
-/// holds no object (a recycled stream slot); such a vertex is skipped.
-/// Every start enters the result, even past `ef`. The search then expands
+/// `dist(v)` is `v`'s distance to the query. Every start enters the
+/// result, even past `ef`. The search then expands
 /// the nearest unexpanded vertex, keeping the best `ef` vertices seen,
 /// and stops once it holds `ef` results and that vertex lies farther than
 /// the worst of them (`ef = 0` acts as 1).
@@ -63,7 +62,7 @@ pub fn beam_search(
     starts: &[u32],
     ef: usize,
     mut first_visit: impl FnMut(u32) -> bool,
-    mut dist: impl FnMut(u32) -> Option<f64>,
+    mut dist: impl FnMut(u32) -> f64,
 ) -> (Vec<(f64, u32)>, u64) {
     // `candidates`: min-heap of vertices to expand; `found`: max-heap of
     // the kept results (top = worst kept).
@@ -73,7 +72,7 @@ pub fn beam_search(
         if !first_visit(s) {
             continue;
         }
-        let Some(d) = dist(s) else { continue };
+        let d = dist(s);
         candidates.push((Reverse(OrdF64(d)), s));
         found.push((OrdF64(d), s));
     }
@@ -87,7 +86,7 @@ pub fn beam_search(
             if !first_visit(w) {
                 continue;
             }
-            let Some(dw) = dist(w) else { continue };
+            let dw = dist(w);
             if found.len() < ef || dw < found.peek().expect("non-empty").0 .0 {
                 candidates.push((Reverse(OrdF64(dw)), w));
                 found.push((OrdF64(dw), w));
@@ -128,7 +127,7 @@ pub fn build<D: Dataset + ?Sized>(data: &D, params: &NswParams) -> ProximityGrap
                 &[start],
                 ef,
                 |v| marks.mark(v),
-                |v| Some(data.dist(i, v as usize)),
+                |v| data.dist(i, v as usize),
             );
             found.extend(beam);
         }
@@ -155,11 +154,11 @@ mod tests {
     }
 
     /// Runs [`beam_search`] over a hand-built graph with given vertex
-    /// distances (`None` = no object), returning the result, the expansion
-    /// count and the visit order.
+    /// distances, returning the result, the expansion count and the visit
+    /// order.
     fn search(
         adj: &[Vec<u32>],
-        dists: &[Option<f64>],
+        dists: &[f64],
         starts: &[u32],
         ef: usize,
     ) -> (Vec<(f64, u32)>, u64, Vec<u32>) {
@@ -185,28 +184,16 @@ mod tests {
         // A triangle of starts: nothing new is discovered, and all three
         // stay in the result although ef is 1.
         let adj = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
-        let dists = [Some(3.0), Some(1.0), Some(2.0)];
+        let dists = [3.0, 1.0, 2.0];
         let (found, expanded, _) = search(&adj, &dists, &[0, 1, 2], 1);
         assert_eq!(found, vec![(1.0, 1), (2.0, 2), (3.0, 0)]);
         assert_eq!(expanded, 3);
     }
 
     #[test]
-    fn beam_skips_vertices_without_an_object() {
-        // 0 - 1 - 2 and 0 - 3, where slot 1 holds no object: it is never
-        // returned, and never expanded, so 2 behind it stays unvisited.
-        let adj = vec![vec![1, 3], vec![0, 2], vec![1], vec![0]];
-        let dists = [Some(0.0), None, Some(0.1), Some(1.0)];
-        let (found, expanded, visited) = search(&adj, &dists, &[0], 4);
-        assert_eq!(found, vec![(0.0, 0), (1.0, 3)]);
-        assert_eq!(expanded, 2);
-        assert!(!visited.contains(&2), "expanded through an empty slot");
-    }
-
-    #[test]
     fn beam_results_ascend_by_distance_then_id() {
         let adj = vec![vec![4, 3, 2, 1], vec![0], vec![0], vec![0], vec![0]];
-        let dists = [Some(5.0), Some(2.0), Some(1.0), Some(1.0), Some(2.0)];
+        let dists = [5.0, 2.0, 1.0, 1.0, 2.0];
         let (found, _, _) = search(&adj, &dists, &[0], 10);
         assert_eq!(
             found,
@@ -220,7 +207,7 @@ mod tests {
         // expanded; popping 2, now worse than the kept 1, stops the search
         // before 2's neighbor 3 is seen. That pop is the third expansion.
         let adj = vec![vec![2, 1], vec![0], vec![0, 3], vec![2]];
-        let dists = [Some(5.0), Some(1.0), Some(3.0), Some(0.5)];
+        let dists = [5.0, 1.0, 3.0, 0.5];
         let (found, expanded, visited) = search(&adj, &dists, &[0], 1);
         assert_eq!(found, vec![(1.0, 1)]);
         assert_eq!(expanded, 3);

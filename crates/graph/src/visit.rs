@@ -10,8 +10,8 @@
 //!
 //! One set serves one walk at a time: NNDescent+'s candidate pass, the
 //! Remove-Detours BFSs, NSW's and HNSW's insertion searches, and, through
-//! `dod_core`'s traversal buffer, Greedy-Counting and the stream graph
-//! backend's beam search. A parallel phase gives each worker its own.
+//! `dod_core`'s traversal buffer, Greedy-Counting. A parallel phase gives
+//! each worker its own.
 
 /// Visit marks over the ids `0..len()`; see the [module docs](self).
 #[derive(Debug)]

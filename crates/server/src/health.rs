@@ -2,11 +2,8 @@
 //! footprint, and each session's shard balance (occupancy, ghost rates
 //! and skews) from the pipeline's health barrier.
 //!
-//! Sessions carry no graph section: every wire session runs the
-//! exhaustive backend, which keeps no graph. A graph backend's quality
-//! is its query-time repair work, which `/metrics` already exports per
-//! session (`dod_cost_query_false_positives_total`,
-//! `dod_cost_query_dist_evals_total`).
+//! Sessions carry no graph section: a session's shards count their
+//! windows exhaustively and keep no graph.
 //!
 //! The document is deliberately *byte-stable*: two scrapes with no
 //! intervening ingest answer identical bytes. Everything rendered here

@@ -58,9 +58,7 @@
 //! * a bounded in-memory ring served by `GET /v1/debug/traces`
 //!   ([`ServerBuilder::trace_capacity`]),
 //! * an optional JSON-lines access log ([`ServerBuilder::access_log`],
-//!   off by default) — one `dod_wire` object per line,
-//! * any custom [`TraceSink`] added with
-//!   [`ServerBuilder::trace_sink`].
+//!   off by default) — one `dod_wire` object per line.
 //!
 //! Requests rejected before routing (timeouts, oversized bodies, parse
 //! failures) are traced and counted too, under the synthetic route label
@@ -155,8 +153,8 @@ pub(crate) struct State {
     /// The N slowest engine-query requests with their cost plans, served
     /// by `GET /v1/debug/slow`.
     pub(crate) slow_ring: slow::SlowRing,
-    /// Every sink a completed trace fans out to: the ring, the optional
-    /// access log, and any builder-supplied extras.
+    /// Every sink a completed trace fans out to: the ring and the
+    /// optional access log.
     pub(crate) sinks: Vec<Arc<dyn TraceSink>>,
     /// Saturation gauges of the connection worker pool.
     pub(crate) pool_stats: Arc<PoolStats>,
@@ -277,7 +275,6 @@ pub struct ServerBuilder {
     access_log: Option<Box<dyn std::io::Write + Send>>,
     trace_capacity: usize,
     slow_query_capacity: usize,
-    extra_sinks: Vec<Arc<dyn TraceSink>>,
 }
 
 impl Default for ServerBuilder {
@@ -298,7 +295,6 @@ impl Default for ServerBuilder {
             access_log: None,
             trace_capacity: 256,
             slow_query_capacity: 32,
-            extra_sinks: Vec::new(),
         }
     }
 }
@@ -428,14 +424,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Adds a custom sink; every completed trace is delivered to it on
-    /// the worker that served the request, after the response is
-    /// written. Sinks must be cheap or hand off internally.
-    pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.extra_sinks.push(sink);
-        self
-    }
-
     /// Binds the listener (use port `0` for an ephemeral port) and
     /// recovers any durable sessions under the data directory. The server
     /// is not accepting yet — call [`DodServer::start`] or
@@ -448,12 +436,11 @@ impl ServerBuilder {
             durable::recover_sessions(data_dir, self.queue, &mut sessions, &cleanup_errors)?;
         }
         let trace_ring = Arc::new(TraceRing::new(self.trace_capacity));
-        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::with_capacity(2 + self.extra_sinks.len());
-        sinks.push(Arc::clone(&trace_ring) as Arc<dyn TraceSink>);
+        let mut sinks: Vec<Arc<dyn TraceSink>> =
+            vec![Arc::clone(&trace_ring) as Arc<dyn TraceSink>];
         if let Some(writer) = self.access_log {
             sinks.push(Arc::new(sink::AccessLog::new(writer)));
         }
-        sinks.extend(self.extra_sinks);
         // The pool is created at bind time (not in run()) so its
         // saturation gauges are part of State and visible to /metrics
         // from the first scrape.

@@ -6,11 +6,10 @@
 //! including per-shard-pair ghost replication — labeled
 //! `{session="id"}`.
 //!
-//! Sessions export no graph-structure series: every wire session runs
-//! the exhaustive backend, which keeps no graph, so such series could
-//! only ever read zero. A graph backend's quality would read from the
-//! per-session repair counters (`dod_cost_query_false_positives_total`,
-//! `dod_cost_query_dist_evals_total`).
+//! Sessions export no series that can only read zero: their shards count
+//! windows exhaustively, so they keep no graph, take no hops, spend no
+//! distance evaluation on expiry or reports, and leave no report
+//! candidate to verify.
 //!
 //! Label cardinality stays bounded by construction: `route` is a
 //! fieldless enum, `status` is drawn from the fixed
@@ -397,9 +396,9 @@ pub(crate) fn render(state: &State) -> String {
                 let _ = writeln!(out, "{metric}{{session=\"{id}\"}} {}", value(s));
             }
         }
-        // Stream-side cost accounting: backend work split by phase
-        // (insert discovery, expiry sweeps, query-time lazy repair) plus
-        // the per-report filter effectiveness.
+        // Stream-side cost accounting: the distance evaluations of the
+        // insert-time window scans, and the report verdicts read off the
+        // counts those scans maintain.
         for (metric, help, value) in [
             (
                 "dod_cost_insert_dist_evals_total",
@@ -407,42 +406,12 @@ pub(crate) fn render(state: &State) -> String {
                 &|s: &dod_stream::StreamStats| s.insert_dist_evals,
             ),
             (
-                "dod_cost_insert_hops_total",
-                "Graph vertices expanded while inserting points.",
-                &|s: &dod_stream::StreamStats| s.insert_hops,
-            ),
-            (
-                "dod_cost_expiry_dist_evals_total",
-                "Distance evaluations spent in expiry maintenance.",
-                &|s: &dod_stream::StreamStats| s.expiry_dist_evals,
-            ),
-            (
-                "dod_cost_expiry_hops_total",
-                "Graph vertices expanded during expiry maintenance.",
-                &|s: &dod_stream::StreamStats| s.expiry_hops,
-            ),
-            (
-                "dod_cost_query_dist_evals_total",
-                "Distance evaluations spent lazily repairing neighbor counts at report time.",
-                &|s: &dod_stream::StreamStats| s.query_dist_evals,
-            ),
-            (
-                "dod_cost_query_candidates_total",
-                "Report-time residents whose counts needed repair before a verdict.",
-                &|s: &dod_stream::StreamStats| s.query_candidates,
-            ),
-            (
                 "dod_cost_query_decided_in_filter_total",
                 "Report-time residents decided from maintained counts alone.",
                 &|s: &dod_stream::StreamStats| s.query_decided_in_filter,
             ),
-            (
-                "dod_cost_query_false_positives_total",
-                "Report-time outlier candidates that repair reclassified as inliers.",
-                &|s: &dod_stream::StreamStats| s.query_false_positives,
-            ),
         ]
-            as [(&str, &str, &dyn Fn(&dod_stream::StreamStats) -> u64); 8]
+            as [(&str, &str, &dyn Fn(&dod_stream::StreamStats) -> u64); 2]
         {
             header(&mut out, metric, help, "counter");
             for (id, s) in &stats {
@@ -450,12 +419,12 @@ pub(crate) fn render(state: &State) -> String {
             }
         }
         // Slide wall time, split into the paper's two phases: insert
-        // (discovery + repair) and expiry sweeps. Nanosecond counters on
+        // (the window scan) and expiry sweeps. Nanosecond counters on
         // the shard pumps, rendered as seconds.
         for (metric, help, nanos) in [
             (
                 "dod_stream_insert_seconds_total",
-                "Wall time spent inserting into shard windows (discovery and repair).",
+                "Wall time spent inserting into shard windows (neighbor discovery).",
                 &|s: &dod_stream::StreamStats| s.insert_nanos,
             ),
             (

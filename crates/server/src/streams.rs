@@ -10,10 +10,8 @@
 //! request pays one virtual call, while every distance evaluation stays
 //! compiled for its metric.
 //!
-//! Every session runs the exhaustive per-shard backend, so its answers
-//! are exact without repair and its query-time repair counters stay at
-//! zero. `dod_stream`'s graph backend, which no wire session runs,
-//! reads its quality from those same counters.
+//! Every shard of a session counts its window exhaustively, so answers
+//! are exact without a verification step.
 //!
 //! Only vector spaces are served — points travel as JSON number arrays;
 //! a string-space session has no natural wire shape here and stays an
@@ -182,18 +180,16 @@ fn open_with<M: VectorMetric + Clone + 'static>(
     if let Some(pivots) = create.pivots_per_shard {
         spec = spec.with_pivots_per_shard(pivots as usize);
     }
-    // Exhaustive per-shard backend: wire sessions promise exact answers.
-    let backend = Backend::Exhaustive;
     let (spawn, durable) = match dir {
         None => {
-            let det = ShardedStreamDetector::open(space, query, window, backend, spec)?;
+            let det = ShardedStreamDetector::open(space, query, window, Backend::Exhaustive, spec)?;
             let spawn: Spawn = Box::new(move |queue| Box::new(det.into_pipeline(queue)));
             (spawn, None)
         }
         Some(dir) => {
             let policy = crate::durable::policy_from(create);
             let (session, _recovery) =
-                DurableSession::open(space, query, window, backend, spec, dir, policy)?;
+                DurableSession::open(space, query, window, spec, dir, policy)?;
             let durable = DurableInfo {
                 telemetry: session.telemetry(),
                 dir: dir.to_path_buf(),

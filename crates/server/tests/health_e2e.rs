@@ -3,10 +3,10 @@
 //! query validation, its byte-stability across idle scrapes, the
 //! `dod_shard_balance_*` metric families next to the exact phase-time
 //! counters, one consistent cut per scrape under live ingest, and the
-//! absence of graph and recall-audit output for wire sessions, which
-//! all run the exhaustive backend — in a scrape, in the health document,
-//! and in a durable manifest written when sessions still took audit
-//! knobs.
+//! absence of graph, recall-audit and zero-only cost output for wire
+//! sessions, which all count their windows exhaustively — in a scrape,
+//! in the health document, and in a durable manifest written when
+//! sessions still took audit knobs.
 
 use dod_server::DodServer;
 use dod_wire::JsonValue;
@@ -330,9 +330,10 @@ fn metrics_carry_balance_and_profile_series() {
     handle.shutdown();
 }
 
-/// A session holding 1,024 residents after 2,048 points runs the
-/// exhaustive backend: its scrape must carry no graph-structure or
-/// audit series at all, rather than series that can only read 0.
+/// A session holding 1,024 residents after 2,048 points counts its
+/// windows exhaustively: its scrape must carry no graph-structure,
+/// audit, hop, expiry-cost or report-repair series at all, rather than
+/// series that can only read 0.
 #[test]
 fn exact_sessions_export_no_graph_or_audit_series() {
     let handle = DodServer::builder()
@@ -353,11 +354,21 @@ fn exact_sessions_export_no_graph_or_audit_series() {
         metric_value(&metrics, "dod_stream_inserts_total{session=\"s1\"} "),
         2048.0
     );
+    let zero_only = [
+        "dod_graph_",
+        "dod_cost_audit_",
+        "dod_cost_insert_hops_total",
+        "dod_cost_expiry_dist_evals_total",
+        "dod_cost_expiry_hops_total",
+        "dod_cost_query_dist_evals_total",
+        "dod_cost_query_candidates_total",
+        "dod_cost_query_false_positives_total",
+    ];
     let stray: Vec<&str> = metrics
         .lines()
-        .filter(|l| l.contains("dod_graph_") || l.contains("dod_cost_audit_"))
+        .filter(|l| zero_only.iter().any(|name| l.contains(name)))
         .collect();
-    assert!(stray.is_empty(), "graph or audit series: {stray:?}");
+    assert!(stray.is_empty(), "series that can only read 0: {stray:?}");
     handle.shutdown();
 }
 

@@ -498,8 +498,8 @@ fn a_repeated_query_books_its_work_once() {
     handle.shutdown();
 }
 
-/// The per-session cost series: an exhaustive-backend session books one
-/// window scan per insert, visible as `dod_cost_insert_dist_evals_total`.
+/// The per-session cost series: a session books one window scan per
+/// insert, visible as `dod_cost_insert_dist_evals_total`.
 #[test]
 fn metrics_expose_stream_cost_series() {
     let handle = serve(builder());
@@ -526,9 +526,6 @@ fn metrics_expose_stream_cost_series() {
         series_value("dod_cost_insert_dist_evals_total") > 0.0,
         "exhaustive discovery scans the window: {metrics}"
     );
-    // An exact backend never walks a graph and needs no repair.
-    assert_eq!(series_value("dod_cost_insert_hops_total"), 0.0);
-    assert_eq!(series_value("dod_cost_query_dist_evals_total"), 0.0);
     assert!(series_value("dod_cost_query_decided_in_filter_total") >= 0.0);
     handle.shutdown();
 }

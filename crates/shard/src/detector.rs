@@ -34,18 +34,18 @@ pub struct ShardSlideReport {
 pub struct ShardedStreamDetector<S: Space + Clone> {
     router: Router<S>,
     shards: Vec<Shard<S>>,
-    backend: Backend,
 }
 
 impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
     /// Opens a sharded detector in the batch vocabulary — the same
     /// arguments as [`StreamDetector::open`](dod_stream::StreamDetector::open)
-    /// plus the [`ShardSpec`].
+    /// plus the [`ShardSpec`]. Every shard runs the exhaustive window
+    /// scan; [`Backend::Exhaustive`], its one value, names it.
     pub fn open(
         space: S,
         query: Query,
         window: WindowSpec,
-        backend: Backend,
+        _backend: Backend,
         spec: ShardSpec,
     ) -> Result<Self, DodError> {
         let params = StreamParams::from_query(query, window);
@@ -58,13 +58,9 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
             window: router.shard_window(),
         };
         let shards = (0..spec.shards)
-            .map(|_| Shard::new(space.clone(), shard_params, backend.clone()))
+            .map(|_| Shard::new(space.clone(), shard_params))
             .collect::<Result<_, _>>()?;
-        Ok(ShardedStreamDetector {
-            router,
-            shards,
-            backend,
-        })
+        Ok(ShardedStreamDetector { router, shards })
     }
 
     /// Ingests a point at the next unit-spaced tick (`0, 1, 2, …`).
@@ -270,16 +266,12 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         self.router.set_seq_origin(seq);
     }
 
-    pub(crate) fn into_parts(self) -> (Router<S>, Vec<Shard<S>>, Backend) {
-        (self.router, self.shards, self.backend)
+    pub(crate) fn into_parts(self) -> (Router<S>, Vec<Shard<S>>) {
+        (self.router, self.shards)
     }
 
-    pub(crate) fn from_parts(router: Router<S>, shards: Vec<Shard<S>>, backend: Backend) -> Self {
-        ShardedStreamDetector {
-            router,
-            shards,
-            backend,
-        }
+    pub(crate) fn from_parts(router: Router<S>, shards: Vec<Shard<S>>) -> Self {
+        ShardedStreamDetector { router, shards }
     }
 }
 

@@ -147,17 +147,12 @@ pub(crate) trait DurabilityHook<P>: Send {
 
 impl<P: WalPoint + Send> DurabilityHook<P> for DurableState<P> {
     fn note_insert(&mut self, time: f64, point: P, expired: usize) {
-        for _ in 0..expired {
-            self.shadow.pop_front();
-        }
-        self.shadow.push_back((time, point.clone()));
+        self.slide_shadow(expired, Some((time, point.clone())));
         self.pending.push(WalOp::Insert { time, point });
     }
 
     fn note_advance(&mut self, time: f64, expired: usize) {
-        for _ in 0..expired {
-            self.shadow.pop_front();
-        }
+        self.slide_shadow(expired, None);
         self.pending.push(WalOp::Advance { time });
     }
 
@@ -200,6 +195,33 @@ impl<P: WalPoint + Send> DurabilityHook<P> for DurableState<P> {
 }
 
 impl<P: WalPoint> DurableState<P> {
+    /// Moves the shadow window by one slide: its `expired` oldest entries
+    /// fall off, and an inserted point joins at the back.
+    fn slide_shadow(&mut self, expired: usize, inserted: Option<(f64, P)>) {
+        for _ in 0..expired {
+            self.shadow.pop_front();
+        }
+        self.shadow.extend(inserted);
+    }
+
+    /// Applies one recovered operation to `det` and the shadow window,
+    /// without logging it again.
+    fn replay<S>(&mut self, det: &mut ShardedStreamDetector<S>, op: WalOp<P>)
+    where
+        S: Space<Point = P> + Clone + 'static,
+    {
+        match op {
+            WalOp::Insert { time, point } => {
+                let rep = det.insert_at(point.clone(), time);
+                self.slide_shadow(rep.expired.len(), Some((time, point)));
+            }
+            WalOp::Advance { time } => {
+                let expired = det.advance_to(time);
+                self.slide_shadow(expired.len(), None);
+            }
+        }
+    }
+
     fn snapshot(&mut self, now: f64, front_seq: u64) {
         let snap = SnapshotState {
             ops_applied: self.wal.ops_appended(),
@@ -246,18 +268,16 @@ where
         space: S,
         query: Query,
         window: WindowSpec,
-        backend: Backend,
         spec: ShardSpec,
         dir: &Path,
         policy: DurabilityPolicy,
     ) -> Result<(Self, RecoveryStats), DodError> {
         // The detector first: a spec it refuses never touches the disk.
-        let mut det = ShardedStreamDetector::open(space, query, window, backend, spec)?;
+        let mut det = ShardedStreamDetector::open(space, query, window, Backend::Exhaustive, spec)?;
         let (wal, recovered): (SessionWal<S::Point>, Recovered<S::Point>) =
             SessionWal::open(dir, policy.sync)?;
         let telemetry = wal.telemetry();
         let t0 = std::time::Instant::now();
-        let mut shadow: VecDeque<(f64, S::Point)> = VecDeque::new();
         let Recovered {
             snapshot,
             ops,
@@ -269,50 +289,29 @@ where
             truncated_tail: truncated_at.is_some(),
             ..Default::default()
         };
-        if let Some(snap) = snapshot {
-            det.set_seq_origin(snap.base_seq);
-            for (time, point) in snap.entries {
-                let rep = det.insert_at(point.clone(), time);
-                for _ in 0..rep.expired.len() {
-                    shadow.pop_front();
-                }
-                shadow.push_back((time, point));
-            }
-            if snap.now.is_finite() && snap.now > det.now() {
-                let expired = det.advance_to(snap.now);
-                for _ in 0..expired.len() {
-                    shadow.pop_front();
-                }
-            }
-        }
-        for op in ops {
-            match op {
-                WalOp::Insert { time, point } => {
-                    let rep = det.insert_at(point.clone(), time);
-                    for _ in 0..rep.expired.len() {
-                        shadow.pop_front();
-                    }
-                    shadow.push_back((time, point));
-                }
-                WalOp::Advance { time } => {
-                    let expired = det.advance_to(time);
-                    for _ in 0..expired.len() {
-                        shadow.pop_front();
-                    }
-                }
-            }
-        }
-        stats.replay_secs = t0.elapsed().as_secs_f64();
-        telemetry.replay_nanos.add(t0.elapsed().as_nanos() as u64);
-
         let mut state = DurableState {
             wal,
             policy,
             pending: Vec::new(),
-            shadow,
+            shadow: VecDeque::new(),
             ops_since_snapshot: 0,
             failed: false,
         };
+        if let Some(snap) = snapshot {
+            det.set_seq_origin(snap.base_seq);
+            for (time, point) in snap.entries {
+                state.replay(&mut det, WalOp::Insert { time, point });
+            }
+            if snap.now.is_finite() && snap.now > det.now() {
+                state.replay(&mut det, WalOp::Advance { time: snap.now });
+            }
+        }
+        for op in ops {
+            state.replay(&mut det, op);
+        }
+        stats.replay_secs = t0.elapsed().as_secs_f64();
+        telemetry.replay_nanos.add(t0.elapsed().as_nanos() as u64);
+
         // Normalize: whatever mix of snapshot + log survived, the next
         // open starts from one clean snapshot. Also makes open idempotent
         // (open → crash → open replays the same state).

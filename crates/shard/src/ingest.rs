@@ -29,7 +29,7 @@ use crate::health::{HealthReport, ShardHealth};
 use crate::router::{Router, ShardOp};
 use crate::shard::{Shard, ShardAnswer};
 use dod_core::{DodError, OutlierReport};
-use dod_stream::{Backend, Space};
+use dod_stream::Space;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
@@ -185,7 +185,6 @@ pub struct IngestPipeline<S: Space + Clone + 'static> {
     gauges: Arc<PipelineGauges>,
     router_thread: Option<JoinHandle<Router<S>>>,
     pump_threads: Vec<JoinHandle<Shard<S>>>,
-    backend: Backend,
 }
 
 impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
@@ -215,7 +214,7 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
         durable: Option<Box<dyn DurabilityHook<S::Point>>>,
     ) -> IngestPipeline<S> {
         let queue = queue.max(1);
-        let (router, shards, backend) = self.into_parts();
+        let (router, shards) = self.into_parts();
         let (tx, rx) = sync_channel::<RouterCmd<S::Point>>(queue);
         let mut pump_txs = Vec::new();
         let mut pump_threads = Vec::new();
@@ -240,7 +239,6 @@ impl<S: Space + Clone + 'static> ShardedStreamDetector<S> {
             gauges,
             router_thread: Some(router_thread),
             pump_threads,
-            backend,
         }
     }
 }
@@ -357,11 +355,7 @@ impl<S: Space + Clone + 'static> IngestPipeline<S> {
         for t in self.pump_threads.drain(..) {
             shards.push(t.join().map_err(|_| closed())?);
         }
-        Ok(ShardedStreamDetector::from_parts(
-            router,
-            shards,
-            self.backend.clone(),
-        ))
+        Ok(ShardedStreamDetector::from_parts(router, shards))
     }
 }
 

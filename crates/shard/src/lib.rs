@@ -1,7 +1,7 @@
 //! Exact **sharded** sliding-window outlier detection.
 //!
 //! One `dod_stream::StreamDetector` window is one core: every slide scans
-//! (or graph-walks) one monolithic window, and one thread owns it. This
+//! one monolithic window, and one thread owns it. This
 //! crate partitions the stream across `S` per-shard detectors — with the
 //! partition chosen so the merged answer is *identical* to the single
 //! window's, slide for slide — and layers a bounded-queue asynchronous

@@ -6,7 +6,7 @@ use crate::health::ShardHealth;
 use crate::router::ShardOp;
 use dod_core::{DodError, OutlierReport};
 use dod_metrics::Rounding;
-use dod_stream::{Backend, SlideReport, Space, StreamDetector, StreamParams, StreamStats};
+use dod_stream::{SlideReport, Space, StreamDetector, StreamParams, StreamStats};
 use std::collections::VecDeque;
 
 /// A shard's view of the stream's space: the router has already prepared
@@ -23,10 +23,6 @@ impl<S: Space> Space for Prepared<S> {
     #[inline]
     fn dist(&self, a: &S::Point, b: &S::Point) -> f64 {
         self.0.dist(a, b)
-    }
-
-    fn point_bytes(&self, p: &S::Point) -> usize {
-        self.0.point_bytes(p)
     }
 
     fn rounding(&self) -> Rounding {
@@ -54,9 +50,9 @@ pub(crate) struct Shard<S: Space> {
 impl<S: Space + 'static> Shard<S> {
     /// A shard over a fresh window, or the detector's [`DodError`] for
     /// invalid parameters.
-    pub fn new(space: S, params: StreamParams, backend: Backend) -> Result<Self, DodError> {
+    pub fn new(space: S, params: StreamParams) -> Result<Self, DodError> {
         Ok(Shard {
-            det: StreamDetector::try_with_backend(Prepared(space), params, backend)?,
+            det: StreamDetector::try_new(Prepared(space), params)?,
             meta: VecDeque::new(),
             meta_front: 0,
         })

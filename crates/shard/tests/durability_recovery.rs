@@ -71,7 +71,6 @@ fn open_durable(
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(w),
-        Backend::Exhaustive,
         spec(shards),
         dir,
         policy,
@@ -275,7 +274,6 @@ fn time_window_advances_survive_crashes() {
             VectorSpace::new(L2, DIM),
             Query::new(R, K).expect("valid query"),
             WindowSpec::Time(10.0),
-            Backend::Exhaustive,
             ShardSpec::new(2).with_warmup(4),
             dir,
             policy,
@@ -321,7 +319,6 @@ fn pipeline_sessions_recover_after_stop() {
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(24),
-        Backend::Exhaustive,
         ShardSpec::new(2).with_warmup(4),
         &dir,
         policy,
@@ -341,7 +338,6 @@ fn pipeline_sessions_recover_after_stop() {
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(24),
-        Backend::Exhaustive,
         ShardSpec::new(2).with_warmup(4),
         &dir,
         policy,
@@ -390,7 +386,6 @@ fn commit_barrier_makes_acked_points_survive_a_router_kill() {
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(24),
-        Backend::Exhaustive,
         ShardSpec::new(2).with_warmup(4),
         &dir,
         policy,
@@ -408,7 +403,6 @@ fn commit_barrier_makes_acked_points_survive_a_router_kill() {
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(24),
-        Backend::Exhaustive,
         ShardSpec::new(2).with_warmup(4),
         &dir,
         policy,
@@ -445,7 +439,6 @@ fn commit_barrier_reports_degraded_after_wal_failure() {
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(24),
-        Backend::Exhaustive,
         ShardSpec::new(2).with_warmup(4),
         &dir,
         policy,
@@ -475,7 +468,6 @@ fn bad_shard_spec_refuses_before_touching_the_disk() {
         VectorSpace::new(L2, DIM),
         Query::new(R, K).expect("valid query"),
         WindowSpec::Count(24),
-        Backend::Exhaustive,
         ShardSpec::new(0),
         &dir,
         DurabilityPolicy::with_sync(SyncPolicy::Always),

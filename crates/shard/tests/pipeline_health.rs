@@ -6,7 +6,7 @@ use dod_core::Query;
 use dod_datasets::StreamScenario;
 use dod_metrics::L2;
 use dod_shard::{ShardSpec, ShardedStreamDetector};
-use dod_stream::{Backend, GraphParams, VectorSpace, WindowSpec};
+use dod_stream::{Backend, VectorSpace, WindowSpec};
 
 const DIM: usize = 2;
 
@@ -24,12 +24,12 @@ fn points(n: usize, seed: u64) -> Vec<Vec<f32>> {
     scenario.generate(n, seed)
 }
 
-fn open(shards: usize, backend: Backend) -> ShardedStreamDetector<VectorSpace<L2>> {
+fn open(shards: usize) -> ShardedStreamDetector<VectorSpace<L2>> {
     ShardedStreamDetector::open(
         VectorSpace::new(L2, DIM),
         Query::new(0.35, 3).expect("valid query"),
         WindowSpec::Count(128),
-        backend,
+        Backend::Exhaustive,
         ShardSpec::new(shards),
     )
     .expect("valid spec")
@@ -40,7 +40,7 @@ fn open(shards: usize, backend: Backend) -> ShardedStreamDetector<VectorSpace<L2
 /// whole window.
 #[test]
 fn pipeline_health_matches_synchronous_and_covers_the_window() {
-    let mut det = open(4, Backend::Graph(GraphParams::default()));
+    let mut det = open(4);
     let stream = points(300, 17);
     for p in &stream {
         det.insert(p.clone());

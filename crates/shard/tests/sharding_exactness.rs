@@ -12,7 +12,7 @@ use dod_core::{nested_loop, DodError, DodParams, Query};
 use dod_datasets::StreamScenario;
 use dod_metrics::{Angular, VectorMetric, L2};
 use dod_shard::{ShardSpec, ShardedStreamDetector};
-use dod_stream::{Backend, GraphParams, Space, StreamDetector, VectorSpace, WindowSpec};
+use dod_stream::{Backend, Space, StreamDetector, VectorSpace, WindowSpec};
 use proptest::prelude::*;
 
 const DIM: usize = 2;
@@ -42,15 +42,10 @@ fn batch_outliers(det: &StreamDetector<VectorSpace<L2>>, r: f64, k: usize) -> Ve
         .collect()
 }
 
-fn check_sharding(shards: usize, backend: Backend, r: f64, k: usize, w: usize, seed: u64) {
+fn check_sharding(shards: usize, r: f64, k: usize, w: usize, seed: u64) {
     let query = Query::new(r, k).expect("valid query");
-    let mut single = StreamDetector::open(
-        VectorSpace::new(L2, DIM),
-        query,
-        WindowSpec::Count(w),
-        backend.clone(),
-    )
-    .expect("single detector");
+    let mut single = StreamDetector::open(VectorSpace::new(L2, DIM), query, WindowSpec::Count(w))
+        .expect("single detector");
     // A short warm-up relative to the stream, so the partitioned regime
     // (and ghost expiry across it) is what the test mostly exercises.
     let spec = ShardSpec::new(shards).with_warmup((w / 2).max(2));
@@ -58,7 +53,7 @@ fn check_sharding(shards: usize, backend: Backend, r: f64, k: usize, w: usize, s
         VectorSpace::new(L2, DIM),
         query,
         WindowSpec::Count(w),
-        backend,
+        Backend::Exhaustive,
         spec,
     )
     .expect("sharded detector");
@@ -95,25 +90,7 @@ proptest! {
         w in 4usize..40,
         seed in 0u64..10_000,
     ) {
-        check_sharding([1, 2, 4][shard_pick], Backend::Exhaustive, r, k, w, seed);
-    }
-
-    #[test]
-    fn sharded_graph_backend_matches_single_after_every_slide(
-        shard_pick in 0usize..2, // S ∈ {2, 4}
-        r in 0.5f64..4.0,
-        k in 1usize..5,
-        w in 4usize..40,
-        seed in 0u64..10_000,
-    ) {
-        check_sharding(
-            [2, 4][shard_pick],
-            Backend::Graph(GraphParams::default()),
-            r,
-            k,
-            w,
-            seed,
-        );
+        check_sharding([1, 2, 4][shard_pick], r, k, w, seed);
     }
 }
 
@@ -139,13 +116,8 @@ fn first_disagreement<M: VectorMetric + Clone + 'static>(
     w: usize,
 ) -> Option<String> {
     let query = Query::new(r, k).expect("valid query");
-    let mut single = StreamDetector::open(
-        space.clone(),
-        query,
-        WindowSpec::Count(w),
-        Backend::Exhaustive,
-    )
-    .expect("single detector");
+    let mut single =
+        StreamDetector::open(space.clone(), query, WindowSpec::Count(w)).expect("single detector");
     let mut sharded = ShardedStreamDetector::open(
         space,
         query,
@@ -275,13 +247,9 @@ fn dense_streams_spread_over_every_shard() {
         .collect();
     let query = Query::new(1.0, 4).expect("valid query");
     for shards in [3, 4] {
-        let mut single = StreamDetector::open(
-            VectorSpace::new(L2, 2),
-            query,
-            WindowSpec::Count(256),
-            Backend::Exhaustive,
-        )
-        .expect("single detector");
+        let mut single =
+            StreamDetector::open(VectorSpace::new(L2, 2), query, WindowSpec::Count(256))
+                .expect("single detector");
         let mut sharded = ShardedStreamDetector::open(
             VectorSpace::new(L2, 2),
             query,
@@ -315,13 +283,8 @@ fn ghost_expiry_keeps_boundary_counts_exact() {
     // Boundary points near 5 are ghosted both ways; as the tiny window
     // slides, ghosts expire and the counts they fed must decay exactly.
     let query = Query::new(1.2, 2).expect("valid");
-    let mut single = StreamDetector::open(
-        VectorSpace::new(L2, 1),
-        query,
-        WindowSpec::Count(6),
-        Backend::Exhaustive,
-    )
-    .expect("single");
+    let mut single =
+        StreamDetector::open(VectorSpace::new(L2, 1), query, WindowSpec::Count(6)).expect("single");
     let mut sharded = ShardedStreamDetector::open(
         VectorSpace::new(L2, 1),
         query,
@@ -353,13 +316,8 @@ fn ghost_expiry_keeps_boundary_counts_exact() {
 #[test]
 fn time_windows_expire_consistently_under_advance() {
     let query = Query::new(1.0, 1).expect("valid");
-    let mut single = StreamDetector::open(
-        VectorSpace::new(L2, 1),
-        query,
-        WindowSpec::Time(10.0),
-        Backend::Exhaustive,
-    )
-    .expect("single");
+    let mut single = StreamDetector::open(VectorSpace::new(L2, 1), query, WindowSpec::Time(10.0))
+        .expect("single");
     let mut sharded = ShardedStreamDetector::open(
         VectorSpace::new(L2, 1),
         query,
@@ -464,51 +422,42 @@ fn invalid_specs_surface_as_typed_errors() {
 #[test]
 fn pipeline_reports_are_snapshot_consistent_and_finish_reassembles() {
     let query = Query::new(1.5, 2).expect("valid");
-    let mk = |backend: Backend| {
-        ShardedStreamDetector::open(
-            VectorSpace::new(L2, DIM),
-            query,
-            WindowSpec::Count(32),
-            backend,
-            ShardSpec::new(4).with_warmup(8),
-        )
-        .expect("open")
-    };
-    for backend in [Backend::Exhaustive, Backend::Graph(GraphParams::default())] {
-        // A synchronous twin consumes the same stream for reference.
-        let mut twin = StreamDetector::open(
-            VectorSpace::new(L2, DIM),
-            query,
-            WindowSpec::Count(32),
-            backend.clone(),
-        )
+    let det = ShardedStreamDetector::open(
+        VectorSpace::new(L2, DIM),
+        query,
+        WindowSpec::Count(32),
+        Backend::Exhaustive,
+        ShardSpec::new(4).with_warmup(8),
+    )
+    .expect("open");
+    // A synchronous twin consumes the same stream for reference.
+    let mut twin = StreamDetector::open(VectorSpace::new(L2, DIM), query, WindowSpec::Count(32))
         .expect("twin");
-        let pipeline = mk(backend).into_pipeline(64);
-        let handle = pipeline.handle();
-        let points = scenario_points(150, 99);
-        for (i, p) in points.iter().enumerate() {
-            twin.insert(p.clone());
-            handle.insert(p.clone()).expect("pipeline alive");
-            if i % 37 == 0 {
-                // A report enqueued here must reflect exactly i+1 inserts.
-                assert_eq!(
-                    pipeline.outliers().expect("report"),
-                    twin.outliers(),
-                    "checkpoint at {i}"
-                );
-            }
+    let pipeline = det.into_pipeline(64);
+    let handle = pipeline.handle();
+    let points = scenario_points(150, 99);
+    for (i, p) in points.iter().enumerate() {
+        twin.insert(p.clone());
+        handle.insert(p.clone()).expect("pipeline alive");
+        if i % 37 == 0 {
+            // A report enqueued here must reflect exactly i+1 inserts.
+            assert_eq!(
+                pipeline.outliers().expect("report"),
+                twin.outliers(),
+                "checkpoint at {i}"
+            );
         }
-        let report = pipeline.report().expect("final report");
-        assert_eq!(report.outliers, twin.report().outliers);
-        let stats = pipeline.health().expect("health").stats();
-        assert!(stats.inserts >= points.len() as u64);
-
-        // finish() hands back the synchronous detector with all state.
-        let mut back = pipeline.finish().expect("finish");
-        assert_eq!(back.outliers(), twin.outliers());
-        assert_eq!(back.audit(), twin.outliers());
-        assert_eq!(back.len(), twin.len());
     }
+    let report = pipeline.report().expect("final report");
+    assert_eq!(report.outliers, twin.report().outliers);
+    let stats = pipeline.health().expect("health").stats();
+    assert!(stats.inserts >= points.len() as u64);
+
+    // finish() hands back the synchronous detector with all state.
+    let mut back = pipeline.finish().expect("finish");
+    assert_eq!(back.outliers(), twin.outliers());
+    assert_eq!(back.audit(), twin.outliers());
+    assert_eq!(back.len(), twin.len());
 }
 
 #[test]

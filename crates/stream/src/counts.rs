@@ -1,94 +1,65 @@
 //! Per-object neighbor bookkeeping: the state that makes slides cheap.
 //!
-//! For each tracked (non-safe) window resident we keep the *seqs* of its
-//! known neighbors, split by arrival order:
+//! For each tracked (non-safe) window resident we keep its neighbors,
+//! split by arrival order:
 //!
-//! * `succ` — neighbors that arrived later. In a FIFO window they expire
-//!   later too, so this list only grows while the object lives; once it
-//!   reaches `k` the object is a **safe inlier** (DOLPHIN's observation)
-//!   and all tracking stops forever.
-//! * `pred` — neighbors that arrived earlier, ascending. They expire in
-//!   exactly this order, so expiry is a pointer bump, never a scan.
+//! * `succ` — how many neighbors arrived later. In a FIFO window they
+//!   expire later too, so this count only grows while the object lives;
+//!   once it reaches `k` the object is a **safe inlier** (DOLPHIN's
+//!   observation) and all tracking stops forever.
+//! * `pred` — the seqs of neighbors that arrived earlier, ascending. They
+//!   expire in exactly this order, so expiry is a pointer bump, never a
+//!   scan.
 //!
-//! The live count is `|succ| + |live preds|`. Exact backends keep these
-//! lists complete; the graph backend keeps certified subsets and records
-//! how far its knowledge is exact (`exact_upto` / `pred_exact`) so the
-//! engine's lazy repair can top the lists up by scanning only the window
-//! suffix that arrived since.
+//! The live count is `succ + |live preds|`. The detector's window scan
+//! finds every neighbor of each new point, so the count is exact at all
+//! times.
 
 /// Neighbor knowledge for one tracked object.
 #[derive(Debug, Clone)]
 pub(crate) struct NeighborState {
-    /// Known succeeding neighbors, ascending seq, deduped.
-    succ: Vec<u64>,
-    /// Known preceding neighbors, ascending seq; `[pred_from..]` are live.
+    /// Succeeding neighbors so far (all of them are live).
+    succ: usize,
+    /// Preceding neighbors, ascending seq; `[pred_from..]` are live.
     pred: Vec<u64>,
     pred_from: usize,
-    /// All arrivals with `seq < exact_upto` have been exactly accounted
-    /// for in `succ` (always ≥ the object's own seq + 1).
-    pub exact_upto: u64,
-    /// Whether `pred` is the *complete* preceding neighbor list.
-    pub pred_exact: bool,
 }
 
 impl NeighborState {
-    /// State for a fresh object: `pred` holds the neighbors discovered at
-    /// insertion (complete iff the backend is exhaustive).
-    pub fn new(seq: u64, mut pred: Vec<u64>, pred_exact: bool) -> Self {
+    /// State for a fresh object: `pred` holds its neighbors already in the
+    /// window.
+    pub fn new(seq: u64, mut pred: Vec<u64>) -> Self {
         pred.sort_unstable();
         pred.dedup();
         debug_assert!(pred.last().is_none_or(|&p| p < seq));
         NeighborState {
-            succ: Vec::new(),
+            succ: 0,
             pred,
             pred_from: 0,
-            exact_upto: seq + 1,
-            pred_exact,
         }
     }
 
-    /// Records a succeeding neighbor; no-op if already known.
-    pub fn add_succ(&mut self, seq: u64) {
-        match self.succ.binary_search(&seq) {
-            Ok(_) => {}
-            Err(pos) => self.succ.insert(pos, seq),
-        }
+    /// Records one succeeding neighbor (a later arrival within `r`).
+    pub fn add_succ(&mut self) {
+        self.succ += 1;
     }
 
-    /// Number of known succeeding neighbors (all of them are live).
+    /// Number of succeeding neighbors (all of them are live).
     pub fn succ_count(&self) -> usize {
-        self.succ.len()
+        self.succ
     }
 
-    /// Drops expired preds and returns the current known neighbor count —
-    /// a lower bound of the true count, exact when
-    /// [`is_exact`](Self::is_exact) holds.
+    /// Drops expired preds and returns the current neighbor count.
     pub fn live_count(&mut self, front_seq: u64) -> usize {
         while self.pred_from < self.pred.len() && self.pred[self.pred_from] < front_seq {
             self.pred_from += 1;
         }
-        self.succ.len() + (self.pred.len() - self.pred_from)
-    }
-
-    /// Whether the maintained count equals the true window neighbor count.
-    pub fn is_exact(&self, next_seq: u64) -> bool {
-        self.pred_exact && self.exact_upto == next_seq
-    }
-
-    /// Replaces both lists with exactly-computed ones (full repair).
-    pub fn set_exact(&mut self, pred: Vec<u64>, succ: Vec<u64>, next_seq: u64) {
-        debug_assert!(pred.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(succ.windows(2).all(|w| w[0] < w[1]));
-        self.pred = pred;
-        self.pred_from = 0;
-        self.succ = succ;
-        self.pred_exact = true;
-        self.exact_upto = next_seq;
+        self.succ + (self.pred.len() - self.pred_from)
     }
 
     /// Approximate heap bytes held by this state.
     pub fn size_bytes(&self) -> usize {
-        (self.succ.capacity() + self.pred.capacity()) * std::mem::size_of::<u64>()
+        self.pred.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -98,17 +69,16 @@ mod tests {
 
     #[test]
     fn counts_split_pred_and_succ() {
-        let mut st = NeighborState::new(10, vec![3, 7, 9], true);
-        st.add_succ(12);
-        st.add_succ(11);
-        st.add_succ(12); // duplicate ignored
+        let mut st = NeighborState::new(10, vec![3, 7, 9]);
+        st.add_succ();
+        st.add_succ();
         assert_eq!(st.succ_count(), 2);
         assert_eq!(st.live_count(0), 5);
     }
 
     #[test]
     fn preds_expire_in_order() {
-        let mut st = NeighborState::new(10, vec![3, 7, 9], true);
+        let mut st = NeighborState::new(10, vec![3, 7, 9]);
         assert_eq!(st.live_count(4), 2); // 3 expired
         assert_eq!(st.live_count(8), 1); // 7 expired
         assert_eq!(st.live_count(100), 0);
@@ -117,26 +87,8 @@ mod tests {
     }
 
     #[test]
-    fn exactness_tracks_the_window_head() {
-        let st = NeighborState::new(5, vec![1], true);
-        assert!(st.is_exact(6));
-        assert!(!st.is_exact(7)); // an arrival happened since
-        let inexact = NeighborState::new(5, vec![1], false);
-        assert!(!inexact.is_exact(6));
-    }
-
-    #[test]
-    fn set_exact_overwrites_everything() {
-        let mut st = NeighborState::new(5, vec![1], false);
-        st.add_succ(6);
-        st.set_exact(vec![2, 4], vec![6, 8], 9);
-        assert!(st.is_exact(9));
-        assert_eq!(st.live_count(0), 4);
-    }
-
-    #[test]
     fn new_sorts_and_dedups_discovered_preds() {
-        let mut st = NeighborState::new(9, vec![7, 3, 7, 5], true);
+        let mut st = NeighborState::new(9, vec![7, 3, 7, 5]);
         assert_eq!(st.live_count(0), 3);
         assert_eq!(st.live_count(4), 2);
     }

@@ -1,17 +1,13 @@
 //! The streaming front door: [`StreamDetector`].
 //!
-//! One object owns the window, the per-resident neighbor knowledge and a
-//! [`StreamIndex`] backend. Each insertion expires due residents, runs the
-//! backend's discovery and folds the result into the incremental counts;
-//! [`outliers`](StreamDetector::outliers) then answers from the maintained
-//! state, exactly — candidates whose knowledge is incomplete get a lazy
-//! exact repair that scans only the window suffix that arrived since their
-//! last repair, so repeated queries between slides cost `O(changed
-//! objects)`, not `O(W²)`.
+//! One object owns the window and the per-resident neighbor counts. Each
+//! insertion expires due residents, scans the window once for the new
+//! point's neighbors and folds them into the counts. The scan finds every
+//! neighbor, so the counts are exact and
+//! [`outliers`](StreamDetector::outliers) answers from them without
+//! evaluating a distance.
 
 use crate::counts::NeighborState;
-use crate::graph::{GraphIndex, GraphParams};
-use crate::index::{ExhaustiveIndex, StreamIndex};
 use crate::seqmap::SeqMap;
 use crate::space::Space;
 use crate::window::{WindowSpec, WindowStore, WindowView};
@@ -78,15 +74,14 @@ impl StreamParams {
     }
 }
 
-/// Which [`StreamIndex`] backend a detector runs on.
+/// How a window discovers a new point's neighbors. There is one way, the
+/// exhaustive scan; `dod_shard`'s `ShardedStreamDetector::open` takes it
+/// as an argument.
 #[derive(Debug, Clone)]
 pub enum Backend {
     /// Exact incremental counter (`O(W)` distances per slide, zero
     /// verification).
     Exhaustive,
-    /// Lazily-repaired proximity graph (sublinear discovery, lazy exact
-    /// repair).
-    Graph(GraphParams),
 }
 
 /// What one insertion did to the window.
@@ -98,10 +93,8 @@ pub struct SlideReport {
     pub expired: Vec<u64>,
     /// Window size after the slide.
     pub window_len: usize,
-    /// What this slide cost: distance evaluations and graph hops spent
-    /// on neighbor discovery and expiry maintenance. Slide-time work is
-    /// all discovery (filter-side); verification cost appears on query
-    /// reports, not slides.
+    /// What this slide cost: the distance evaluations of its window scan,
+    /// booked as filter work. A slide takes no hops and verifies nothing.
     pub cost: CostReport,
 }
 
@@ -128,16 +121,6 @@ impl SlideReport {
     }
 }
 
-/// Per-query filter/verify accounting collected by
-/// `outliers_instrumented`.
-#[derive(Debug, Clone, Copy, Default)]
-struct QueryCounters {
-    candidates: usize,
-    false_positives: usize,
-    decided_in_filter: usize,
-    repair_secs: f64,
-}
-
 /// Lifetime counters (cheap, always on).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamStats {
@@ -152,42 +135,27 @@ pub struct StreamStats {
     /// Objects promoted to safe inliers (≥ `k` succeeding neighbors —
     /// tracking stopped forever).
     pub safe_promotions: u64,
-    /// Full-window exact repairs performed by queries.
-    pub full_repairs: u64,
-    /// Suffix-only exact repairs performed by queries.
-    pub incremental_repairs: u64,
     /// Wall time spent inside [`ingest`](StreamDetector::insert)
-    /// (neighbor discovery, index insert) *excluding* expiry, in
+    /// (the window scan and count updates) *excluding* expiry, in
     /// nanoseconds. With [`expiry_nanos`](Self::expiry_nanos) this gives
     /// scrapes the per-slide insert/expiry time split.
     pub insert_nanos: u64,
     /// Wall time spent expiring due residents, in nanoseconds.
     pub expiry_nanos: u64,
-    /// Distance evaluations spent in insertion-time neighbor discovery.
+    /// Distance evaluations spent in insertion-time neighbor discovery:
+    /// one per other resident per insertion.
     pub insert_dist_evals: u64,
-    /// Graph hops spent in insertion-time neighbor discovery.
-    pub insert_hops: u64,
-    /// Distance evaluations spent on expiry maintenance (compaction,
-    /// re-pruning). Zero on structureless backends.
+    /// Always 0: expiry evaluates no distance. The field stays so callers
+    /// that sum every phase's evaluations keep compiling.
     pub expiry_dist_evals: u64,
-    /// Graph hops spent on expiry maintenance.
-    pub expiry_hops: u64,
     /// Always 0: a detector runs no audits. The field stays so callers
     /// that sum every phase's evaluations keep compiling.
     pub audit_dist_evals: u64,
-    /// Distance evaluations spent by query-time exact repairs. On the
-    /// graph backend this and
-    /// [`query_false_positives`](Self::query_false_positives) are the
-    /// graph's quality: every neighbor discovery misses is paid for
-    /// here, never in the answers.
+    /// Always 0: the counts are exact, so a query evaluates no distance.
+    /// The field stays so callers that sum every phase's evaluations keep
+    /// compiling.
     pub query_dist_evals: u64,
-    /// Query-time candidates: residents whose verdict needed an exact
-    /// repair before it was trusted.
-    pub query_candidates: u64,
-    /// Query-time candidates whose repair came back inlier.
-    pub query_false_positives: u64,
-    /// Query-time outliers decided from already-exact maintained
-    /// knowledge (no repair).
+    /// Query-time outliers, each decided from the maintained counts.
     pub query_decided_in_filter: u64,
 }
 
@@ -201,36 +169,24 @@ impl StreamStats {
             ghost_inserts,
             expirations,
             safe_promotions,
-            full_repairs,
-            incremental_repairs,
             insert_nanos,
             expiry_nanos,
             insert_dist_evals,
-            insert_hops,
             expiry_dist_evals,
-            expiry_hops,
             audit_dist_evals,
             query_dist_evals,
-            query_candidates,
-            query_false_positives,
             query_decided_in_filter,
         } = other;
         self.inserts += inserts;
         self.ghost_inserts += ghost_inserts;
         self.expirations += expirations;
         self.safe_promotions += safe_promotions;
-        self.full_repairs += full_repairs;
-        self.incremental_repairs += incremental_repairs;
         self.insert_nanos += insert_nanos;
         self.expiry_nanos += expiry_nanos;
         self.insert_dist_evals += insert_dist_evals;
-        self.insert_hops += insert_hops;
         self.expiry_dist_evals += expiry_dist_evals;
-        self.expiry_hops += expiry_hops;
         self.audit_dist_evals += audit_dist_evals;
         self.query_dist_evals += query_dist_evals;
-        self.query_candidates += query_candidates;
-        self.query_false_positives += query_false_positives;
         self.query_decided_in_filter += query_decided_in_filter;
     }
 }
@@ -239,14 +195,13 @@ impl StreamStats {
 ///
 /// ```
 /// use dod_core::Query;
-/// use dod_stream::{Backend, StreamDetector, VectorSpace, WindowSpec};
+/// use dod_stream::{StreamDetector, VectorSpace, WindowSpec};
 /// use dod_metrics::L2;
 ///
 /// let mut det = StreamDetector::open(
 ///     VectorSpace::new(L2, 1),
 ///     Query::new(1.5, 2)?,
 ///     WindowSpec::Count(64),
-///     Backend::Exhaustive,
 /// )?;
 /// for i in 0..64 {
 ///     det.insert(vec![(i % 8) as f32 * 0.5]);
@@ -261,74 +216,42 @@ pub struct StreamDetector<S: Space> {
     space: S,
     params: StreamParams,
     win: WindowStore<S::Point>,
-    /// Neighbor knowledge for live, non-safe residents.
+    /// Neighbor counts for live, non-safe residents.
     states: SeqMap<NeighborState>,
-    index: Box<dyn StreamIndex<S> + Send>,
     stats: StreamStats,
 }
 
 impl<S: Space> StreamDetector<S> {
     /// Opens a detector in the batch vocabulary: the same [`Query`] type
-    /// [`dod_core::Engine::query`] takes, bound to a window, on the chosen
-    /// backend. Only the query's `r` and `k` apply — see
-    /// [`StreamParams::from_query`] for why a thread override is ignored.
+    /// [`dod_core::Engine::query`] takes, bound to a window. Only the
+    /// query's `r` and `k` apply — see [`StreamParams::from_query`] for
+    /// why a thread override is ignored.
     ///
     /// ```
     /// use dod_core::Query;
-    /// use dod_stream::{Backend, StreamDetector, VectorSpace, WindowSpec};
+    /// use dod_stream::{StreamDetector, VectorSpace, WindowSpec};
     /// use dod_metrics::L2;
     ///
     /// let mut det = StreamDetector::open(
     ///     VectorSpace::new(L2, 1),
     ///     Query::new(1.5, 2)?,
     ///     WindowSpec::Count(64),
-    ///     Backend::Exhaustive,
     /// )?;
     /// det.insert(vec![0.0]);
     /// # Ok::<(), dod_core::DodError>(())
     /// ```
-    pub fn open(
-        space: S,
-        query: Query,
-        window: WindowSpec,
-        backend: Backend,
-    ) -> Result<Self, DodError>
-    where
-        S: 'static,
-    {
-        Self::try_with_backend(space, StreamParams::from_query(query, window), backend)
+    pub fn open(space: S, query: Query, window: WindowSpec) -> Result<Self, DodError> {
+        Self::try_new(space, StreamParams::from_query(query, window))
     }
 
-    /// A detector on the [`Backend::Exhaustive`] backend, or a
-    /// [`DodError`] for invalid parameters.
-    pub fn try_new(space: S, params: StreamParams) -> Result<Self, DodError>
-    where
-        S: 'static,
-    {
-        Self::try_with_backend(space, params, Backend::Exhaustive)
-    }
-
-    /// A detector on the chosen backend, or a [`DodError`] for invalid
-    /// parameters.
-    pub fn try_with_backend(
-        space: S,
-        params: StreamParams,
-        backend: Backend,
-    ) -> Result<Self, DodError>
-    where
-        S: 'static,
-    {
+    /// A detector, or a [`DodError`] for invalid parameters.
+    pub fn try_new(space: S, params: StreamParams) -> Result<Self, DodError> {
         params.validate()?;
-        let index: Box<dyn StreamIndex<S> + Send> = match backend {
-            Backend::Exhaustive => Box::new(ExhaustiveIndex::default()),
-            Backend::Graph(gp) => Box::new(GraphIndex::new(gp, params.k)),
-        };
         Ok(StreamDetector {
             space,
             params,
             win: WindowStore::new(),
             states: SeqMap::default(),
-            index,
             stats: StreamStats::default(),
         })
     }
@@ -370,12 +293,11 @@ impl<S: Space> StreamDetector<S> {
         self.ingest(point, time, true)
     }
 
-    /// Shared insertion path: expire, push, discover, fold counts. `ghost`
+    /// Shared insertion path: expire, push, scan, fold counts. `ghost`
     /// skips only the new point's own neighbor state.
     fn ingest(&mut self, point: S::Point, time: f64, ghost: bool) -> SlideReport {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let expiry_before = self.stats.expiry_nanos;
-        let cost_before = self.slide_cost_totals();
         let point = self.space.prepare(point);
         self.win.advance_clock(time);
         let expired = self.expire_due(true);
@@ -385,66 +307,39 @@ impl<S: Space> StreamDetector<S> {
             self.stats.ghost_inserts += 1;
         }
 
-        let discovered = {
-            let view = WindowView::new(&self.win, &self.space);
-            self.index.on_insert(&view, seq, self.params.r)
-        };
-        let (d, h) = self.index.take_cost();
-        self.stats.insert_dist_evals += d;
-        self.stats.insert_hops += h;
+        let discovered = neighbors_of(&self.win, &self.space, seq, self.params.r);
+        let dist_evals = (self.win.len() - 1) as u64;
+        self.stats.insert_dist_evals += dist_evals;
         let k = self.params.k;
         if k > 0 {
             for &d in &discovered {
                 let Some(st) = self.states.get_mut(&d) else {
                     continue;
                 };
-                st.add_succ(seq);
+                st.add_succ();
                 if st.succ_count() >= k {
                     self.states.remove(&d);
                     self.stats.safe_promotions += 1;
                 }
             }
             if !ghost {
-                self.states.insert(
-                    seq,
-                    NeighborState::new(seq, discovered, self.index.is_exact()),
-                );
+                self.states.insert(seq, NeighborState::new(seq, discovered));
             }
         }
         // Insert time is the slide minus whatever expire_due just booked,
         // so the two phase counters partition the slide's wall time.
         let expiry_within = self.stats.expiry_nanos - expiry_before;
         self.stats.insert_nanos += (t0.elapsed().as_nanos() as u64).saturating_sub(expiry_within);
-        let cost_after = self.slide_cost_totals();
         SlideReport {
             seq,
             expired,
             window_len: self.win.len(),
             cost: CostReport {
-                filter_dist_evals: cost_after.0 - cost_before.0,
+                filter_dist_evals: dist_evals,
                 verify_dist_evals: 0,
-                hops: cost_after.1 - cost_before.1,
+                hops: 0,
             },
         }
-    }
-
-    /// Lifetime `(dist_evals, hops)` of both slide-time phases (insert,
-    /// expiry); a slide's own cost is the delta across `ingest`.
-    fn slide_cost_totals(&self) -> (u64, u64) {
-        (
-            self.stats.insert_dist_evals + self.stats.expiry_dist_evals,
-            self.stats.insert_hops + self.stats.expiry_hops,
-        )
-    }
-
-    /// Fault injection for degradation tests: drop all but `keep` links
-    /// per vertex in the backend (no-op on the exhaustive backend).
-    /// Discovery finds fewer neighbors, so queries book more repairs and
-    /// false positives; outlier verdicts stay exact — the lazy repair
-    /// never trusts the graph.
-    #[doc(hidden)]
-    pub fn inject_edge_loss(&mut self, keep: usize) {
-        self.index.inject_edge_loss(keep);
     }
 
     /// Advances the clock without inserting, expiring due residents
@@ -458,33 +353,34 @@ impl<S: Space> StreamDetector<S> {
     }
 
     fn expire_due(&mut self, incoming: bool) -> Vec<u64> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let mut expired = Vec::new();
         while self.win.front_due(self.params.window, incoming) {
             let e = self.win.pop_front().expect("due implies non-empty");
             self.states.remove(&e.seq);
-            {
-                let view = WindowView::new(&self.win, &self.space);
-                self.index.on_expire(&view, e.seq);
-            }
             self.stats.expirations += 1;
             expired.push(e.seq);
-        }
-        if !expired.is_empty() {
-            // Compaction and re-pruning triggered by expiry book here.
-            let (d, h) = self.index.take_cost();
-            self.stats.expiry_dist_evals += d;
-            self.stats.expiry_hops += h;
         }
         self.stats.expiry_nanos += t0.elapsed().as_nanos() as u64;
         expired
     }
 
-    /// Seqs of the current window's outliers, ascending. Exact for both
-    /// backends: inexact candidates are repaired against the window before
-    /// their verdict is trusted.
+    /// Seqs of the current window's outliers, ascending, read off the
+    /// maintained counts.
     pub fn outliers(&mut self) -> Vec<u64> {
-        self.outliers_instrumented().0
+        let k = self.params.k;
+        if k == 0 {
+            return Vec::new();
+        }
+        let front = self.win.front_seq();
+        let mut out: Vec<u64> = self
+            .states
+            .iter_mut()
+            .filter_map(|(&seq, st)| (st.live_count(front) < k).then_some(seq))
+            .collect();
+        self.stats.query_decided_in_filter += out.len() as u64;
+        out.sort_unstable();
+        out
     }
 
     /// The current window's outliers as the unified batch-vocabulary
@@ -495,88 +391,24 @@ impl<S: Space> StreamDetector<S> {
     /// Ids are **window positions** (`0..len()`, oldest first), i.e. ids
     /// into [`window_view`](StreamDetector::window_view) — directly
     /// comparable to a batch detector run over that view. Map a position
-    /// back to its seq with [`WindowView::seq_at`]. The filter/verify
-    /// accounting follows the batch report's vocabulary: `candidates` are
-    /// residents that needed an exact repair, `false_positives` the
-    /// repairs that came back inlier, `decided_in_filter` outliers decided
-    /// from already-exact maintained knowledge.
+    /// back to its seq with [`WindowView::seq_at`]. In the batch report's
+    /// vocabulary every outlier is `decided_in_filter`: the maintained
+    /// counts are exact, so nothing is a candidate and nothing is
+    /// verified.
     pub fn report(&mut self) -> OutlierReport {
         let t = Instant::now();
-        let repairs_before = self.stats.query_dist_evals;
-        let (seqs, counters) = self.outliers_instrumented();
-        let total = t.elapsed().as_secs_f64();
+        let seqs = self.outliers();
+        let filter_secs = t.elapsed().as_secs_f64();
         let front = self.win.front_seq();
-        let verify_secs = counters.repair_secs.min(total);
         OutlierReport {
+            decided_in_filter: seqs.len(),
             outliers: seqs.into_iter().map(|s| (s - front) as u32).collect(),
-            candidates: counters.candidates,
-            false_positives: counters.false_positives,
-            decided_in_filter: counters.decided_in_filter,
-            filter_secs: (total - verify_secs).max(0.0),
-            verify_secs,
-            cost: CostReport {
-                // Query-time filtering answers from maintained counts —
-                // zero distances; repairs are the verification work.
-                filter_dist_evals: 0,
-                verify_dist_evals: self.stats.query_dist_evals - repairs_before,
-                hops: 0,
-            },
+            candidates: 0,
+            false_positives: 0,
+            filter_secs,
+            verify_secs: 0.0,
+            cost: CostReport::default(),
         }
-    }
-
-    /// Shared implementation of [`outliers`](StreamDetector::outliers) and
-    /// [`report`](StreamDetector::report): the answer plus the
-    /// filter/verify accounting of how it was reached.
-    fn outliers_instrumented(&mut self) -> (Vec<u64>, QueryCounters) {
-        let k = self.params.k;
-        let mut out = Vec::new();
-        let mut counters = QueryCounters::default();
-        if k == 0 {
-            return (out, counters);
-        }
-        let front = self.win.front_seq();
-        let next = self.win.next_seq();
-        let trusted = self.index.is_exact();
-        let (win, space, states, stats) =
-            (&self.win, &self.space, &mut self.states, &mut self.stats);
-        let r = self.params.r;
-        let mut promoted = Vec::new();
-        for (&seq, st) in states.iter_mut() {
-            if st.live_count(front) >= k {
-                continue; // certified inlier (counts are lower bounds)
-            }
-            if !trusted && !st.is_exact(next) {
-                // Below k on a lower bound only: a candidate, verified by
-                // an exact (incremental) repair against the window.
-                counters.candidates += 1;
-                let t = Instant::now();
-                repair(win, space, seq, st, r, stats);
-                counters.repair_secs += t.elapsed().as_secs_f64();
-                if st.succ_count() >= k {
-                    promoted.push(seq);
-                    counters.false_positives += 1;
-                    continue;
-                }
-                if st.live_count(front) >= k {
-                    counters.false_positives += 1;
-                    continue;
-                }
-            } else {
-                // The maintained knowledge is already exact: decided
-                // without verification, like the batch K' shortcut.
-                counters.decided_in_filter += 1;
-            }
-            out.push(seq);
-        }
-        for seq in promoted {
-            self.states.remove(&seq);
-            self.stats.safe_promotions += 1;
-        }
-        self.stats.query_candidates += counters.candidates as u64;
-        self.stats.query_false_positives += counters.false_positives as u64;
-        self.stats.query_decided_in_filter += counters.decided_in_filter as u64;
-        out.sort_unstable();
-        (out, counters)
     }
 
     /// Recomputes the outlier set from scratch over the current window
@@ -634,11 +466,6 @@ impl<S: Space> StreamDetector<S> {
         &self.params
     }
 
-    /// The backend's display name.
-    pub fn backend_name(&self) -> &'static str {
-        self.index.name()
-    }
-
     /// Residents still tracked (live and not yet safe).
     pub fn tracked(&self) -> usize {
         self.states.len()
@@ -649,56 +476,25 @@ impl<S: Space> StreamDetector<S> {
         self.stats
     }
 
-    /// Approximate heap bytes of engine state (neighbor lists + backend).
+    /// Approximate heap bytes of engine state (neighbor lists).
     pub fn size_bytes(&self) -> usize {
         self.states.values().map(|s| s.size_bytes()).sum::<usize>()
             + self.states.len()
                 * (std::mem::size_of::<u64>() + std::mem::size_of::<NeighborState>())
-            + self.index.size_bytes()
     }
 }
 
-/// Makes `st`'s knowledge exact for the current window: a full window scan
-/// the first time, a scan of only the arrivals since `exact_upto`
-/// afterwards.
-fn repair<S: Space>(
-    win: &WindowStore<S::Point>,
-    space: &S,
-    seq: u64,
-    st: &mut NeighborState,
-    r: f64,
-    stats: &mut StreamStats,
-) {
-    let own = win.point(seq).expect("tracked seq is live");
-    if !st.pred_exact {
-        let mut pred = Vec::new();
-        let mut succ = Vec::new();
-        for e in win.iter() {
-            if e.seq == seq {
-                continue;
-            }
-            stats.query_dist_evals += 1;
-            if space.dist(own, &e.point) <= r {
-                if e.seq < seq {
-                    pred.push(e.seq);
-                } else {
-                    succ.push(e.seq);
-                }
-            }
-        }
-        st.set_exact(pred, succ, win.next_seq());
-        stats.full_repairs += 1;
-    } else {
-        let from = st.exact_upto.max(win.front_seq());
-        for e in win.iter_from(from) {
-            stats.query_dist_evals += 1;
-            if space.dist(own, &e.point) <= r {
-                st.add_succ(e.seq);
-            }
-        }
-        st.exact_upto = win.next_seq();
-        stats.incremental_repairs += 1;
-    }
+/// The exhaustive neighbor discovery: the seqs of every other resident
+/// within `r` of the resident `seq`, ascending. It evaluates the distance
+/// to every other resident, so it misses no neighbor and every count built
+/// from it is exact — the streaming form of DOLPHIN's candidate index with
+/// retention probability 1.
+fn neighbors_of<S: Space>(win: &WindowStore<S::Point>, space: &S, seq: u64, r: f64) -> Vec<u64> {
+    let own = win.point(seq).expect("the new point is live");
+    win.iter()
+        .filter(|e| e.seq != seq && space.dist(own, &e.point) <= r)
+        .map(|e| e.seq)
+        .collect()
 }
 
 #[cfg(test)]
@@ -707,71 +503,67 @@ mod tests {
     use crate::space::VectorSpace;
     use dod_metrics::L2;
 
-    fn det(r: f64, k: usize, w: usize, backend: Backend) -> StreamDetector<VectorSpace<L2>> {
-        StreamDetector::try_with_backend(
-            VectorSpace::new(L2, 1),
-            StreamParams::count(r, k, w),
-            backend,
-        )
-        .expect("valid params")
+    fn det(r: f64, k: usize, w: usize) -> StreamDetector<VectorSpace<L2>> {
+        StreamDetector::try_new(VectorSpace::new(L2, 1), StreamParams::count(r, k, w))
+            .expect("valid params")
     }
 
-    fn both() -> [Backend; 2] {
-        [Backend::Exhaustive, Backend::Graph(GraphParams::default())]
+    #[test]
+    fn exhaustive_discovery_is_complete() {
+        let space = VectorSpace::new(L2, 1);
+        let mut win = WindowStore::new();
+        for (i, x) in [0.0f32, 0.5, 3.0, 0.6].into_iter().enumerate() {
+            win.push(vec![x], i as f64);
+        }
+        // Point 3 (x = 0.6) has in-range neighbors 0 and 1 at r = 1.
+        assert_eq!(neighbors_of(&win, &space, 3, 1.0), vec![0, 1]);
     }
 
     #[test]
     fn isolated_point_is_flagged_and_expires_away() {
-        for backend in both() {
-            let mut d = det(1.0, 2, 4, backend);
-            for x in [0.0f32, 0.3, 0.6, 50.0] {
-                d.insert(vec![x]);
-            }
-            assert_eq!(d.outliers(), vec![3], "{}", d.backend_name());
-            // Four more clustered points push the outlier out of the window.
-            for x in [0.1f32, 0.2, 0.4, 0.5] {
-                d.insert(vec![x]);
-            }
-            assert!(!d.outliers().contains(&3));
-            assert_eq!(d.outliers(), d.audit(), "{}", d.backend_name());
+        let mut d = det(1.0, 2, 4);
+        for x in [0.0f32, 0.3, 0.6, 50.0] {
+            d.insert(vec![x]);
         }
+        assert_eq!(d.outliers(), vec![3]);
+        // Four more clustered points push the outlier out of the window.
+        for x in [0.1f32, 0.2, 0.4, 0.5] {
+            d.insert(vec![x]);
+        }
+        assert!(!d.outliers().contains(&3));
+        assert_eq!(d.outliers(), d.audit());
     }
 
     #[test]
     fn expiry_can_create_outliers() {
-        for backend in both() {
-            // Window of 3: [0.0, 0.1, 9.0] — 9.0 alone is an outlier; when
-            // 0.0 and 0.1 expire, the window [9.0, 20.0, 30.0] makes
-            // everything an outlier.
-            let mut d = det(0.5, 1, 3, backend);
-            for x in [0.0f32, 0.1, 9.0, 20.0, 30.0] {
-                d.insert(vec![x]);
-            }
-            assert_eq!(d.outliers(), vec![2, 3, 4], "{}", d.backend_name());
-            assert_eq!(d.outliers(), d.audit());
+        // Window of 3: [0.0, 0.1, 9.0] — 9.0 alone is an outlier; when
+        // 0.0 and 0.1 expire, the window [9.0, 20.0, 30.0] makes
+        // everything an outlier.
+        let mut d = det(0.5, 1, 3);
+        for x in [0.0f32, 0.1, 9.0, 20.0, 30.0] {
+            d.insert(vec![x]);
         }
+        assert_eq!(d.outliers(), vec![2, 3, 4]);
+        assert_eq!(d.outliers(), d.audit());
     }
 
     #[test]
     fn repeated_queries_are_stable_and_cheap() {
-        for backend in both() {
-            let mut d = det(0.5, 2, 16, backend);
-            for i in 0..40 {
-                d.insert(vec![(i % 5) as f32 * 0.2]);
-            }
-            let a = d.outliers();
-            let before = d.stats();
-            let b = d.outliers();
-            let after = d.stats();
-            assert_eq!(a, b);
-            // The second query repaired nothing new.
-            assert_eq!(before.full_repairs, after.full_repairs);
+        let mut d = det(0.5, 2, 16);
+        for i in 0..40 {
+            d.insert(vec![(i % 5) as f32 * 0.2]);
         }
+        let a = d.outliers();
+        let b = d.outliers();
+        assert_eq!(a, b);
+        // Queries read the maintained counts: no distance is evaluated.
+        assert_eq!(d.report().cost, CostReport::default());
+        assert_eq!(d.stats().query_dist_evals, 0);
     }
 
     #[test]
     fn phase_timing_counters_accumulate_and_absorb() {
-        let mut d = det(0.5, 2, 4, Backend::Exhaustive);
+        let mut d = det(0.5, 2, 4);
         for i in 0..12 {
             d.insert(vec![i as f32 * 0.1]);
         }
@@ -790,7 +582,7 @@ mod tests {
 
     #[test]
     fn safe_inliers_stop_being_tracked() {
-        let mut d = det(1.0, 2, 8, Backend::Exhaustive);
+        let mut d = det(1.0, 2, 8);
         for _ in 0..8 {
             d.insert(vec![0.0]);
         }
@@ -802,15 +594,13 @@ mod tests {
 
     #[test]
     fn k_zero_reports_nothing() {
-        for backend in both() {
-            let mut d = det(1.0, 0, 4, backend);
-            for x in [0.0f32, 100.0, 200.0] {
-                d.insert(vec![x]);
-            }
-            assert!(d.outliers().is_empty());
-            assert!(d.audit().is_empty());
-            assert_eq!(d.tracked(), 0);
+        let mut d = det(1.0, 0, 4);
+        for x in [0.0f32, 100.0, 200.0] {
+            d.insert(vec![x]);
         }
+        assert!(d.outliers().is_empty());
+        assert!(d.audit().is_empty());
+        assert_eq!(d.tracked(), 0);
     }
 
     #[test]
@@ -833,7 +623,7 @@ mod tests {
 
     #[test]
     fn reports_describe_the_slide() {
-        let mut d = det(1.0, 1, 2, Backend::Exhaustive);
+        let mut d = det(1.0, 1, 2);
         let r0 = d.insert(vec![0.0]);
         assert_eq!((r0.seq, r0.window_len), (0, 1));
         assert!(r0.expired.is_empty());
@@ -855,38 +645,35 @@ mod tests {
 
     #[test]
     fn ghosts_feed_counts_but_are_never_reported() {
-        for backend in both() {
-            let name = format!("{backend:?}");
-            // r = 1, k = 2, window 8. Two owned points at 0.0 and 0.3 plus
-            // one far owned point; without ghosts both near points have
-            // only one neighbor each and all three are outliers.
-            let mut d = det(1.0, 2, 8, backend);
-            d.insert_at(vec![0.0], 0.0);
-            d.insert_at(vec![0.3], 1.0);
-            d.insert_at(vec![50.0], 2.0);
-            assert_eq!(d.outliers(), vec![0, 1, 2], "{name}");
-            // A ghost at 0.5 gives both near points their second neighbor,
-            // but is itself never reported — even though its own ghost
-            // count (2 neighbors) would make no difference here, a ghost
-            // with < k neighbors must stay unreported too.
-            let g = d.insert_ghost_at(vec![0.5], 3.0);
-            assert_eq!(g.seq, 3);
-            assert_eq!(d.outliers(), vec![2], "{name}");
-            assert_eq!(d.stats().ghost_inserts, 1);
-            // audit() counts every resident, ghosts included: the ghost is
-            // an inlier here, the far point is not.
-            assert_eq!(d.audit(), vec![2], "{name}");
-            // Ghosts expire like any resident: push the window forward.
-            for i in 0..8 {
-                d.insert_at(vec![100.0 + i as f32 * 0.1], 4.0 + i as f64);
-            }
-            assert!(d.window_seqs().iter().all(|&s| s >= 4), "{name}");
+        // r = 1, k = 2, window 8. Two owned points at 0.0 and 0.3 plus
+        // one far owned point; without ghosts both near points have
+        // only one neighbor each and all three are outliers.
+        let mut d = det(1.0, 2, 8);
+        d.insert_at(vec![0.0], 0.0);
+        d.insert_at(vec![0.3], 1.0);
+        d.insert_at(vec![50.0], 2.0);
+        assert_eq!(d.outliers(), vec![0, 1, 2]);
+        // A ghost at 0.5 gives both near points their second neighbor,
+        // but is itself never reported — even though its own ghost
+        // count (2 neighbors) would make no difference here, a ghost
+        // with < k neighbors must stay unreported too.
+        let g = d.insert_ghost_at(vec![0.5], 3.0);
+        assert_eq!(g.seq, 3);
+        assert_eq!(d.outliers(), vec![2]);
+        assert_eq!(d.stats().ghost_inserts, 1);
+        // audit() counts every resident, ghosts included: the ghost is
+        // an inlier here, the far point is not.
+        assert_eq!(d.audit(), vec![2]);
+        // Ghosts expire like any resident: push the window forward.
+        for i in 0..8 {
+            d.insert_at(vec![100.0 + i as f32 * 0.1], 4.0 + i as f64);
         }
+        assert!(d.window_seqs().iter().all(|&s| s >= 4));
     }
 
     #[test]
     fn ghost_arrivals_promote_safe_inliers() {
-        let mut d = det(1.0, 2, 16, Backend::Exhaustive);
+        let mut d = det(1.0, 2, 16);
         d.insert(vec![0.0]);
         let before = d.stats().safe_promotions;
         // Two succeeding ghosts within r promote seq 0 to a safe inlier.
@@ -902,7 +689,6 @@ mod tests {
             VectorSpace::new(L2, 1),
             Query::new(1.0, 2).expect("valid query"),
             WindowSpec::Count(4),
-            Backend::Exhaustive,
         )
         .expect("open");
         for x in [0.0f32, 0.3, 0.6, 50.0] {
@@ -914,35 +700,31 @@ mod tests {
 
     #[test]
     fn report_matches_a_batch_engine_over_the_window_view() {
-        for backend in both() {
-            let mut d = det(0.5, 2, 16, backend);
-            let mut last = None;
-            for i in 0..40 {
-                let slide = d.insert(vec![(i % 7) as f32 * 0.3]);
-                last = Some(slide);
-            }
-            let name = d.backend_name();
-            let report = last
-                .expect("slid")
-                .into_outlier_report(&mut d)
-                .expect("handle from the latest slide is fresh");
-            // Same result shape, same answer as a batch engine over the
-            // window snapshot.
-            let view = d.window_view();
-            let batch = dod_core::nested_loop::detect(&view, &dod_core::DodParams::new(0.5, 2), 0);
-            assert_eq!(report.outliers, batch.outliers, "{name}");
-            // Accounting obeys the batch invariant.
-            assert_eq!(
-                report.candidates,
-                report.outliers.len() - report.decided_in_filter + report.false_positives,
-                "{name}"
-            );
+        let mut d = det(0.5, 2, 16);
+        let mut last = None;
+        for i in 0..40 {
+            let slide = d.insert(vec![(i % 7) as f32 * 0.3]);
+            last = Some(slide);
         }
+        let report = last
+            .expect("slid")
+            .into_outlier_report(&mut d)
+            .expect("handle from the latest slide is fresh");
+        // Same result shape, same answer as a batch engine over the
+        // window snapshot.
+        let view = d.window_view();
+        let batch = dod_core::nested_loop::detect(&view, &dod_core::DodParams::new(0.5, 2), 0);
+        assert_eq!(report.outliers, batch.outliers);
+        // Accounting obeys the batch invariant.
+        assert_eq!(
+            report.candidates,
+            report.outliers.len() - report.decided_in_filter + report.false_positives
+        );
     }
 
     #[test]
     fn slide_cost_tracks_the_exhaustive_window_scan() {
-        let mut d = det(0.5, 2, 4, Backend::Exhaustive);
+        let mut d = det(0.5, 2, 4);
         // First insertion sees an empty window: nothing to scan.
         let r0 = d.insert(vec![0.0]);
         assert_eq!(r0.cost, CostReport::default());
@@ -953,44 +735,19 @@ mod tests {
         d.insert(vec![0.3]);
         let r4 = d.insert(vec![0.4]); // window full: expire 1, scan 3
         assert_eq!(r4.cost.filter_dist_evals, 3);
-        assert_eq!(r4.cost.hops, 0, "structureless backend never hops");
+        assert_eq!(r4.cost.hops, 0, "a window scan takes no hops");
         assert_eq!(r4.cost.verify_dist_evals, 0, "slides never verify");
         let s = d.stats();
         assert_eq!(s.insert_dist_evals, 1 + 2 + 3 + 3);
-        // Exact counts are always trusted: queries repair nothing.
+        // Exact counts: queries evaluate nothing.
         let rep = d.report();
         assert_eq!(rep.cost, CostReport::default());
         assert_eq!(s.query_dist_evals, 0);
     }
 
     #[test]
-    fn graph_backend_books_slide_and_query_cost() {
-        let mut d = det(0.5, 2, 16, Backend::Graph(GraphParams::default()));
-        let mut slide_dists = 0;
-        let mut slide_hops = 0;
-        for i in 0..40 {
-            let s = d.insert(vec![(i % 7) as f32 * 0.3]);
-            slide_dists += s.cost.filter_dist_evals;
-            slide_hops += s.cost.hops;
-        }
-        assert!(slide_dists > 0, "graph discovery evaluated no distances?");
-        assert!(slide_hops > 0, "graph discovery expanded no vertices?");
-        let stats = d.stats();
-        assert_eq!(
-            slide_dists,
-            stats.insert_dist_evals + stats.expiry_dist_evals,
-            "per-slide deltas must sum to the lifetime phase counters"
-        );
-        let rep = d.report();
-        // Inexact backend: whatever repairs ran are booked as verify cost,
-        // and query effectiveness counters mirror the report.
-        assert_eq!(rep.cost.verify_dist_evals, d.stats().query_dist_evals);
-        assert_eq!(d.stats().query_candidates, rep.candidates as u64);
-    }
-
-    #[test]
     fn stale_slide_handles_are_rejected() {
-        let mut d = det(0.5, 1, 4, Backend::Exhaustive);
+        let mut d = det(0.5, 1, 4);
         let stale = d.insert(vec![0.0]);
         d.insert(vec![10.0]); // the window has slid past `stale`
         let back = d.insert(vec![20.0]);

@@ -34,12 +34,6 @@ pub trait Space: Send + Sync {
         p
     }
 
-    /// Approximate heap + inline bytes one stored point occupies (state
-    /// size reporting; the default counts only the inline size).
-    fn point_bytes(&self, _p: &Self::Point) -> usize {
-        std::mem::size_of::<Self::Point>()
-    }
-
     /// The rounding error of [`dist`](Self::dist), for rules that bound a
     /// distance by the triangle inequality instead of evaluating it (see
     /// [`dod_metrics::rounding`]). The default, [`Rounding::RELATIVE`], is
@@ -105,10 +99,6 @@ impl<M: VectorMetric> Space for VectorSpace<M> {
         p
     }
 
-    fn point_bytes(&self, p: &Vec<f32>) -> usize {
-        std::mem::size_of::<Vec<f32>>() + p.capacity() * std::mem::size_of::<f32>()
-    }
-
     fn rounding(&self) -> Rounding {
         self.metric.rounding()
     }
@@ -124,10 +114,6 @@ impl Space for StringSpace {
     #[inline]
     fn dist(&self, a: &String, b: &String) -> f64 {
         f64::from(edit_distance(a.as_bytes(), b.as_bytes()))
-    }
-
-    fn point_bytes(&self, p: &String) -> usize {
-        std::mem::size_of::<String>() + p.capacity()
     }
 
     fn rounding(&self) -> Rounding {

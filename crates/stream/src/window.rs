@@ -164,14 +164,6 @@ impl<P> WindowStore<P> {
     pub fn iter(&self) -> impl Iterator<Item = &Entry<P>> {
         self.entries.iter()
     }
-
-    /// Residents with `seq >= from`, in seq order (the suffix the lazy
-    /// repair scans).
-    pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &Entry<P>> {
-        let front = self.front_seq();
-        let skip = from.saturating_sub(front) as usize;
-        self.entries.iter().skip(skip)
-    }
 }
 
 /// The current window contents as an id-addressed [`Dataset`]: position
@@ -285,15 +277,6 @@ mod tests {
     fn time_regression_is_rejected() {
         let mut w = store123();
         w.push(vec![4.0], 1.5);
-    }
-
-    #[test]
-    fn iter_from_yields_the_suffix() {
-        let w = store123();
-        let seqs: Vec<u64> = w.iter_from(1).map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2]);
-        assert_eq!(w.iter_from(0).count(), 3);
-        assert_eq!(w.iter_from(7).count(), 0);
     }
 
     #[test]

@@ -39,7 +39,6 @@ fn main() -> Result<(), DodError> {
             VectorSpace::new(L2, 4),
             query,
             WindowSpec::Count(512),
-            Backend::Exhaustive,
             ShardSpec::new(2).with_warmup(128),
             &dir,
             // Sync every 8 ops: each insert is logged before it returns,

@@ -31,12 +31,7 @@ fn main() -> Result<(), DodError> {
         ShardSpec::new(4).with_warmup(128),
     )?;
     // A single-window twin consumes the same stream as the ground truth.
-    let mut twin = StreamDetector::open(
-        VectorSpace::new(L2, 4),
-        query,
-        WindowSpec::Count(512),
-        Backend::Exhaustive,
-    )?;
+    let mut twin = StreamDetector::open(VectorSpace::new(L2, 4), query, WindowSpec::Count(512))?;
 
     println!(
         "sharded monitoring: window=512, shards=4, r={}, k={}\n",

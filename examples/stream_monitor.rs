@@ -7,9 +7,9 @@
 //! ```
 //!
 //! Feeds 3000 points of a drift/burst/churn scenario through the
-//! graph-backed streaming engine, printing what the monitor sees at a
-//! regular cadence, and periodically cross-checks the incremental answer
-//! against a from-scratch recount (`audit`).
+//! streaming engine, printing what the monitor sees at a regular cadence,
+//! and periodically cross-checks the incremental answer against a
+//! from-scratch recount (`audit`).
 
 use dod::datasets::StreamScenario;
 use dod::prelude::*;
@@ -25,12 +25,7 @@ fn main() -> Result<(), DodError> {
     //        while tail points (≥ 80 away) stay far outside. The stream
     //        takes the same validated Query type the batch Engine does.
     let query = Query::new(3.0, 4)?;
-    let mut monitor = StreamDetector::open(
-        VectorSpace::new(L2, 4),
-        query,
-        WindowSpec::Count(512),
-        Backend::Graph(GraphParams::default()),
-    )?;
+    let mut monitor = StreamDetector::open(VectorSpace::new(L2, 4), query, WindowSpec::Count(512))?;
 
     println!(
         "monitoring a drift/burst/churn stream: window=512, r={}, k={}\n",
@@ -71,10 +66,9 @@ fn main() -> Result<(), DodError> {
         stats.inserts, stats.expirations, planted, flagged_planted
     );
     println!(
-        "engine: backend={}, repairs={} full + {} incremental, ~{} KiB state",
-        monitor.backend_name(),
-        stats.full_repairs,
-        stats.incremental_repairs,
+        "engine: {} distance evaluations over {} window scans, ~{} KiB state",
+        stats.insert_dist_evals,
+        stats.inserts,
         monitor.size_bytes() / 1024
     );
     assert_eq!(monitor.outliers(), monitor.audit());

@@ -129,7 +129,6 @@
 //!     VectorSpace::new(L2, 1),
 //!     Query::new(1.5, 2)?,
 //!     WindowSpec::Count(32),
-//!     Backend::Exhaustive,
 //! )?;
 //! for i in 0..32 {
 //!     det.insert(vec![(i % 4) as f32]);
@@ -222,7 +221,6 @@ pub mod prelude {
         ShardedStreamDetector, SyncPolicy,
     };
     pub use dod_stream::{
-        Backend, GraphParams, SlideReport, StreamDetector, StreamParams, StringSpace, VectorSpace,
-        WindowSpec,
+        Backend, SlideReport, StreamDetector, StreamParams, StringSpace, VectorSpace, WindowSpec,
     };
 }

@@ -210,7 +210,6 @@ fn batch_and_stream_share_one_result_shape() {
         VectorSpace::new(L2, 1),
         Query::new(0.75, 2).expect("valid"),
         WindowSpec::Count(16),
-        Backend::Exhaustive,
     )
     .expect("open");
     for i in 0..24 {

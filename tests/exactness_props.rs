@@ -263,13 +263,9 @@ fn near_parallel_angular_points_stay_exact_under_rounding() {
         }
         // A batch engine over a stream window must measure with the
         // window's metric, rounding model included.
-        let mut det = StreamDetector::open(
-            VectorSpace::new(Angular, 3),
-            query,
-            WindowSpec::Count(64),
-            Backend::Exhaustive,
-        )
-        .expect("stream detector");
+        let mut det =
+            StreamDetector::open(VectorSpace::new(Angular, 3), query, WindowSpec::Count(64))
+                .expect("stream detector");
         for row in &rows {
             det.insert(row.clone());
         }
