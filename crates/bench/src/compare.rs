@@ -29,9 +29,10 @@ const METRICS: &[(&str, Direction)] = &[
     ("slide_us", Direction::LowerIsBetter),
     ("speedup_vs_batch", Direction::HigherIsBetter),
     ("slides_per_sec", Direction::HigherIsBetter),
-    // --cost rows: distance evaluations and graph hops are deterministic
-    // per seed, so a jump means the filter really got worse, not that CI
-    // was slow. Hops move only when the walk itself changes.
+    // Distance evaluations and graph hops are deterministic per seed, so
+    // a jump means the detector really does more work, not that CI was
+    // slow. `dist_evals` is per query in --cost rows and per slide in
+    // stream rows. Hops move only when the walk itself changes.
     ("dist_evals", Direction::LowerIsBetter),
     ("pruning_power", Direction::HigherIsBetter),
     ("hops", Direction::LowerIsBetter),
@@ -358,6 +359,25 @@ mod tests {
             compare(&cost_row(1000.0, 200.0), &cost_row(1000.0, 100.0), 0.25).expect("compare");
         assert!(cmp.regressions.is_empty(), "{}", cmp.rendered);
         assert!(cmp.rendered.contains("improved"));
+    }
+
+    #[test]
+    fn stream_rows_gate_dist_evals_per_slide() {
+        let row = |dist_evals: Option<f64>| {
+            let mut j = JsonReport::new();
+            let mut fields = vec![("experiment", JsonVal::from("stream_sharded"))];
+            fields.extend(dist_evals.map(|d| ("dist_evals", JsonVal::from(d))));
+            j.row(fields);
+            j.render()
+        };
+        // A slide that evaluates 50% more distances regresses; a baseline
+        // row written before the field existed matches and skips it.
+        let cmp = compare(&row(Some(400.0)), &row(Some(600.0)), 0.25).expect("compare");
+        assert_eq!(cmp.regressions.len(), 1, "{}", cmp.rendered);
+        assert_eq!(cmp.regressions[0].1, "dist_evals");
+        let cmp = compare(&row(None), &row(Some(600.0)), 0.25).expect("compare");
+        assert!(cmp.regressions.is_empty(), "{}", cmp.rendered);
+        assert!(!cmp.rendered.contains("new row"), "{}", cmp.rendered);
     }
 
     /// The cells of the rendered table row for `metric`.

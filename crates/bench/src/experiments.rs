@@ -958,10 +958,11 @@ fn stream_experiment(
     ]);
 
     // One emitter for every engine's JSON row, the batch baseline included,
-    // so the schema cannot drift between them.
-    let emit_row = |json: &mut Option<JsonReport>, engine: &str, total: f64| {
+    // so the schema cannot drift between them. A detector that counts its
+    // distance evaluations adds them per slide.
+    let emit_row = |json: &mut Option<JsonReport>, engine: &str, total: f64, evals: Option<u64>| {
         if let Some(json) = json {
-            json.row([
+            let mut row = vec![
                 ("experiment", JsonVal::from("stream")),
                 ("engine", JsonVal::from(engine)),
                 ("n", JsonVal::from(n)),
@@ -971,10 +972,12 @@ fn stream_experiment(
                 ("total_secs", JsonVal::from(total)),
                 ("slide_us", JsonVal::from(total / n as f64 * 1e6)),
                 ("speedup_vs_batch", JsonVal::from(batch_secs / total)),
-            ]);
+            ];
+            row.extend(evals.map(|e| ("dist_evals", JsonVal::from(e as f64 / n as f64))));
+            json.row(row);
         }
     };
-    emit_row(json, "batch nested-loop", batch_secs);
+    emit_row(json, "batch nested-loop", batch_secs, None);
 
     let name = "stream exhaustive";
     let space = VectorSpace::new(L2, dim);
@@ -1000,7 +1003,7 @@ fn stream_experiment(
         format!("{:.1}x", batch_secs / total),
         stats.safe_promotions.to_string(),
     ]);
-    emit_row(json, name, total);
+    emit_row(json, name, total, Some(stats.insert_dist_evals));
     writeln!(out, "{}", t.render())?;
     writeln!(
         out,
@@ -1038,8 +1041,22 @@ fn stream_experiment(
     Ok(())
 }
 
+/// The reference answer of the sharded grids: one synchronous L2 detector
+/// with a count window of `w` over the whole stream.
+fn single_window_outliers(points: &[Vec<f32>], query: Query, w: usize) -> Vec<u64> {
+    let space = VectorSpace::new(L2, points[0].len());
+    let mut single =
+        StreamDetector::open(space, query, WindowSpec::Count(w)).expect("valid stream parameters");
+    for p in points {
+        single.insert(p.clone());
+    }
+    single.outliers()
+}
+
 /// The `--health` grid: how balanced a sharded window stays (owned-point
 /// skew, slide-time skew, ghost rates) — the gauges the server exports.
+/// Its answer is asserted against a single `StreamDetector` consuming the
+/// same stream, as the `--shards` grid's is.
 fn health_grid(
     cfg: &Config,
     out: &mut dyn Write,
@@ -1066,6 +1083,7 @@ fn health_grid(
     let balance_points = balance_scenario.generate(n, cfg.seed ^ 0xba1a);
     let balance_r = 1.1 * balance_scenario.cluster_std * (2.0 * dim as f64).sqrt();
     let balance_query = Query::new(balance_r, k).expect("geometry-fixed query is valid");
+    let want = single_window_outliers(&balance_points, balance_query, w);
     let spec = ShardSpec::new(shards).with_warmup((w / 4).max(64));
     let mut det = ShardedStreamDetector::open(
         VectorSpace::new(L2, dim),
@@ -1080,7 +1098,9 @@ fn health_grid(
         det.insert(p.clone());
     }
     let total = t0.elapsed().as_secs_f64();
+    assert_eq!(det.outliers(), want, "sharded --health window diverged");
     let report = det.health();
+    let evals_per_slide = report.stats().insert_dist_evals as f64 / n as f64;
     let ghost_rate_max = report.ghost_rates().into_iter().fold(0.0f64, f64::max);
     writeln!(
         out,
@@ -1089,6 +1109,7 @@ fn health_grid(
     let mut t = Table::new([
         "total",
         "per slide",
+        "outliers",
         "owned skew",
         "slide skew",
         "max ghost rate",
@@ -1096,6 +1117,7 @@ fn health_grid(
     t.row([
         secs(total),
         secs(total / n as f64),
+        want.len().to_string(),
         format!("{:.2}", report.owned_skew()),
         format!("{:.2}", report.slide_skew()),
         format!("{:.3}", ghost_rate_max),
@@ -1103,8 +1125,9 @@ fn health_grid(
     writeln!(out, "{}", t.render())?;
     writeln!(
         out,
-        "(skew = max/mean across shards, 1.0 = perfectly balanced; these \
-         are the `dod_shard_balance_*` gauges `/metrics` exports)\n"
+        "(outliers asserted equal to the single-window detector; skew = \
+         max/mean across shards, 1.0 = perfectly balanced; these are the \
+         `dod_shard_balance_*` gauges `/metrics` exports)\n"
     )?;
     if let Some(json) = json {
         json.row([
@@ -1116,6 +1139,7 @@ fn health_grid(
             ("k", JsonVal::from(k)),
             ("total_secs", JsonVal::from(total)),
             ("slide_us", JsonVal::from(total / n as f64 * 1e6)),
+            ("dist_evals", JsonVal::from(evals_per_slide)),
             ("owned_skew", JsonVal::from(report.owned_skew())),
             ("slide_skew", JsonVal::from(report.slide_skew())),
             ("ghost_rate_max", JsonVal::from(ghost_rate_max)),
@@ -1183,14 +1207,8 @@ fn shard_grid(
         "### Sharded pipeline (`--shards`): n={n}, W={w}, dim={dim}, r={r:.4}, k={k}\n"
     )?;
 
-    // Reference answer: one synchronous detector over the same stream.
     let query = Query::new(r, k).expect("calibrated query is valid");
-    let mut single = StreamDetector::open(VectorSpace::new(L2, dim), query, WindowSpec::Count(w))
-        .expect("valid stream parameters");
-    for p in &points {
-        single.insert(p.clone());
-    }
-    let want = single.outliers();
+    let want = single_window_outliers(&points, query, w);
 
     // Two rows per shard count: the synchronous sharded detector
     // isolates the partitioning win (each shard's discovery scans ~W/S
@@ -1246,6 +1264,7 @@ fn shard_grid(
             };
             assert_eq!(got, want, "sharded {mode} diverged at S={shards}");
             let slides_per_sec = n as f64 / total;
+            let evals_per_slide = stats.insert_dist_evals as f64 / n as f64;
             if shards == 1 {
                 baselines[mode_idx] = Some(total);
             }
@@ -1273,6 +1292,7 @@ fn shard_grid(
                     ("total_secs", JsonVal::from(total)),
                     ("slide_us", JsonVal::from(total / n as f64 * 1e6)),
                     ("slides_per_sec", JsonVal::from(slides_per_sec)),
+                    ("dist_evals", JsonVal::from(evals_per_slide)),
                 ]);
             }
         }

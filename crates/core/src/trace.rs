@@ -1,26 +1,27 @@
-//! Request-scoped tracing: spans, trace contexts and pluggable sinks.
+//! Request-scoped tracing: spans, trace contexts and a bounded ring of
+//! completed traces.
 //!
 //! A serving layer builds one [`TraceContext`] per request, carries the
 //! request id (taken from the client or generated here), records
 //! [`Span`]s for the stages the request passes through — socket read,
 //! queue wait, dispatch, filter, verify — and finally resolves the
-//! context into an immutable [`Trace`] that flows to every configured
-//! [`TraceSink`].
+//! context into an immutable [`Trace`], which it keeps in a
+//! [`TraceRing`].
 //!
 //! The design is std-only and allocation-light on purpose: span names
-//! and field keys are `&'static str`, durations are monotonic
-//! ([`std::time::Instant`]) nanoseconds, and the only per-request heap
-//! traffic is the span vector itself plus the id string. Nothing here
-//! locks on the request path; the bundled [`TraceRing`] sink takes one
-//! short mutex per *completed* request, never per span.
+//! and field keys are `&'static str`, field values are counts (`u64`),
+//! durations are monotonic ([`std::time::Instant`]) nanoseconds, and the
+//! only per-request heap traffic is the span vector itself plus the id
+//! string. Nothing here locks on the request path; the [`TraceRing`]
+//! takes one short mutex per *completed* request, never per span.
 //!
 //! ```
-//! use dod_core::trace::{TraceContext, TraceRing, TraceSink};
+//! use dod_core::trace::{TraceContext, TraceRing};
 //! use std::sync::Arc;
 //!
 //! let ring = TraceRing::new(8);
 //! let mut ctx = TraceContext::new("req-1");
-//! let span = ctx.child("filter").with_field("candidates", 12u64);
+//! let span = ctx.child("filter").with_field("candidates", 12);
 //! span.finish(&mut ctx);
 //! ring.record(Arc::new(ctx.finish("/v1/engines/{name}/query", 200)));
 //! let traces = ring.snapshot();
@@ -32,101 +33,45 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// A typed span field value: counts, timings and static labels, kept as
-/// an enum so sinks can render numbers as numbers (a JSON access log
-/// must not quote a candidate count).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FieldValue {
-    /// An unsigned count (candidates filtered, points verified, bytes).
-    U64(u64),
-    /// A floating-point measurement.
-    F64(f64),
-    /// A static label (backend names, phase outcomes).
-    Str(&'static str),
-}
-
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::U64(v)
-    }
-}
-
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-
-impl From<&'static str> for FieldValue {
-    fn from(v: &'static str) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
 /// One finished span inside a [`Trace`]: what happened, when relative to
-/// the request's start, for how long, and its typed fields.
+/// the request's start, for how long, and its counts.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Stage name (`"read"`, `"queue_wait"`, `"filter"`, …).
     pub name: &'static str,
-    /// Name of the enclosing span, when this one was opened with
-    /// [`Span::child`].
-    pub parent: Option<&'static str>,
     /// Monotonic offset from the trace's origin, in nanoseconds
     /// (clamped to the origin for spans that began before it, e.g. a
     /// queue wait).
     pub start_nanos: u64,
     /// Span duration in nanoseconds.
     pub duration_nanos: u64,
-    /// Typed key/value fields, in record order.
-    pub fields: Vec<(&'static str, FieldValue)>,
+    /// Key/count fields (candidates filtered, distance evaluations,
+    /// bytes), in record order.
+    pub fields: Vec<(&'static str, u64)>,
 }
 
-/// An in-flight span: created by [`TraceContext::child`] (or
-/// [`Span::child`] for nesting), closed by [`Span::finish`], which
-/// computes the monotonic duration and appends the [`SpanRecord`] to the
-/// context.
+/// An in-flight span: created by [`TraceContext::child`], closed by
+/// [`Span::finish`], which computes the monotonic duration and appends
+/// the [`SpanRecord`] to the context.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
-    parent: Option<&'static str>,
     started: Instant,
-    fields: Vec<(&'static str, FieldValue)>,
+    fields: Vec<(&'static str, u64)>,
 }
 
 impl Span {
-    /// Opens a sub-span that records this span as its parent.
-    pub fn child(&self, name: &'static str) -> Span {
-        Span {
-            name,
-            parent: Some(self.name),
-            started: Instant::now(),
-            fields: Vec::new(),
-        }
-    }
-
-    /// Attaches a typed field (builder style).
+    /// Attaches a count field (builder style).
     #[must_use]
-    pub fn with_field(mut self, key: &'static str, value: impl Into<FieldValue>) -> Span {
-        self.fields.push((key, value.into()));
+    pub fn with_field(mut self, key: &'static str, value: u64) -> Span {
+        self.fields.push((key, value));
         self
-    }
-
-    /// Attaches a typed field in place.
-    pub fn add_field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-        self.fields.push((key, value.into()));
     }
 
     /// Closes the span now and appends its record to `ctx`.
     pub fn finish(self, ctx: &mut TraceContext) {
         let duration = self.started.elapsed();
-        ctx.push(self.name, self.parent, self.started, duration, self.fields);
+        ctx.push(self.name, self.started, duration, self.fields);
     }
 }
 
@@ -156,16 +101,10 @@ impl TraceContext {
         }
     }
 
-    /// The id this request is traced (and answered) under.
-    pub fn request_id(&self) -> &str {
-        &self.request_id
-    }
-
-    /// Opens a top-level span starting now.
+    /// Opens a span starting now.
     pub fn child(&self, name: &'static str) -> Span {
         Span {
             name,
-            parent: None,
             started: Instant::now(),
             fields: Vec::new(),
         }
@@ -179,20 +118,19 @@ impl TraceContext {
         &mut self,
         name: &'static str,
         duration: Duration,
-        fields: Vec<(&'static str, FieldValue)>,
+        fields: Vec<(&'static str, u64)>,
     ) {
         let end = Instant::now();
         let start = end.checked_sub(duration).unwrap_or(end);
-        self.push(name, None, start, duration, fields);
+        self.push(name, start, duration, fields);
     }
 
     fn push(
         &mut self,
         name: &'static str,
-        parent: Option<&'static str>,
         started: Instant,
         duration: Duration,
-        fields: Vec<(&'static str, FieldValue)>,
+        fields: Vec<(&'static str, u64)>,
     ) {
         let start_nanos = started
             .checked_duration_since(self.origin)
@@ -200,7 +138,6 @@ impl TraceContext {
             .as_nanos() as u64;
         self.spans.push(SpanRecord {
             name,
-            parent,
             start_nanos,
             duration_nanos: duration.as_nanos() as u64,
             fields,
@@ -220,7 +157,7 @@ impl TraceContext {
     }
 }
 
-/// One completed, immutable request trace — what sinks receive.
+/// One completed, immutable request trace.
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// The id the request was answered under (`X-Request-Id`).
@@ -245,16 +182,8 @@ impl Trace {
     }
 }
 
-/// A destination for completed traces. Implementations must be cheap —
-/// `record` runs on the serving path, once per request.
-pub trait TraceSink: Send + Sync {
-    /// Accepts one completed trace (shared, so several sinks can hold
-    /// the same trace without copying its spans).
-    fn record(&self, trace: Arc<Trace>);
-}
-
 /// A bounded in-memory ring of the most recent completed traces — the
-/// sink behind a debug endpoint. One short mutex around a `VecDeque` of
+/// store behind a debug endpoint. One short mutex around a `VecDeque` of
 /// `Arc`s: push and evict are O(1), and a snapshot clones `Arc`s, not
 /// spans.
 #[derive(Debug)]
@@ -287,10 +216,11 @@ impl TraceRing {
         };
         guard.iter().cloned().collect()
     }
-}
 
-impl TraceSink for TraceRing {
-    fn record(&self, trace: Arc<Trace>) {
+    /// Keeps one completed trace (shared, so the caller can still hand
+    /// it on), evicting the oldest once the ring is full. Runs on the
+    /// serving path, once per request.
+    pub fn record(&self, trace: Arc<Trace>) {
         let mut guard = match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -343,30 +273,30 @@ mod tests {
     #[test]
     fn spans_record_order_fields_and_parents() {
         let mut ctx = TraceContext::new("req-7");
-        assert_eq!(ctx.request_id(), "req-7");
         let outer = ctx.child("dispatch");
-        let inner = outer.child("engine").with_field("queries", 3usize);
+        let inner = ctx.child("engine").with_field("queries", 3);
         std::thread::sleep(Duration::from_millis(2));
         inner.finish(&mut ctx);
         outer.finish(&mut ctx);
         ctx.record(
             "filter",
             Duration::from_micros(250),
-            vec![("candidates", FieldValue::U64(9))],
+            vec![("candidates", 9)],
         );
         let trace = ctx.finish("/v1/engines/{name}/query", 200);
+        assert_eq!(trace.request_id, "req-7");
         assert_eq!(trace.route, "/v1/engines/{name}/query");
         assert_eq!(trace.status, 200);
         assert!(trace.duration_nanos >= 2_000_000);
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["engine", "dispatch", "filter"], "completion order");
         let engine = trace.span("engine").expect("recorded");
-        assert_eq!(engine.parent, Some("dispatch"));
-        assert_eq!(engine.fields, vec![("queries", FieldValue::U64(3))]);
+        assert_eq!(engine.fields, vec![("queries", 3)]);
         assert!(engine.duration_nanos >= 2_000_000);
         let dispatch = trace.span("dispatch").expect("recorded");
         assert!(dispatch.duration_nanos >= engine.duration_nanos);
         let filter = trace.span("filter").expect("recorded");
         assert_eq!(filter.duration_nanos, 250_000);
-        assert_eq!(filter.parent, None);
     }
 
     #[test]

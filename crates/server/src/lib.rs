@@ -37,7 +37,6 @@
 //! | `GET /metrics` | — | Prometheus text: per-route×status HTTP counters + latency histograms, worker-pool and pipeline gauges, per-engine query telemetry, per-session stream counters, ghost rates and WAL counters |
 //! | `GET /v1/debug/traces` | — | the most recent request traces (`?min_ms=`, `?route=` filters) from an in-memory ring |
 //! | `GET /v1/debug/health` | — | the health document: engine footprints and each session's shard balance — owned and ghost counts, skews (`?engine=`, `?session=` filters) |
-//! | `GET /v1/debug/slow` | — | the N slowest query requests since startup with their cost plans (`?min_ms=`, `?engine=` filters); join on `request_id` against `/v1/debug/traces` |
 //!
 //! [`routes::API_ROUTES`] lists these routes, and dispatch serves exactly
 //! them. Another method on a listed path answers `405`, naming the
@@ -51,13 +50,16 @@
 //! [`dod_core::trace`]: the worker-pool queue wait, socket
 //! read, route dispatch, and — inside the engine and session handlers —
 //! the paper's filter/verify phase split and per-slide ingest work, each
-//! as a named span with typed fields. The request id is taken from an
+//! as a named span with count fields. The request id is taken from an
 //! inbound `X-Request-Id` header (sanitized) or generated, and echoed on
-//! every response. Completed traces fan out to every configured sink:
+//! every response. An engine query's `filter` span carries its distance
+//! evaluations and graph hops and its `verify` span its distance
+//! evaluations, so one trace says both how long a query took and what
+//! work it did. Each completed trace goes to
 //!
 //! * a bounded in-memory ring served by `GET /v1/debug/traces`
 //!   ([`ServerBuilder::trace_capacity`]),
-//! * an optional JSON-lines access log ([`ServerBuilder::access_log`],
+//! * and an optional JSON-lines access log ([`ServerBuilder::access_log`],
 //!   off by default) — one `dod_wire` object per line.
 //!
 //! Requests rejected before routing (timeouts, oversized bodies, parse
@@ -110,16 +112,13 @@ mod prom;
 mod registry;
 pub mod routes;
 mod sink;
-mod slow;
 mod streams;
 
 pub use routes::{dod_error_kind, dod_error_status, encode, error_body, http_error_kind};
 
 use dod_core::parallel::{PoolStats, WorkerPool};
 use dod_core::telemetry::{Counter, Histogram};
-use dod_core::trace::{
-    generate_request_id, sanitize_request_id, TraceContext, TraceRing, TraceSink,
-};
+use dod_core::trace::{generate_request_id, sanitize_request_id, Trace, TraceContext, TraceRing};
 use dod_core::DodError;
 use registry::{EngineRegistry, SessionRegistry};
 use routes::Route;
@@ -148,14 +147,10 @@ pub(crate) struct State {
     /// `None` means durable session creation answers 503.
     pub(crate) data_dir: Option<PathBuf>,
     /// The last-N completed request traces, served by
-    /// `GET /v1/debug/traces` (also registered in `sinks`).
-    pub(crate) trace_ring: Arc<TraceRing>,
-    /// The N slowest engine-query requests with their cost plans, served
-    /// by `GET /v1/debug/slow`.
-    pub(crate) slow_ring: slow::SlowRing,
-    /// Every sink a completed trace fans out to: the ring and the
-    /// optional access log.
-    pub(crate) sinks: Vec<Arc<dyn TraceSink>>,
+    /// `GET /v1/debug/traces`.
+    pub(crate) trace_ring: TraceRing,
+    /// The optional JSON-lines access log: one line per completed trace.
+    access_log: Option<sink::AccessLog>,
     /// Saturation gauges of the connection worker pool.
     pub(crate) pool_stats: Arc<PoolStats>,
     /// Failed removals of durable-session directories (DELETE or the
@@ -185,6 +180,17 @@ impl State {
         self.sessions
             .write()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Books a completed request under `route` in the HTTP metrics and
+    /// hands its trace to the ring and the access log.
+    fn publish(&self, route: Route, trace: &Arc<Trace>) {
+        self.http
+            .record(route, trace.status, trace.duration_nanos as f64 / 1e9);
+        self.trace_ring.record(Arc::clone(trace));
+        if let Some(log) = &self.access_log {
+            log.record(trace);
+        }
     }
 }
 
@@ -274,7 +280,6 @@ pub struct ServerBuilder {
     data_dir: Option<PathBuf>,
     access_log: Option<Box<dyn std::io::Write + Send>>,
     trace_capacity: usize,
-    slow_query_capacity: usize,
 }
 
 impl Default for ServerBuilder {
@@ -294,7 +299,6 @@ impl Default for ServerBuilder {
             data_dir: None,
             access_log: None,
             trace_capacity: 256,
-            slow_query_capacity: 32,
         }
     }
 }
@@ -415,15 +419,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Slowest engine-query requests retained for `GET /v1/debug/slow`
-    /// (default 32, clamped to ≥ 1). Unlike the trace ring's last-N
-    /// window, this keeps the N *slowest* since startup, so a
-    /// pathological query survives until something slower displaces it.
-    pub fn slow_query_capacity(mut self, n: usize) -> Self {
-        self.slow_query_capacity = n.max(1);
-        self
-    }
-
     /// Binds the listener (use port `0` for an ephemeral port) and
     /// recovers any durable sessions under the data directory. The server
     /// is not accepting yet — call [`DodServer::start`] or
@@ -434,12 +429,6 @@ impl ServerBuilder {
         let cleanup_errors = Counter::new();
         if let Some(data_dir) = &self.data_dir {
             durable::recover_sessions(data_dir, self.queue, &mut sessions, &cleanup_errors)?;
-        }
-        let trace_ring = Arc::new(TraceRing::new(self.trace_capacity));
-        let mut sinks: Vec<Arc<dyn TraceSink>> =
-            vec![Arc::clone(&trace_ring) as Arc<dyn TraceSink>];
-        if let Some(writer) = self.access_log {
-            sinks.push(Arc::new(sink::AccessLog::new(writer)));
         }
         // The pool is created at bind time (not in run()) so its
         // saturation gauges are part of State and visible to /metrics
@@ -452,9 +441,8 @@ impl ServerBuilder {
             max_query_threads: self.max_query_threads,
             pipeline_queue: self.queue,
             data_dir: self.data_dir,
-            trace_ring,
-            slow_ring: slow::SlowRing::new(self.slow_query_capacity),
-            sinks,
+            trace_ring: TraceRing::new(self.trace_capacity),
+            access_log: self.access_log.map(sink::AccessLog::new),
             pool_stats: pool.stats(),
             cleanup_errors,
             shutting_down: AtomicBool::new(false),
@@ -778,7 +766,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                 ctx.record(
                     "read",
                     read_start.elapsed(),
-                    vec![("body_bytes", req.body.len().into())],
+                    vec![("body_bytes", req.body.len() as u64)],
                 );
                 let dispatch_span = ctx.child("dispatch");
                 let (route, resp) = routes::dispatch(state, &req, &mut ctx);
@@ -789,12 +777,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                 // request. The traced duration therefore excludes the
                 // response write, which is booked on its own below.
                 let trace = Arc::new(ctx.finish(route.pattern(), resp.status));
-                state
-                    .http
-                    .record(route, resp.status, trace.duration_nanos as f64 / 1e9);
-                for sink in &state.sinks {
-                    sink.record(Arc::clone(&trace));
-                }
+                state.publish(route, &trace);
                 writer.deadline.arm(cfg.request_timeout);
                 let write_start = Instant::now();
                 let wrote = http::write_response(
@@ -823,12 +806,7 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
                 }
                 ctx.record("read", read_start.elapsed(), Vec::new());
                 let trace = Arc::new(ctx.finish(Route::Parse.pattern(), e.status));
-                state
-                    .http
-                    .record(Route::Parse, e.status, trace.duration_nanos as f64 / 1e9);
-                for sink in &state.sinks {
-                    sink.record(Arc::clone(&trace));
-                }
+                state.publish(Route::Parse, &trace);
                 let body = error_body(http_error_kind(e.status), &e.message);
                 writer.deadline.arm(cfg.request_timeout);
                 let write_start = Instant::now();

@@ -39,7 +39,6 @@ pub(crate) enum Route {
     Metrics,
     DebugTraces,
     DebugHealth,
-    DebugSlow,
     /// Requests rejected before routing (framing failures, timeouts,
     /// oversized bodies) — a synthetic label so `/metrics` error rates
     /// include requests that never reached a handler.
@@ -49,7 +48,7 @@ pub(crate) enum Route {
 }
 
 impl Route {
-    pub(crate) const ALL: [Route; 14] = [
+    pub(crate) const ALL: [Route; 13] = [
         Route::Engines,
         Route::Engine,
         Route::EngineQuery,
@@ -61,7 +60,6 @@ impl Route {
         Route::Metrics,
         Route::DebugTraces,
         Route::DebugHealth,
-        Route::DebugSlow,
         Route::Parse,
         Route::Other,
     ];
@@ -83,7 +81,6 @@ impl Route {
             Route::Metrics => "/metrics",
             Route::DebugTraces => "/v1/debug/traces",
             Route::DebugHealth => "/v1/debug/health",
-            Route::DebugSlow => "/v1/debug/slow",
             Route::Parse => "<parse>",
             Route::Other => "<other>",
         }
@@ -136,7 +133,6 @@ pub const API_ROUTES: &[(&str, &str)] = &[
     ("GET", "/metrics"),
     ("GET", "/v1/debug/traces"),
     ("GET", "/v1/debug/health"),
-    ("GET", "/v1/debug/slow"),
 ];
 
 /// Resource names are short identifiers — no separators, no escapes —
@@ -564,7 +560,6 @@ pub(crate) fn dispatch(state: &State, req: &Request, ctx: &mut TraceContext) -> 
         (Route::Metrics, "GET") => Response::text(200, crate::prom::render(state)),
         (Route::DebugTraces, "GET") => handle_debug_traces(state, req),
         (Route::DebugHealth, "GET") => crate::health::handle_debug_health(state, req),
-        (Route::DebugSlow, "GET") => handle_debug_slow(state, req),
         (Route::Other | Route::Parse, _) => not_found(&format!("no route {}", req.path)),
         _ => method_not_allowed(route),
     };
@@ -735,20 +730,21 @@ fn handle_engine_query(
         Ok(parsed) => parsed,
         Err(resp) => return resp,
     };
-    let span = ctx.child("engine").with_field("queries", queries.len());
-    let started = std::time::Instant::now();
+    let span = ctx
+        .child("engine")
+        .with_field("queries", queries.len() as u64);
     let answered = entry.engine.query_many(&queries);
-    let compute = started.elapsed();
     span.finish(ctx);
     match answered {
         Ok(reports) => {
             // The engine's own phase split, surfaced as sibling spans: the
-            // reports carry wall-clock filter/verify timings and counts, so
-            // the trace shows the paper's cost split per request.
+            // reports carry wall-clock filter/verify timings, counts and
+            // distance evaluations, so the trace shows the paper's cost
+            // split per request, time and work side by side.
             // `query_many` answers a repeated query once and clones the
             // report into every copy, so only the first copy did the work.
             let (mut filter_secs, mut verify_secs) = (0.0f64, 0.0f64);
-            let (mut candidates, mut decided, mut false_pos) = (0usize, 0usize, 0usize);
+            let (mut candidates, mut decided, mut false_pos) = (0u64, 0u64, 0u64);
             let mut cost = dod_core::CostReport::default();
             for (i, rep) in reports.iter().enumerate() {
                 if queries[..i].contains(&queries[i]) {
@@ -756,41 +752,32 @@ fn handle_engine_query(
                 }
                 filter_secs += rep.filter_secs;
                 verify_secs += rep.verify_secs;
-                candidates += rep.candidates;
-                decided += rep.decided_in_filter;
-                false_pos += rep.false_positives;
+                candidates += rep.candidates as u64;
+                decided += rep.decided_in_filter as u64;
+                false_pos += rep.false_positives as u64;
                 cost.absorb(&rep.cost);
             }
             ctx.record(
                 "filter",
                 std::time::Duration::from_secs_f64(filter_secs.max(0.0)),
                 vec![
-                    ("candidates", candidates.into()),
-                    ("decided_in_filter", decided.into()),
+                    ("candidates", candidates),
+                    ("decided_in_filter", decided),
+                    ("dist_evals", cost.filter_dist_evals),
+                    ("hops", cost.hops),
                 ],
             );
             ctx.record(
                 "verify",
                 std::time::Duration::from_secs_f64(verify_secs.max(0.0)),
                 vec![
-                    ("verified", candidates.saturating_sub(decided).into()),
-                    ("false_positives", false_pos.into()),
+                    ("verified", candidates.saturating_sub(decided)),
+                    ("false_positives", false_pos),
+                    ("dist_evals", cost.verify_dist_evals),
                 ],
             );
-            let n = entry.engine.len();
-            // Every answered batch competes for the slow log; the ring
-            // keeps only the N slowest, joined to the trace ring by the
-            // request id it records here.
-            state.slow_ring.record(crate::slow::SlowQuery {
-                request_id: ctx.request_id().to_string(),
-                engine: name.to_string(),
-                duration_nanos: compute.as_nanos() as u64,
-                queries: queries.len() as u64,
-                dataset_size: n as u64,
-                cost,
-            });
             let body = if explain {
-                encode::query_response_explained(&reports, n)
+                encode::query_response_explained(&reports, entry.engine.len())
             } else {
                 encode::query_response(&reports)
             };
@@ -989,7 +976,7 @@ fn handle_session_ingest(
     let accepted = points.len();
     let span = ctx
         .child("ingest")
-        .with_field("points", accepted)
+        .with_field("points", accepted as u64)
         .with_field("queue_depth", entry.pipeline.gauges().queue_depth());
     // For a durable session the 200 is a durability promise, so the
     // handler blocks on a commit barrier: the router flushes every op
@@ -1153,35 +1140,6 @@ fn handle_debug_traces(state: &State, req: &Request) -> Response {
     )
 }
 
-/// `GET /v1/debug/slow[?min_ms=..][&engine=..]`: the N slowest query
-/// requests since startup, slowest first, each with its aggregated cost
-/// plan and the request id its trace was published under. Malformed or
-/// unknown parameters answer 400 with the mistake named.
-fn handle_debug_slow(state: &State, req: &Request) -> Response {
-    // Entries outlive engine deletion, so an engine name is matched
-    // against the log, not the registry.
-    let filter = match parse_debug_filter(&req.query, &["min_ms", "engine"]) {
-        Ok(f) => f,
-        Err(msg) => return bad_request(&msg),
-    };
-    let mut entries = state.slow_ring.snapshot();
-    entries.retain(|e| {
-        e.duration_nanos >= filter.min_nanos
-            && filter.engine.as_deref().is_none_or(|want| want == e.engine)
-    });
-    Response::json(
-        200,
-        JsonValue::obj([
-            (
-                "slow",
-                JsonValue::Arr(entries.iter().map(|e| crate::slow::slow_json(e)).collect()),
-            ),
-            ("capacity", JsonValue::from(state.slow_ring.capacity())),
-        ])
-        .render(),
-    )
-}
-
 fn handle_session_report(state: &State, id: &str) -> Response {
     let Some(entry) = state.sessions().get(id) else {
         return no_session(id);
@@ -1307,7 +1265,6 @@ mod tests {
             ("/metrics", Metrics, ""),
             ("/v1/debug/traces", DebugTraces, ""),
             ("/v1/debug/health", DebugHealth, ""),
-            ("/v1/debug/slow", DebugSlow, ""),
             // Malformed or hostile paths all fall to Other (→ 404).
             ("/", Other, ""),
             ("/v1/engines/", Other, ""),
@@ -1321,10 +1278,11 @@ mod tests {
             // The synthetic labels are not mounted paths.
             ("<parse>", Other, ""),
             ("<other>", Other, ""),
-            // The retired singleton routes are unknown paths like any other.
+            // The retired routes are unknown paths like any other.
             ("/v1/query", Other, ""),
             ("/v1/ingest", Other, ""),
             ("/v1/report", Other, ""),
+            ("/v1/debug/slow", Other, ""),
         ];
         for (path, route, param) in cases {
             assert_eq!(Route::resolve(path), (route, param), "{path}");
@@ -1420,40 +1378,6 @@ mod tests {
         );
         // The first offending pair wins; valid ones before it are fine.
         assert!(parse("min_ms=2&oops=1").is_err());
-    }
-
-    /// The slow-log filter mirrors the traces filter's strictness: every
-    /// rejection is a named 400 (operators curl this endpoint by hand).
-    #[test]
-    fn slow_filters_parse_strictly() {
-        let parse = |q: &str| parse_debug_filter(q, &["min_ms", "engine"]);
-        assert_eq!(parse(""), Ok(DebugFilter::default()));
-        assert_eq!(
-            parse("min_ms=2.5&engine=prod"),
-            Ok(DebugFilter {
-                min_nanos: 2_500_000,
-                engine: Some("prod".to_string()),
-                ..DebugFilter::default()
-            })
-        );
-        let err = parse("min_ms=abc").unwrap_err();
-        assert_eq!(err, "min_ms must be a non-negative number, got \"abc\"");
-        for bad in ["min_ms=-1", "min_ms=inf", "min_ms="] {
-            assert!(parse(bad).is_err(), "{bad}");
-        }
-        // An engine value that could never name a resource is a named
-        // 400, not an empty 200.
-        let err = parse("engine=bad%20name").unwrap_err();
-        assert_eq!(
-            err,
-            "engine must be a resource name (1-64 alphanumeric, '_' or '-' characters), got \"bad name\""
-        );
-        // Unknown keys are named, with this endpoint's supported set.
-        let err = parse("route=/v1/engines").unwrap_err();
-        assert_eq!(
-            err,
-            "unknown query parameter \"route\"; supported: min_ms, engine"
-        );
     }
 
     /// The query body is strict end to end: unknown keys at either level

@@ -1,8 +1,8 @@
-//! Trace sinks owned by the server: the JSON-lines access log and the
-//! shared trace → JSON encoding the log and `GET /v1/debug/traces` both
-//! use, so one trace renders identically wherever it surfaces.
+//! The JSON-lines access log and the shared trace → JSON encoding the
+//! log and `GET /v1/debug/traces` both use, so one trace renders
+//! identically wherever it surfaces.
 
-use dod_core::trace::{FieldValue, Trace, TraceSink};
+use dod_core::trace::Trace;
 use dod_wire::JsonValue;
 use std::io::Write;
 use std::sync::Mutex;
@@ -16,8 +16,7 @@ use std::sync::Mutex;
 ///             "fields": {"candidates": 12}}, …]}
 /// ```
 ///
-/// Span `parent` appears only on nested spans; field values keep their
-/// types (counts as numbers, labels as strings).
+/// A span without fields has no `fields` key.
 pub(crate) fn trace_json(t: &Trace) -> JsonValue {
     let spans: Vec<JsonValue> = t
         .spans
@@ -28,21 +27,11 @@ pub(crate) fn trace_json(t: &Trace) -> JsonValue {
                 ("start_ns".to_string(), JsonValue::from(s.start_nanos)),
                 ("duration_ns".to_string(), JsonValue::from(s.duration_nanos)),
             ];
-            if let Some(parent) = s.parent {
-                fields.insert(1, ("parent".to_string(), JsonValue::from(parent)));
-            }
             if !s.fields.is_empty() {
                 let kv: Vec<(String, JsonValue)> = s
                     .fields
                     .iter()
-                    .map(|&(k, v)| {
-                        let v = match v {
-                            FieldValue::U64(n) => JsonValue::from(n),
-                            FieldValue::F64(x) => JsonValue::from(x),
-                            FieldValue::Str(s) => JsonValue::from(s),
-                        };
-                        (k.to_string(), v)
-                    })
+                    .map(|&(k, v)| (k.to_string(), JsonValue::from(v)))
                     .collect();
                 fields.push(("fields".to_string(), JsonValue::Obj(kv)));
             }
@@ -73,11 +62,10 @@ impl AccessLog {
             writer: Mutex::new(writer),
         }
     }
-}
 
-impl TraceSink for AccessLog {
-    fn record(&self, trace: std::sync::Arc<Trace>) {
-        let line = trace_json(&trace).render();
+    /// Writes `trace` as one line.
+    pub(crate) fn record(&self, trace: &Trace) {
+        let line = trace_json(trace).render();
         let mut guard = match self.writer.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -98,12 +86,12 @@ mod tests {
     #[test]
     fn trace_json_round_trips_through_the_wire_parser() {
         let mut ctx = TraceContext::new("req-1");
-        let span = ctx.child("engine").with_field("queries", 2u64);
+        let span = ctx.child("engine").with_field("queries", 2);
         span.finish(&mut ctx);
         ctx.record(
             "filter",
             std::time::Duration::from_micros(5),
-            vec![("candidates", 7u64.into()), ("backend", "mrpg".into())],
+            vec![("candidates", 7), ("dist_evals", 4_689)],
         );
         let trace = ctx.finish("/v1/engines/{name}/query", 200);
         let rendered = trace_json(&trace).render();
@@ -134,8 +122,8 @@ mod tests {
             Some(7)
         );
         assert_eq!(
-            fields.get("backend").and_then(JsonValue::as_str),
-            Some("mrpg")
+            fields.get("dist_evals").and_then(JsonValue::as_usize),
+            Some(4_689)
         );
     }
 
@@ -155,7 +143,7 @@ mod tests {
         let log = AccessLog::new(Box::new(Shared(Arc::clone(&buf))));
         for i in 0..3u16 {
             let ctx = TraceContext::new(format!("r{i}"));
-            log.record(Arc::new(ctx.finish("/healthz", 200 + i)));
+            log.record(&ctx.finish("/healthz", 200 + i));
         }
         let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();

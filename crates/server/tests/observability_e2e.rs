@@ -94,7 +94,7 @@ fn builder() -> ServerBuilder {
 
 /// Binds and starts the server, then creates engine `e` and session `s1`
 /// over the wire. Both setup requests are traced like any other, so
-/// every sink sees them first.
+/// the ring and the access log see them first.
 fn serve(builder: ServerBuilder) -> ServerHandle {
     let handle = builder.bind("127.0.0.1:0").expect("bind").start();
     let (status, _, body) = send(
@@ -122,6 +122,15 @@ fn span<'a>(trace: &'a JsonValue, name: &str) -> Option<&'a JsonValue> {
         .and_then(JsonValue::as_arr)?
         .iter()
         .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
+}
+
+/// A span's count field, e.g. the `filter` span's `dist_evals`.
+fn span_field(trace: &JsonValue, name: &str, field: &str) -> u64 {
+    span(trace, name)
+        .and_then(|s| s.get("fields"))
+        .and_then(|f| f.get(field))
+        .and_then(JsonValue::as_usize)
+        .unwrap_or_else(|| panic!("span {name} has no {field}: {trace:?}")) as u64
 }
 
 fn span_duration_ns(trace: &JsonValue, name: &str) -> u64 {
@@ -179,14 +188,13 @@ fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
             "span {name} has zero duration: {trace:?}"
         );
     }
-    let filter = span(trace, "filter")
-        .unwrap()
-        .get("fields")
-        .expect("fields");
-    assert!(filter
-        .get("candidates")
-        .and_then(JsonValue::as_usize)
-        .is_some());
+    // Each phase span carries its work next to its time: the filter its
+    // candidates, distance evaluations and graph hops, the verify phase
+    // its distance evaluations.
+    span_field(trace, "filter", "candidates");
+    assert!(span_field(trace, "filter", "dist_evals") > 0, "{trace:?}");
+    assert!(span_field(trace, "filter", "hops") > 0, "{trace:?}");
+    span_field(trace, "verify", "dist_evals");
 
     // The same request shows up in the per-route×status counters.
     let (_, _, metrics) = get(addr, "/metrics");
@@ -196,6 +204,13 @@ fn a_query_is_traced_from_queue_wait_to_filter_and_verify() {
         ),
         "{metrics}"
     );
+
+    // The trace ring is the one debug ring: the slow-query log is gone.
+    let (status, _, body) = get(addr, "/v1/debug/slow");
+    assert_eq!(status, 404, "{body}");
+    let doc = dod_wire::parse_json(&body).expect("json");
+    let env = dod_wire::shapes::ErrorEnvelope::from_json(&doc).expect("envelope");
+    assert_eq!(env.kind, "not_found");
     handle.shutdown();
 }
 
@@ -330,107 +345,10 @@ fn debug_traces_filter_by_route_and_min_ms() {
     handle.shutdown();
 }
 
-/// The slow-query log: bounded, slowest-first, filterable, and joined
-/// to the trace ring through the request id each entry records.
-#[test]
-fn debug_slow_serves_the_bounded_ring_with_request_id_linkage() {
-    let handle = serve(builder().slow_query_capacity(2));
-    let addr = handle.addr();
-
-    // Empty before any query — and the capacity knob is echoed.
-    let (status, _, body) = get(addr, "/v1/debug/slow");
-    assert_eq!(status, 200, "{body}");
-    let doc = dod_wire::parse_json(&body).expect("json");
-    assert_eq!(
-        doc.get("slow").and_then(JsonValue::as_arr).map(<[_]>::len),
-        Some(0)
-    );
-    assert_eq!(doc.get("capacity").and_then(JsonValue::as_usize), Some(2));
-
-    for id in ["slow-a", "slow-b", "slow-c"] {
-        let (status, _, _) = post(
-            addr,
-            "/v1/engines/e/query",
-            r#"{"queries":[{"r":100.0,"k":40}]}"#,
-            &format!("x-request-id: {id}\r\n"),
-        );
-        assert_eq!(status, 200);
-    }
-
-    let (status, _, body) = get(addr, "/v1/debug/slow");
-    assert_eq!(status, 200);
-    let doc = dod_wire::parse_json(&body).expect("json");
-    let slow = doc.get("slow").and_then(JsonValue::as_arr).expect("slow");
-    assert_eq!(slow.len(), 2, "capacity bounds the log: {body}");
-    let duration = |e: &JsonValue| {
-        e.get("duration_ns")
-            .and_then(JsonValue::as_usize)
-            .expect("duration_ns")
-    };
-    assert!(
-        duration(&slow[0]) >= duration(&slow[1]),
-        "slowest first: {body}"
-    );
-    let (_, _, traces_body) = get(addr, "/v1/debug/traces");
-    let traces_doc = dod_wire::parse_json(&traces_body).expect("traces json");
-    let traces = traces_doc
-        .get("traces")
-        .and_then(JsonValue::as_arr)
-        .expect("traces");
-    for e in slow {
-        assert_eq!(e.get("engine").and_then(JsonValue::as_str), Some("e"));
-        assert_eq!(e.get("queries").and_then(JsonValue::as_usize), Some(1));
-        let cost = e.get("cost").expect("cost plan");
-        assert!(
-            cost.get("total_dist_evals")
-                .and_then(JsonValue::as_usize)
-                .expect("total_dist_evals")
-                > 0,
-            "{body}"
-        );
-        let power = cost
-            .get("pruning_power")
-            .and_then(JsonValue::as_f64)
-            .expect("pruning_power");
-        assert!((0.0..=1.0).contains(&power), "{power}");
-        // The entry's request id resolves in the trace ring: the two
-        // debug endpoints join on it.
-        let id = e
-            .get("request_id")
-            .and_then(JsonValue::as_str)
-            .expect("request_id");
-        assert!(id.starts_with("slow-"), "{id}");
-        assert!(
-            traces
-                .iter()
-                .any(|t| t.get("request_id").and_then(JsonValue::as_str) == Some(id)),
-            "{id} not found in the trace ring: {traces_body}"
-        );
-    }
-
-    // Filters mirror the traces ring: an absurd floor empties the view,
-    // an unknown engine matches nothing, and mistakes are named 400s.
-    for (query, expect_empty) in [("?min_ms=3600000", true), ("?engine=absent", true)] {
-        let (status, _, body) = get(addr, &format!("/v1/debug/slow{query}"));
-        assert_eq!(status, 200, "{query}: {body}");
-        let doc = dod_wire::parse_json(&body).expect("json");
-        let len = doc.get("slow").and_then(JsonValue::as_arr).map(<[_]>::len);
-        assert_eq!(len == Some(0), expect_empty, "{query}: {body}");
-    }
-    for q in ["?min_ms=soon", "?route=/v1/engines", "?engine=bad%20name"] {
-        let (status, _, body) = get(addr, &format!("/v1/debug/slow{q}"));
-        assert_eq!(status, 400, "{q}: {body}");
-        let doc = dod_wire::parse_json(&body).expect("json");
-        let env = dod_wire::shapes::ErrorEnvelope::from_json(&doc).expect("envelope");
-        assert_eq!(env.kind, "bad_request", "{q}");
-    }
-    handle.shutdown();
-}
-
 /// `Engine::query_many` answers a repeated query once and clones the
 /// report into every copy, so a batch of four copies does one query's
-/// work: the slow log books exactly what `/metrics` booked, and the
-/// filter and verify spans fit inside the engine span that timed them.
+/// work: the trace's phase spans book exactly what `/metrics` booked,
+/// and they fit inside the engine span that timed them.
 #[test]
 fn a_repeated_query_books_its_work_once() {
     let handle = serve(builder());
@@ -453,32 +371,6 @@ fn a_repeated_query_books_its_work_once() {
     assert_eq!(status, 200, "{body}");
     let (_, _, after) = get(addr, "/metrics");
 
-    let (_, _, body) = get(addr, "/v1/debug/slow");
-    let doc = dod_wire::parse_json(&body).expect("slow json");
-    let entry = doc
-        .get("slow")
-        .and_then(JsonValue::as_arr)
-        .and_then(|s| {
-            s.iter()
-                .find(|e| e.get("request_id").and_then(JsonValue::as_str) == Some("repeated"))
-        })
-        .unwrap_or_else(|| panic!("the batch is not in the slow log: {body}"));
-    assert_eq!(entry.get("queries").and_then(JsonValue::as_usize), Some(4));
-    for (field, series) in [
-        ("filter_dist_evals", "dod_cost_filter_dist_evals_total"),
-        ("verify_dist_evals", "dod_cost_verify_dist_evals_total"),
-        ("hops", "dod_cost_hops_total"),
-    ] {
-        let booked = engine_series(&after, series) - engine_series(&before, series);
-        let logged = entry
-            .get("cost")
-            .and_then(|c| c.get(field))
-            .and_then(JsonValue::as_usize)
-            .unwrap_or_else(|| panic!("no cost.{field}: {body}")) as u64;
-        assert_eq!(logged, booked, "{field}: slow log vs /metrics");
-    }
-    assert!(engine_series(&after, "dod_cost_filter_dist_evals_total") > 0);
-
     let (_, _, body) = get(addr, "/v1/debug/traces");
     let doc = dod_wire::parse_json(&body).expect("traces json");
     let trace = doc
@@ -489,6 +381,17 @@ fn a_repeated_query_books_its_work_once() {
                 .find(|t| t.get("request_id").and_then(JsonValue::as_str) == Some("repeated"))
         })
         .unwrap_or_else(|| panic!("the batch is not traced: {body}"));
+    assert_eq!(span_field(trace, "engine", "queries"), 4);
+    for (span_name, field, series) in [
+        ("filter", "dist_evals", "dod_cost_filter_dist_evals_total"),
+        ("filter", "hops", "dod_cost_hops_total"),
+        ("verify", "dist_evals", "dod_cost_verify_dist_evals_total"),
+    ] {
+        let booked = engine_series(&after, series) - engine_series(&before, series);
+        let traced = span_field(trace, span_name, field);
+        assert_eq!(traced, booked, "{span_name}.{field}: trace vs /metrics");
+    }
+    assert!(engine_series(&after, "dod_cost_filter_dist_evals_total") > 0);
     let phases = span_duration_ns(trace, "filter") + span_duration_ns(trace, "verify");
     let engine = span_duration_ns(trace, "engine");
     assert!(

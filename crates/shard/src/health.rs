@@ -91,8 +91,8 @@ impl HealthReport {
 
     /// Slide-time skew over per-shard `insert_nanos + expiry_nanos` —
     /// the *work* imbalance, which can diverge from occupancy when one
-    /// shard's residents are expensive (dense neighborhoods, many
-    /// repairs).
+    /// shard's residents are expensive (dense neighborhoods with many
+    /// tracked residents).
     pub fn slide_skew(&self) -> f64 {
         skew(self.shards.iter().map(|s| s.slide_nanos() as f64))
     }

@@ -29,8 +29,8 @@
 //! ```
 //!
 //! where `c_own(p)` is `p`'s nearest pivot. A ghost is a full window
-//! resident of the foreign shard — discovery finds it, repairs scan it,
-//! it expires on schedule — but it is never *reported* from there (it
+//! resident of the foreign shard — discovery finds it and it expires on
+//! schedule — but it is never *reported* from there (it
 //! carries no neighbor state of its own; see
 //! [`dod_stream::StreamDetector::insert_ghost_at`]).
 //!

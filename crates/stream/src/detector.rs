@@ -280,9 +280,9 @@ impl<S: Space> StreamDetector<S> {
     /// counts stay exact across a partition boundary.
     ///
     /// A ghost is a first-class window resident for every count it feeds —
-    /// discovery sees it, repairs scan it, it expires on schedule, and its
-    /// arrival can promote residents to safe inliers — but it gets no
-    /// neighbor state of its own, so [`outliers`](Self::outliers) and
+    /// discovery sees it, it expires on schedule, and its arrival can
+    /// promote residents to safe inliers — but it gets no neighbor state
+    /// of its own, so [`outliers`](Self::outliers) and
     /// [`report`](Self::report) never name it. ([`audit`](Self::audit)
     /// recounts *every* resident, ghosts included; a sharded caller
     /// filters those out, as `dod_shard` does.)

@@ -160,10 +160,9 @@ impl SessionSummary {
 }
 
 /// The per-query `"cost"` object attached to each result when a
-/// `POST /v1/engines/{name}/query` body carries `"explain": true` (and
-/// to every entry of the `GET /v1/debug/slow` ring): distance
-/// evaluations split by phase, graph hops, and the live pruning power
-/// against the nested-loop baseline `n·(n−1)`.
+/// `POST /v1/engines/{name}/query` body carries `"explain": true`:
+/// distance evaluations split by phase, graph hops, and the live pruning
+/// power against the nested-loop baseline `n·(n−1)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryCostShape {
     /// Distance evaluations spent in the filtering phase.
